@@ -27,9 +27,6 @@ from .rational import as_rational, RationalLike
 
 Point = tuple[Fraction, ...]
 
-#: Slack used when comparing float-valued lengths in inequalities.
-LENGTH_SLACK = Fraction(1, 2**30)
-
 
 def _as_point(coords: Sequence[RationalLike]) -> Point:
     return tuple(
@@ -38,23 +35,13 @@ def _as_point(coords: Sequence[RationalLike]) -> Point:
 
 
 def validate_monotone(vertices: Sequence[Sequence[RationalLike]]) -> bool:
-    """True iff the vertices are componentwise nondecreasing and in [0,1]^n."""
-    prev: Point | None = None
-    n = None
-    for raw in vertices:
-        p = _as_point(raw)
-        if n is None:
-            n = len(p)
-        elif len(p) != n:
-            return False
-        for c in p:
-            if c < 0 or c > 1:
-                return False
-        if prev is not None:
-            for x, y in zip(prev, p):
-                if y < x:
-                    return False
-        prev = p
+    """True iff `MonotonePolyline` accepts the vertices (an empty list does)."""
+    if not vertices:
+        return True
+    try:
+        MonotonePolyline(n=len(vertices[0]), vertices=tuple(vertices))
+    except DomainError:
+        return False
     return True
 
 

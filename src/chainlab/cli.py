@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Callable, TextIO
@@ -36,7 +35,7 @@ from .verifier import (
     end_to_end_verify,
     measure,
 )
-from .whitney import convergence_table, sum_k_largest, whitney_numbers
+from .whitney import convergence_table, k_for_kappa, sum_k_largest, whitney_numbers
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -58,6 +57,13 @@ def _rational_arg(text: str) -> Fraction:
         return as_rational(text)
     except (ValueError, TypeError) as exc:
         raise _UsageError(str(exc)) from exc
+
+
+def _m_list_arg(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError as exc:
+        raise _UsageError(f"--m-list must be comma-separated integers: {exc}") from exc
 
 
 def _emit(payload: dict, stdout: TextIO) -> None:
@@ -107,9 +113,7 @@ def _cmd_whitney(args: argparse.Namespace, config: Config) -> dict:
     if args.k is not None and args.kappa is not None:
         raise DomainError("--k and --kappa are mutually exclusive")
     if args.kappa is not None:
-        if not 0 < args.kappa <= args.n:
-            raise DomainError(f"kappa must lie in (0, {args.n}], got {args.kappa}")
-        k = math.ceil(args.kappa * args.m + args.n)
+        k = k_for_kappa(args.n, args.m, args.kappa)
         payload["kappa"] = format_rational(args.kappa)
         payload["k"] = k
         payload["sum"] = sum_k_largest(table, k).value
@@ -120,8 +124,9 @@ def _cmd_whitney(args: argparse.Namespace, config: Config) -> dict:
 
 
 def _cmd_converge(args: argparse.Namespace, config: Config) -> dict:
-    m_list = [int(x) for x in args.m_list.split(",") if x]
-    rows = convergence_table(args.n, args.kappa, m_list)
+    rows = convergence_table(
+        args.n, args.kappa, args.m_list, max_bytes=config.max_table_bytes
+    )
     payload_rows = []
     for row in rows:
         payload_rows.append(
@@ -347,7 +352,7 @@ def _build_parsers() -> dict[str, tuple[_Parser, Callable]]:
     p = new("converge", _cmd_converge)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kappa", type=_rational_arg, required=True)
-    p.add_argument("--m-list", type=str, required=True, dest="m_list")
+    p.add_argument("--m-list", type=_m_list_arg, required=True, dest="m_list")
     p.add_argument("--csv", type=str, default=None)
 
     p = new("maxchain", _cmd_maxchain)

@@ -12,8 +12,6 @@ from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
-OUTPUT_FORMATS = ("json", "csv")
-
 
 @dataclass(frozen=True)
 class Config:
@@ -25,7 +23,6 @@ class Config:
     max_table_bytes: int = 1 << 28
     #: Hard cap on the dimension accepted by the volume subcommand.
     max_dimension: int = 64
-    default_format: str = "json"
     default_seed: int = 0
     #: Largest denominator tried by the automatic epsilon rule.
     epsilon_denominator_cap: int = 10**6
@@ -40,10 +37,6 @@ class Config:
         ):
             if not isinstance(cap, int) or cap <= 0:
                 raise DomainError(f"resource caps must be positive integers, got {cap!r}")
-        if self.default_format not in OUTPUT_FORMATS:
-            raise DomainError(
-                f"default_format must be one of {OUTPUT_FORMATS}, got {self.default_format!r}"
-            )
 
     @classmethod
     def from_file(cls, path: str) -> "Config":

@@ -1,7 +1,8 @@
 """The grid poset {0..m-1}^n: chains, chain DP, decompositions, oracles.
 
 Points are plain integer tuples ordered componentwise.  The module
-provides the maximum-weight chain DP (rank-layered sweep, n * m^n time),
+provides the monotone-path DP over a box (n * size time), which runs
+both the maximum-weight chain DP and the verifier's staircase search,
 a symmetric chain decomposition built by the inductive product splice,
 and a brute-force maximiser over families with no (k+1)-element chain,
 for grids small enough to enumerate every family.
@@ -9,18 +10,20 @@ for grids small enough to enumerate every family.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
+from .config import Config
 from .errors import DomainError, ResourceLimitError
 from .rational import as_rational
 from .whitney import sum_k_largest, whitney_numbers
 
 GridPoint = tuple[int, ...]
 
-#: Cap on m^n for the chain DP.
-DEFAULT_MAX_STATES = 10**7
 #: Cap on m^n for the brute-force family enumeration.
 BRUTEFORCE_MAX_POINTS = 16
 #: Cap on m^n for the symmetric chain decomposition output.
@@ -40,10 +43,6 @@ def _check_point(p: GridPoint, n: int, m: int) -> None:
 def dominates(a: GridPoint, b: GridPoint) -> bool:
     """Componentwise a >= b."""
     return all(x >= y for x, y in zip(a, b))
-
-
-def comparable(a: GridPoint, b: GridPoint) -> bool:
-    return dominates(a, b) or dominates(b, a)
 
 
 def is_chain(points: Iterable[GridPoint]) -> bool:
@@ -106,10 +105,6 @@ class SymmetricChainDecomposition:
     chains: tuple[ChainOfPoints, ...]
 
 
-def _strides(n: int, m: int) -> list[int]:
-    return [m ** (n - 1 - j) for j in range(n)]
-
-
 def _unflatten(i: int, n: int, m: int) -> GridPoint:
     digits = []
     for _ in range(n):
@@ -118,65 +113,97 @@ def _unflatten(i: int, n: int, m: int) -> GridPoint:
     return tuple(reversed(digits))
 
 
+def monotone_path_dp(extent: Sequence[int], gains: Sequence[Sequence[int]]) -> list[int]:
+    """Best gain of a monotone lattice path from the origin to every point.
+
+    The points of the box with side lengths `extent` are flat row-major
+    indices.  gains[j][x] is what the unit step along axis j arriving at
+    x earns; it is read only where x_j > 0.  The table is
+
+        best[0] = 0,  best[x] = max over j with x_j > 0 of best[x - e_j] + gains[j][x]
+
+    filled one row (a run along the last axis) at a time: the steps along
+    the other axes arrive from earlier rows, then one scan along the row
+    adds the steps along the last axis.
+    """
+    n = len(extent)
+    size = math.prod(extent)
+    strides = [math.prod(extent[j + 1 :]) for j in range(n)]
+    row = extent[-1]
+    last = gains[-1]
+    best = [0] * size
+    best[:row] = itertools.accumulate(last[1:row], initial=0)
+    for start in range(row, size, row):
+        stop = start + row
+        arrive: list[int] = []
+        for j in range(n - 1):
+            if start // strides[j] % extent[j]:
+                back = start - strides[j]
+                step = list(map(add, best[back : back + row], gains[j][start:stop]))
+                arrive = list(map(max, arrive, step)) if arrive else step
+        value = arrive[0]
+        scan = [value]
+        for a, g in zip(arrive[1:], last[start + 1 : stop]):
+            value += g
+            if a > value:
+                value = a
+            scan.append(value)
+        best[start:stop] = scan
+    return best
+
+
 def max_weight_chain(
-    grid: WeightedGrid, max_states: int = DEFAULT_MAX_STATES
+    grid: WeightedGrid, max_states: int = Config.max_grid_states
 ) -> MaxChainResult:
     """Maximum total weight of a chain, with a deterministic witness.
 
-    best[d] = weight[d] + max over d' > d of best[d'], computed in one
-    sweep from the top of the grid: with nonnegative weights, best is
-    already its own dominance closure, so the max over all successors
-    equals the max over the n single-coordinate successors.
+    The weights are scaled to integers by the lcm of their denominators.
+    `monotone_path_dp` runs on the reversed flat weight list: reversing a
+    row-major index mirrors every coordinate, so the reversed table holds
+    the best chain from each point up, less the top point's weight.
 
     The witness is the lexicographically smallest optimal chain among
     those whose points all carry positive weight (zero-weight points
-    never change the total and are not reported).
+    never change the total and are not reported).  Any strict dominator
+    of a point is lexicographically larger than it, so each step of the
+    walk scans on from the point chosen before: one pass over the points.
     """
     n, m = grid.n, grid.m
     size = m**n
     if size > max_states:
         raise ResourceLimitError(f"grid has {size} states, cap is {max_states}")
-    strides = _strides(n, m)
-    weight: list[Fraction] = [_ZERO] * size
+    scale = math.lcm(*(w.denominator for w in grid.weights.values()))
+    strides = [m ** (n - 1 - j) for j in range(n)]
+
+    def mirrored(p: GridPoint) -> int:
+        return size - 1 - sum(c * s for c, s in zip(p, strides))
+
+    weight = [0] * size
     for p, w in grid.weights.items():
-        weight[sum(c * s for c, s in zip(p, strides))] = w
-
-    best: list[Fraction] = [_ZERO] * size
-    for i in range(size - 1, -1, -1):
-        above = _ZERO
-        rem = i
-        for j in range(n - 1, -1, -1):
-            rem, digit = divmod(rem, m)
-            if digit < m - 1:
-                cand = best[i + strides[j]]
-                if cand > above:
-                    above = cand
-        best[i] = weight[i] + above
-
-    optimum = best[0]
+        weight[mirrored(p)] = w.numerator * (scale // w.denominator)
+    up = monotone_path_dp([m] * n, [weight] * n)
+    top = weight[0]
+    optimum = up[-1] + top
     if optimum == 0:
         return MaxChainResult(total=_ZERO, witness=ChainOfPoints(()))
 
-    positives = sorted(
-        (p for p, w in grid.weights.items() if w > 0),
-        key=lambda p: p,
-    )
-    flat = {p: sum(c * s for c, s in zip(p, strides)) for p in positives}
     witness: list[GridPoint] = []
     remaining = optimum
-    prev: GridPoint | None = None
+    scan = iter(sorted(p for p, w in grid.weights.items() if w > 0))
     while remaining > 0:
-        for p in positives:
-            if prev is not None and (p == prev or not dominates(p, prev)):
+        for p in scan:
+            if witness and not dominates(p, witness[-1]):
                 continue
-            if best[flat[p]] == remaining:
+            i = mirrored(p)
+            if up[i] + top == remaining:
                 witness.append(p)
-                remaining -= grid.weights[p]
-                prev = p
+                remaining -= weight[i]
                 break
         else:
             raise AssertionError("witness reconstruction failed; DP bug")
-    return MaxChainResult(total=optimum, witness=ChainOfPoints(tuple(witness)))
+    return MaxChainResult(
+        total=Fraction(optimum, scale), witness=ChainOfPoints(tuple(witness))
+    )
 
 
 def symmetric_chain_decomposition(n: int, m: int) -> SymmetricChainDecomposition:

@@ -20,6 +20,10 @@ over a box union:
 `build_chain_through_cubes` turns a chain of dense coarse cubes into an
 explicit staircase whose exactly-computed mass meets the constructive
 lower bound (1-(2n+2)eps) * (1-eps)^n * (|cubes|-1)/m.
+
+Both staircase searches run on `gridposet.monotone_path_dp`, with each
+fine lattice edge scored once, as a 0/1 gain that the forward pass and
+the backtrack both read.
 """
 
 from __future__ import annotations
@@ -31,16 +35,18 @@ from fractions import Fraction
 from typing import Literal, Mapping
 
 from .chain_geometry import MonotonePolyline
+from .config import Config
 from .errors import DomainError, ResourceLimitError
-from .gridposet import ChainOfPoints, GridPoint, WeightedGrid, max_weight_chain
+from .gridposet import (
+    ChainOfPoints,
+    GridPoint,
+    WeightedGrid,
+    max_weight_chain,
+    monotone_path_dp,
+)
 from .rational import as_rational, RationalLike
 from .slab_volume import SlabSpec, slab_volume_exact
 from .whitney import whitney_sum
-
-#: Cap on the number of fine lattice corners visited by the staircase DP.
-DEFAULT_MAX_CORNERS = 10**7
-#: Cap on M**n when materialising cell sets.
-DEFAULT_MAX_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,7 @@ def discretize_slab(
     M: int,
     kappa: RationalLike,
     mode: Literal["inner", "outer"],
-    max_cells: int = DEFAULT_MAX_CELLS,
+    max_cells: int = Config.max_grid_states,
 ) -> CellSet:
     """Rasterise the diagonal slab at resolution M.
 
@@ -103,6 +109,19 @@ def discretize_slab(
     return CellSet(n=n, M=M, cells=frozenset(cells))
 
 
+def _check_epsilon(n: int, epsilon: Fraction) -> None:
+    if not 0 < epsilon < Fraction(1, 2 * n + 2):
+        raise DomainError(f"epsilon must lie in (0, 1/{2 * n + 2}), got {epsilon}")
+
+
+def _shrink_factor(n: int, epsilon: Fraction) -> Fraction:
+    return (1 - (2 * n + 2) * epsilon) * (1 - epsilon) ** n
+
+
+def _density_threshold(n: int, epsilon: Fraction) -> Fraction:
+    return 1 - Fraction(1, 2**n) * epsilon ** (2 * n)
+
+
 @dataclass(frozen=True)
 class EpsilonParams:
     """The (epsilon, m, kappa) bundle with its derived quantities.
@@ -124,10 +143,7 @@ class EpsilonParams:
         kappa = as_rational(self.kappa)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "kappa", kappa)
-        if not 0 < eps < Fraction(1, 2 * self.n + 2):
-            raise DomainError(
-                f"epsilon must lie in (0, 1/{2 * self.n + 2}), got {eps}"
-            )
+        _check_epsilon(self.n, eps)
         if kappa <= 0:
             raise DomainError(f"kappa must be positive, got {kappa}")
         if kappa >= self.n * self.shrink_factor:
@@ -138,8 +154,7 @@ class EpsilonParams:
 
     @property
     def shrink_factor(self) -> Fraction:
-        eps = self.epsilon
-        return (1 - (2 * self.n + 2) * eps) * (1 - eps) ** self.n
+        return _shrink_factor(self.n, self.epsilon)
 
     @property
     def kappa_prime(self) -> Fraction:
@@ -148,23 +163,26 @@ class EpsilonParams:
     @property
     def density_threshold(self) -> Fraction:
         """Strict lower density bound defining the well-covered cubes."""
-        return 1 - Fraction(1, 2**self.n) * self.epsilon ** (2 * self.n)
+        return _density_threshold(self.n, self.epsilon)
 
     @property
     def delta(self) -> Fraction:
         """Measure slack traded for restricting to well-covered cubes."""
-        eps = self.epsilon
-        return (1 - Fraction(1, 2**self.n) * eps ** (2 * self.n)) * 2**self.n * eps
+        return self.density_threshold * 2**self.n * self.epsilon
 
     @classmethod
     def auto(
-        cls, n: int, m: int, kappa: RationalLike, denominator_cap: int = 10**6
+        cls,
+        n: int,
+        m: int,
+        kappa: RationalLike,
+        denominator_cap: int = Config.epsilon_denominator_cap,
     ) -> "EpsilonParams":
         """Largest epsilon of the form 1/t satisfying both conditions."""
         kappa = as_rational(kappa)
         for t in range(2 * n + 3, denominator_cap + 1):
             eps = Fraction(1, t)
-            if kappa < n * (1 - (2 * n + 2) * eps) * (1 - eps) ** n:
+            if kappa < n * _shrink_factor(n, eps):
                 return cls(n=n, m=m, epsilon=eps, kappa=kappa)
         raise DomainError(
             f"no epsilon of the form 1/t with t <= {denominator_cap} fits "
@@ -256,7 +274,7 @@ def claim_check(
 
 
 def max_cell_chain_mass_upper(
-    a: CellSet, m: int, max_states: int | None = None
+    a: CellSet, m: int, max_states: int = Config.max_grid_states
 ) -> Fraction:
     """Sound upper bound on sup over chains C of H^1(A intersect C).
 
@@ -268,27 +286,14 @@ def max_cell_chain_mass_upper(
     counts = _coarse_counts(a, m)
     if not counts:
         return Fraction(0)
-    grid = WeightedGrid(
-        n=a.n, m=m, weights={d: Fraction(1) for d in counts}
-    )
-    if max_states is None:
-        best = max_weight_chain(grid)
-    else:
-        best = max_weight_chain(grid, max_states=max_states)
-    return Fraction(a.n, m) * best.total
+    grid = WeightedGrid(n=a.n, m=m, weights={d: Fraction(1) for d in counts})
+    return Fraction(a.n, m) * max_weight_chain(grid, max_states=max_states).total
 
 
 @dataclass(frozen=True)
 class AdversarialResult:
     lower: Fraction
     witness: MonotonePolyline
-
-
-def _edge_cell(corner: GridPoint, axis: int, M: int) -> GridPoint:
-    # The unique half-open cell containing the open edge corner -> corner+e_axis.
-    return tuple(
-        c if j == axis else (c if c < M else M - 1) for j, c in enumerate(corner)
-    )
 
 
 def _corners_to_polyline(corners: list[GridPoint], n: int, M: int) -> MonotonePolyline:
@@ -319,7 +324,8 @@ def _staircase_dp(
 
     Returns the number of scored edges (edges whose open interior lies
     in a cell of `a`) and the corner sequence of one optimal path,
-    reconstructed with a fixed axis preference so reruns are identical.
+    reconstructed from the top corner with the smallest axis preferred,
+    so reruns are identical.
     """
     n, M = a.n, a.M
     extent = [hi - lo + 1 for lo, hi in zip(lo_corner, hi_corner)]
@@ -327,55 +333,35 @@ def _staircase_dp(
     if size > max_corners:
         raise ResourceLimitError(f"staircase DP over {size} corners, cap {max_corners}")
     strides = [math.prod(extent[j + 1 :]) for j in range(n)]
-    cells = a.cells
+    # gains[j][x] = 1 iff the edge arriving at corner x along axis j lies in
+    # a cell of `a`: in x's absolute coordinates, the cell with index x_j - 1
+    # along j and min(x_t, M-1) along every other axis t.  The index -1
+    # stands for the edge that does not exist at the box's lower face.
+    across = [[min(c, M - 1) for c in range(lo, hi + 1)] for lo, hi in zip(lo_corner, hi_corner)]
+    gains = []
+    for j in range(n):
+        axes = across[:j] + [[-1, *range(lo_corner[j], hi_corner[j])]] + across[j + 1 :]
+        gains.append(bytearray(map(a.cells.__contains__, itertools.product(*axes))))
+    best = monotone_path_dp(extent, gains)
 
-    best = [0] * size
-    for idx in range(size):
-        rem = idx
-        corner = [0] * n
-        for j in range(n):
-            corner[j], rem = divmod(rem, strides[j])
-        value = 0
-        for j in range(n):
-            if corner[j] == 0:
-                continue
-            prev_idx = idx - strides[j]
-            prev_corner = tuple(
-                lo_corner[t] + (corner[t] - (1 if t == j else 0)) for t in range(n)
-            )
-            score = 1 if _edge_cell(prev_corner, j, M) in cells else 0
-            cand = best[prev_idx] + score
-            if cand > value:
-                value = cand
-        best[idx] = value
-
-    # Reconstruct from the top corner, preferring the smallest axis.
-    path = []
-    corner = list(h - l for h, l in zip(hi_corner, lo_corner))
+    path = [hi_corner]
+    corner = list(hi_corner)
     idx = size - 1
-    path.append(tuple(lo_corner[t] + corner[t] for t in range(n)))
-    while any(corner):
+    while idx:
         for j in range(n):
-            if corner[j] == 0:
-                continue
-            prev_idx = idx - strides[j]
-            prev_corner = tuple(
-                lo_corner[t] + corner[t] - (1 if t == j else 0) for t in range(n)
-            )
-            score = 1 if _edge_cell(prev_corner, j, M) in cells else 0
-            if best[prev_idx] + score == best[idx]:
+            if corner[j] > lo_corner[j] and best[idx - strides[j]] + gains[j][idx] == best[idx]:
+                idx -= strides[j]
                 corner[j] -= 1
-                idx = prev_idx
-                path.append(prev_corner)
+                path.append(tuple(corner))
                 break
         else:
             raise AssertionError("staircase reconstruction failed; DP bug")
     path.reverse()
-    return best[size - 1], path
+    return best[-1], path
 
 
 def adversarial_chain_search(
-    a: CellSet, max_corners: int = DEFAULT_MAX_CORNERS
+    a: CellSet, max_corners: int = Config.max_fine_states
 ) -> AdversarialResult:
     """Best monotone staircase mass through the box union.
 
@@ -445,7 +431,7 @@ def build_chain_through_cubes(
     a: CellSet,
     m: int,
     epsilon: RationalLike,
-    max_corners: int = DEFAULT_MAX_CORNERS,
+    max_corners: int = Config.max_fine_states,
 ) -> ChainCertificate:
     """Explicit staircase through a chain of dense coarse cubes.
 
@@ -461,15 +447,10 @@ def build_chain_through_cubes(
     """
     n = a.n
     epsilon = as_rational(epsilon)
-    if not 0 < epsilon < Fraction(1, 2 * n + 2):
-        raise DomainError(
-            f"epsilon must lie in (0, 1/{2 * n + 2}), got {epsilon}"
-        )
-    if a.M % m != 0:
-        raise DomainError(f"coarse resolution {m} does not divide M={a.M}")
-    w = a.M // m
-    threshold = 1 - Fraction(1, 2**n) * epsilon ** (2 * n)
+    _check_epsilon(n, epsilon)
     counts = _coarse_counts(a, m)
+    w = a.M // m
+    threshold = _density_threshold(n, epsilon)
     for cube in q.points:
         if len(cube) != n or any(not 0 <= c < m for c in cube):
             raise DomainError(f"cube {cube} outside the resolution-{m} grid")
@@ -479,8 +460,7 @@ def build_chain_through_cubes(
                 f"cube {cube} has density {density}, not above the "
                 f"threshold {threshold}"
             )
-    factor = (1 - (2 * n + 2) * epsilon) * (1 - epsilon) ** n
-    guarantee = factor * Fraction(max(len(q.points) - 1, 0), m)
+    guarantee = _shrink_factor(n, epsilon) * Fraction(max(len(q.points) - 1, 0), m)
     if len(q.points) <= 1:
         return ChainCertificate(
             polyline=MonotonePolyline(n=n, vertices=()),
@@ -533,9 +513,9 @@ def end_to_end_verify(
     kappa: RationalLike,
     m: int,
     epsilon: RationalLike | None = None,
-    max_grid_states: int | None = None,
-    max_corners: int = DEFAULT_MAX_CORNERS,
-    epsilon_denominator_cap: int = 10**6,
+    max_grid_states: int = Config.max_grid_states,
+    max_corners: int = Config.max_fine_states,
+    epsilon_denominator_cap: int = Config.epsilon_denominator_cap,
 ) -> VerifyReport:
     """Run the whole proof-chain instrumentation on one box-union set.
 

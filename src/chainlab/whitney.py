@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .config import Config
 from .errors import DomainError, ResourceLimitError
 from .rational import as_rational, RationalLike
 from .slab_volume import SlabSpec, slab_volume_exact
-
-#: Default memory budget for a coefficient table, in bytes.
-DEFAULT_TABLE_BUDGET = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ def _estimate_table_bytes(n: int, m: int) -> int:
 
 
 def whitney_numbers(
-    n: int, m: int, max_bytes: int = DEFAULT_TABLE_BUDGET
+    n: int, m: int, max_bytes: int = Config.max_table_bytes
 ) -> CoefficientTable:
     """Exact Whitney numbers, by n-fold convolution of the length-m window."""
     if n < 1:
@@ -124,21 +122,27 @@ def sum_k_largest(table: CoefficientTable, k: int) -> WhitneySum:
     return WhitneySum(k=k, value=sum(table.coeffs[lo:hi]))
 
 
-def whitney_sum(n: int, m: int, kappa: RationalLike) -> WhitneySum:
-    """Sum of the ceil(kappa*m + n) largest Whitney numbers of {0..m-1}^n.
-
-    The ceiling is taken exactly on rationals; float ceilings misround
-    near integers.
-    """
+def k_for_kappa(n: int, m: int, kappa: RationalLike) -> int:
+    """k = ceil(kappa*m + n) for kappa in (0, n], exactly: float ceilings misround."""
     kappa = as_rational(kappa)
     if not 0 < kappa <= n:
         raise DomainError(f"kappa must lie in (0, n] = (0, {n}], got {kappa}")
-    k = math.ceil(kappa * m + n)
-    return sum_k_largest(whitney_numbers(n, m), k)
+    return math.ceil(kappa * m + n)
+
+
+def whitney_sum(
+    n: int, m: int, kappa: RationalLike, max_bytes: int = Config.max_table_bytes
+) -> WhitneySum:
+    """Sum of the ceil(kappa*m + n) largest Whitney numbers of {0..m-1}^n."""
+    k = k_for_kappa(n, m, kappa)
+    return sum_k_largest(whitney_numbers(n, m, max_bytes=max_bytes), k)
 
 
 def convergence_table(
-    n: int, kappa: RationalLike, m_list: Iterable[int]
+    n: int,
+    kappa: RationalLike,
+    m_list: Iterable[int],
+    max_bytes: int = Config.max_table_bytes,
 ) -> list[ConvergenceRow]:
     """One row per m, witnessing whitney_sum / m^n -> slab volume.
 
@@ -148,7 +152,7 @@ def convergence_table(
     volume = slab_volume_exact(SlabSpec(n=n, kappa=kappa)).exact
     rows = []
     for m in m_list:
-        value = whitney_sum(n, m, kappa).value
+        value = whitney_sum(n, m, kappa, max_bytes=max_bytes).value
         rows.append(
             ConvergenceRow(m=m, value=value, ratio=Fraction(value, m**n), volume=volume)
         )

@@ -94,6 +94,23 @@ class TestConverge:
         assert lines[0] == "m,V,ratio,v_n,gap"
         assert len(lines) == 3
 
+    def test_non_integer_m_list_is_usage_error(self):
+        code, out, err = invoke(["converge", "--n", "2", "--kappa", "1", "--m-list", "a"])
+        assert code == 2
+        assert out == ""
+        check_schema("error", err)
+        assert json.loads(err)["error"]["code"] == "usage"
+
+    def test_table_budget_from_config(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_table_bytes": 1000}))
+        argv = ["--n", "2", "--config", str(config)]
+        code, _, _ = invoke(["whitney", "--m", "3000"] + argv)
+        assert code == 3
+        code, _, err = invoke(["converge", "--kappa", "1", "--m-list", "3000"] + argv)
+        assert code == 3
+        assert json.loads(err)["error"]["code"] == "resource"
+
 
 class TestMaxchain:
     def test_weights_file(self, tmp_path):
@@ -266,7 +283,7 @@ class TestDispatch:
 
     def test_bad_config_format(self, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"default_format": "xml"}))
+        config.write_text(json.dumps({"max_grid_states": 0}))
         code, _, err = invoke(["volume", "--n", "2", "--kappa", "1/2", "--config", str(config)])
         assert code == 2
         check_schema("error", err)

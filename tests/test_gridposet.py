@@ -19,6 +19,7 @@ from chainlab import (
     symmetric_chain_decomposition,
     whitney_numbers,
 )
+from chainlab.gridposet import monotone_path_dp
 
 
 def enumerate_max_chain_total(grid: WeightedGrid) -> Fraction:
@@ -61,6 +62,31 @@ class TestChainOfPoints:
             ChainOfPoints(((0, 1), (1, 0)))
         with pytest.raises(DomainError):
             ChainOfPoints(((1, 1), (1, 1)))
+
+
+class TestMonotonePathDP:
+    def test_against_path_enumeration(self):
+        # oracle: score every monotone path from the origin to the top corner;
+        # gains at x_j = 0 are set high, so reading one would show
+        rng = random.Random(61)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            extent = [rng.randint(1, 4 if n < 3 else 3) for _ in range(n)]
+            points = list(itertools.product(*(range(e) for e in extent)))
+            gains = [
+                [99 if x[j] == 0 else rng.randint(0, 5) for x in points]
+                for j in range(n)
+            ]
+            index = {x: i for i, x in enumerate(points)}
+            best = 0
+            steps = [j for j in range(n) for _ in range(extent[j] - 1)]
+            for perm in set(itertools.permutations(steps)):
+                x, total = [0] * n, 0
+                for j in perm:
+                    x[j] += 1
+                    total += gains[j][index[tuple(x)]]
+                best = max(best, total)
+            assert monotone_path_dp(extent, gains)[-1] == best
 
 
 class TestMaxWeightChain:
@@ -155,7 +181,7 @@ class TestMaxWeightChain:
         }
         grid = WeightedGrid(2, 3, weights)
         base = max_weight_chain(grid)
-        for c in (Fraction(3), Fraction(2, 7)):
+        for c in (Fraction(3), Fraction(2, 7), Fraction(1, 10**9 + 7)):
             scaled = WeightedGrid(2, 3, {p: c * w for p, w in weights.items()})
             result = max_weight_chain(scaled)
             assert result.total == c * base.total

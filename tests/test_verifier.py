@@ -240,20 +240,20 @@ class TestChainMassBounds:
     def test_against_exhaustive_path_enumeration(self):
         # oracle: walk every corner-to-corner monotone lattice path
         rng = random.Random(2718)
-        for _ in range(25):
-            M = rng.choice([2, 3])
+        for n in [2] * 25 + [3] * 10:
+            M = rng.choice([2, 3]) if n == 2 else 2
             cells = frozenset(
-                c for c in itertools.product(range(M), repeat=2) if rng.random() < 0.6
+                c for c in itertools.product(range(M), repeat=n) if rng.random() < 0.6
             )
-            a = CellSet(2, M, cells)
+            a = CellSet(n, M, cells)
             best = 0
-            for perm in set(itertools.permutations([0] * M + [1] * M)):
-                corner = [0, 0]
+            for perm in set(itertools.permutations(list(range(n)) * M)):
+                corner = [0] * n
                 score = 0
                 for axis in perm:
                     cell = tuple(
                         corner[j] if j == axis else min(corner[j], M - 1)
-                        for j in range(2)
+                        for j in range(n)
                     )
                     if cell in a.cells:
                         score += 1
