@@ -22,6 +22,7 @@ from .chain_geometry import antidiagonal_decompose, h1_length
 from .config import Config
 from .errors import DomainError, ResourceLimitError
 from .gridposet import (
+    _scd_chain_lengths,
     ksperner_bound_via_scd,
     ksperner_max_bruteforce,
     max_weight_chain,
@@ -170,16 +171,17 @@ def _cmd_maxchain(args: argparse.Namespace, config: Config) -> dict:
 
 
 def _cmd_scd(args: argparse.Namespace, config: Config) -> dict:
-    scd = symmetric_chain_decomposition(args.n, args.m)
-    lengths = sorted((len(c) for c in scd.chains), reverse=True)
+    # The points of the decomposition are built only when they are printed.
+    lengths = _scd_chain_lengths(args.n, args.m)
     payload = {
         "n": args.n,
         "m": args.m,
-        "chain_count": len(scd.chains),
+        "chain_count": len(lengths),
         "chain_lengths": lengths,
         "chains": None,
     }
     if args.print_chains:
+        scd = symmetric_chain_decomposition(args.n, args.m)
         payload["chains"] = [[list(p) for p in c.points] for c in scd.chains]
     return payload
 

@@ -3,7 +3,8 @@
 Points are plain integer tuples ordered componentwise.  The module
 provides the monotone-path DP over a box (n * size time), which runs
 both the maximum-weight chain DP and the verifier's staircase search,
-a symmetric chain decomposition built by the inductive product splice,
+a symmetric chain decomposition built by the inductive product splice
+(and the same splice on chain lengths alone, for the k-Sperner bound),
 and a brute-force maximiser over families with no (k+1)-element chain,
 for grids small enough to enumerate every family.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -61,6 +63,8 @@ class ChainOfPoints:
     points: tuple[GridPoint, ...]
 
     def __post_init__(self) -> None:
+        if any(len(p) != len(self.points[0]) for p in self.points):
+            raise DomainError("points of mixed dimension")
         for a, b in zip(self.points, self.points[1:]):
             if a == b or not dominates(b, a):
                 raise DomainError(f"{a} -> {b} is not a strict componentwise step")
@@ -206,6 +210,15 @@ def max_weight_chain(
     )
 
 
+def _check_scd_size(n: int, m: int) -> None:
+    if n < 1 or m < 2:
+        raise DomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
+    if m**n > SCD_MAX_POINTS:
+        raise ResourceLimitError(
+            f"decomposition of {m}^{n} points exceeds the cap {SCD_MAX_POINTS}"
+        )
+
+
 def symmetric_chain_decomposition(n: int, m: int) -> SymmetricChainDecomposition:
     """Symmetric chain decomposition of {0..m-1}^n.
 
@@ -214,12 +227,7 @@ def symmetric_chain_decomposition(n: int, m: int) -> SymmetricChainDecomposition
     factor, is peeled into hooks (one row to its corner, then up the
     column), every hook again saturated and symmetric.
     """
-    if n < 1 or m < 2:
-        raise DomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
-    if m**n > SCD_MAX_POINTS:
-        raise ResourceLimitError(
-            f"decomposition of {m}^{n} points exceeds the cap {SCD_MAX_POINTS}"
-        )
+    _check_scd_size(n, m)
     q = m - 1
     chains: list[list[GridPoint]] = [[(j,) for j in range(m)]]
     for _ in range(n - 1):
@@ -236,17 +244,36 @@ def symmetric_chain_decomposition(n: int, m: int) -> SymmetricChainDecomposition
     )
 
 
+def _scd_chain_lengths(n: int, m: int) -> list[int]:
+    """Chain lengths of `symmetric_chain_decomposition(n, m)`, longest first.
+
+    The same induction on lengths alone, without building a point: the
+    splice turns a chain of p+1 points into hooks of p + m - 2t points,
+    t = 0..min(p, m-1).  Lengths are kept as a length -> count table,
+    which has at most n(m-1)+1 entries.
+    """
+    _check_scd_size(n, m)
+    counts = {m: 1}
+    for _ in range(n - 1):
+        spliced: dict[int, int] = defaultdict(int)
+        for size, count in counts.items():
+            for t in range(min(size, m)):
+                spliced[size - 1 + m - 2 * t] += count
+        counts = spliced
+    return [size for size in sorted(counts, reverse=True) for _ in range(counts[size])]
+
+
 def ksperner_bound_via_scd(n: int, m: int, k: int) -> int:
     """Upper bound sum over chains of min(k, |chain|) for k-Sperner families.
 
-    The value must coincide with the sum of the k largest Whitney
-    numbers; the equality is asserted here because a mismatch means one
-    of the two computations is broken.
+    The chains are those of the symmetric chain decomposition, of which
+    only the lengths are needed.  The value must coincide with the sum
+    of the k largest Whitney numbers; the equality is asserted here
+    because a mismatch means one of the two computations is broken.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    scd = symmetric_chain_decomposition(n, m)
-    bound = sum(min(k, len(chain)) for chain in scd.chains)
+    bound = sum(min(k, size) for size in _scd_chain_lengths(n, m))
     expected = sum_k_largest(whitney_numbers(n, m), k).value
     if bound != expected:
         raise AssertionError(

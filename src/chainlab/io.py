@@ -60,7 +60,7 @@ def cellset_from_dict(data: dict) -> CellSet:
     return CellSet(
         n=_require(data, "n", "cell set"),
         M=_require(data, "M", "cell set"),
-        cells=frozenset(tuple(c) for c in _require(data, "cells", "cell set")),
+        cells=_require(data, "cells", "cell set"),
     )
 
 

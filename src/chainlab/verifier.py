@@ -51,21 +51,39 @@ from .whitney import whitney_sum
 
 @dataclass(frozen=True)
 class CellSet:
-    """A union of grid cubes with side 1/M, identified by their index vectors."""
+    """A union of grid cubes with side 1/M, identified by their index vectors.
+
+    `cells` may be given as any iterable of coordinate sequences; it is
+    stored as a frozenset of integer tuples.
+    """
 
     n: int
     M: int
     cells: frozenset[GridPoint]
 
     def __post_init__(self) -> None:
+        for name, value in (("n", self.n), ("M", self.M)):
+            if type(value) is not int:
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n < 1 or self.M < 2:
             raise DomainError(f"need n >= 1 and M >= 2, got n={self.n}, M={self.M}")
-        cells = frozenset(tuple(c) for c in self.cells)
-        for cell in cells:
-            if len(cell) != self.n:
-                raise DomainError(f"cell {cell} has wrong dimension")
-            if any(not isinstance(c, int) or not 0 <= c < self.M for c in cell):
-                raise DomainError(f"cell {cell} outside the resolution-{self.M} grid")
+        try:
+            listed = list(map(tuple, self.cells))
+            cells = frozenset(listed)
+        except TypeError as exc:
+            raise DomainError(f"cells must be lists of integer coordinates: {exc}") from exc
+        # Whole-set checks first; the offending cell, in input order, is
+        # looked up only to word the error.  Bools are not coordinates.
+        if set(map(len, listed)) - {self.n}:
+            bad = next(c for c in listed if len(c) != self.n)
+            raise DomainError(f"cell {bad} has wrong dimension")
+        coords = list(itertools.chain.from_iterable(listed))
+        if set(map(type, coords)) - {int}:
+            bad = next(c for c in listed if any(type(x) is not int for x in c))
+            raise DomainError(f"cell {bad} has a coordinate that is not an integer")
+        if coords and not 0 <= min(coords) <= max(coords) < self.M:
+            bad = next(c for c in listed if not all(0 <= x < self.M for x in c))
+            raise DomainError(f"cell {bad} outside the resolution-{self.M} grid")
         object.__setattr__(self, "cells", cells)
 
 
@@ -178,16 +196,30 @@ class EpsilonParams:
         kappa: RationalLike,
         denominator_cap: int = Config.epsilon_denominator_cap,
     ) -> "EpsilonParams":
-        """Largest epsilon of the form 1/t satisfying both conditions."""
+        """Largest epsilon of the form 1/t satisfying both conditions.
+
+        The shrink factor grows with t, so the t that satisfy the
+        smallness condition form a tail of [2n+3, denominator_cap]; its
+        first element is found by bisection.
+        """
         kappa = as_rational(kappa)
-        for t in range(2 * n + 3, denominator_cap + 1):
-            eps = Fraction(1, t)
-            if kappa < n * _shrink_factor(n, eps):
-                return cls(n=n, m=m, epsilon=eps, kappa=kappa)
-        raise DomainError(
-            f"no epsilon of the form 1/t with t <= {denominator_cap} fits "
-            f"kappa={kappa}; kappa must be strictly below n"
-        )
+
+        def fits(t: int) -> bool:
+            return kappa < n * _shrink_factor(n, Fraction(1, t))
+
+        lo, hi = 2 * n + 3, denominator_cap
+        if lo > hi or not fits(hi):
+            raise DomainError(
+                f"no epsilon of the form 1/t with t <= {denominator_cap} fits "
+                f"kappa={kappa}; kappa must be strictly below n"
+            )
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if fits(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return cls(n=n, m=m, epsilon=Fraction(1, lo), kappa=kappa)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,19 @@ coordinates sum to r, i.e. the coefficient of x^r in
 entries total m^n, and the sum of its ceil(kappa*m + n) largest entries,
 divided by m^n, converges to the slab volume as m grows.  Everything
 here is exact integer / rational arithmetic.
+
+The table is built by n-1 products with the all-ones window of length m,
+each read off a prefix-sum list: O(n*m) additions per product, so
+O(n^2*m) big-int additions for the whole table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Sequence
 
 from .config import Config
@@ -62,13 +68,14 @@ class ConvergenceRow:
 
 
 def _convolve_ones(coeffs: Sequence[int], m: int) -> list[int]:
-    # Schoolbook product with the all-ones window of length m: each output
-    # coefficient is the sum of a window of at most m inputs.
-    out_len = len(coeffs) + m - 1
-    return [
-        sum(coeffs[max(0, r - m + 1) : min(r, len(coeffs) - 1) + 1])
-        for r in range(out_len)
-    ]
+    # Product with the all-ones window of length m.  Output r is the sum of
+    # inputs max(0, r-m+1)..min(r, len-1), the difference of two entries of
+    # the prefix-sum list P (P[i] = sum of the first i inputs), padded with
+    # P[len] above and P[0] = 0 below: O(len + m) additions in all.
+    prefix = list(itertools.accumulate(coeffs, initial=0))
+    upper = prefix[1:] + [prefix[-1]] * (m - 1)
+    lower = [0] * (m - 1) + prefix[:-1]
+    return list(map(sub, upper, lower))
 
 
 def _estimate_table_bytes(n: int, m: int) -> int:

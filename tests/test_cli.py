@@ -146,6 +146,24 @@ class TestScd:
         payload = check_schema("scd", out)
         assert sorted(len(c) for c in payload["chains"]) == [1, 3]
 
+    def test_lengths_same_with_and_without_print(self):
+        for n, m in [(1, 5), (2, 4), (3, 3), (4, 3)]:
+            plain = check_schema("scd", invoke(["scd", "--n", str(n), "--m", str(m)])[1])
+            printed = check_schema(
+                "scd", invoke(["scd", "--n", str(n), "--m", str(m), "--print"])[1]
+            )
+            assert plain["chain_count"] == printed["chain_count"] == len(printed["chains"])
+            assert plain["chain_lengths"] == printed["chain_lengths"]
+            assert plain["chain_lengths"] == sorted(
+                (len(c) for c in printed["chains"]), reverse=True
+            )
+
+    def test_point_cap_exit_three(self):
+        code, out, err = invoke(["scd", "--n", "6", "--m", "13"])
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "resource"
+
 
 class TestKsperner:
     def test_bound_and_brute(self):
@@ -242,6 +260,40 @@ class TestVerifyPipeline:
         code, _, err = invoke(["verify", "--set", str(path), "--kappa", "1/1", "--m", "4"])
         assert code == 2
         check_schema("error", err)
+
+    def _verify_cell_file(self, tmp_path, data):
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(data))
+        code, out, err = invoke(["verify", "--set", str(path), "--kappa", "1/1", "--m", "2"])
+        assert code == 2
+        assert out == ""
+        payload = check_schema("error", err)
+        assert payload["error"]["code"] == "domain"
+        return payload["error"]["message"]
+
+    def test_cell_file_non_integer_header(self, tmp_path):
+        message = self._verify_cell_file(tmp_path, {"n": "2", "M": 4, "cells": []})
+        assert "n must be an integer" in message
+        message = self._verify_cell_file(tmp_path, {"n": 2, "M": 4.0, "cells": []})
+        assert "M must be an integer" in message
+
+    def test_cell_file_cells_not_lists(self, tmp_path):
+        self._verify_cell_file(tmp_path, {"n": 2, "M": 4, "cells": [1, 2]})
+        self._verify_cell_file(tmp_path, {"n": 2, "M": 4, "cells": 7})
+        self._verify_cell_file(tmp_path, {"n": 2, "M": 4, "cells": [[[0], [1]]]})
+
+    def test_cell_file_rejects_bool_coordinates(self, tmp_path):
+        message = self._verify_cell_file(tmp_path, {"n": 2, "M": 4, "cells": [[True, False]]})
+        assert "not an integer" in message
+
+    def test_cell_file_float_coordinate_is_not_an_integer(self, tmp_path):
+        message = self._verify_cell_file(tmp_path, {"n": 2, "M": 4, "cells": [[0, 1], [1.0, 0]]})
+        assert "not an integer" in message
+        assert "outside" not in message
+
+    def test_cell_file_out_of_range_coordinate(self, tmp_path):
+        message = self._verify_cell_file(tmp_path, {"n": 2, "M": 4, "cells": [[0, 1], [4, 0]]})
+        assert "(4, 0) outside the resolution-4 grid" in message
 
     def test_bad_rational_in_weights_file(self, tmp_path):
         path = tmp_path / "weights.json"

@@ -19,7 +19,7 @@ from chainlab import (
     symmetric_chain_decomposition,
     whitney_numbers,
 )
-from chainlab.gridposet import monotone_path_dp
+from chainlab.gridposet import _scd_chain_lengths, monotone_path_dp
 
 
 def enumerate_max_chain_total(grid: WeightedGrid) -> Fraction:
@@ -62,6 +62,12 @@ class TestChainOfPoints:
             ChainOfPoints(((0, 1), (1, 0)))
         with pytest.raises(DomainError):
             ChainOfPoints(((1, 1), (1, 1)))
+
+    def test_rejects_mixed_dimension(self):
+        with pytest.raises(DomainError):
+            ChainOfPoints(((0, 0), (1, 1, 1)))
+        with pytest.raises(DomainError):
+            ChainOfPoints(((0, 0, 0), (1, 1)))
 
 
 class TestMonotonePathDP:
@@ -230,6 +236,21 @@ class TestSymmetricChainDecomposition:
     def test_output_cap(self):
         with pytest.raises(ResourceLimitError):
             symmetric_chain_decomposition(6, 13)
+        with pytest.raises(ResourceLimitError):
+            _scd_chain_lengths(6, 13)
+
+    def test_chain_lengths_without_points(self):
+        for n in range(1, 6):
+            for m in range(2, 8):
+                scd = symmetric_chain_decomposition(n, m)
+                expected = sorted((len(c) for c in scd.chains), reverse=True)
+                assert _scd_chain_lengths(n, m) == expected
+
+    def test_chain_lengths_domain(self):
+        with pytest.raises(DomainError):
+            _scd_chain_lengths(0, 3)
+        with pytest.raises(DomainError):
+            _scd_chain_lengths(2, 1)
 
 
 class TestKSperner:

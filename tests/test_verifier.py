@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,15 @@ from chainlab import (
 from conftest import random_cellset, random_covered_cellset, random_dense_cube_chain
 
 
+def linear_scan_epsilon(n: int, kappa: Fraction, cap: int) -> Fraction | None:
+    """Oracle: the first 1/t, t = 2n+3..cap, meeting the smallness condition."""
+    for t in range(2 * n + 3, cap + 1):
+        eps = Fraction(1, t)
+        if kappa < n * (1 - (2 * n + 2) * eps) * (1 - eps) ** n:
+            return eps
+    return None
+
+
 def full_cube(n: int, M: int) -> CellSet:
     return CellSet(n, M, frozenset(itertools.product(range(M), repeat=n)))
 
@@ -46,6 +56,13 @@ class TestMeasure:
             CellSet(2, 4, frozenset([(0, 4)]))
         with pytest.raises(DomainError):
             CellSet(2, 4, frozenset([(0,)]))
+        with pytest.raises(DomainError):
+            CellSet(2, 4, frozenset([(True, 0)]))
+        with pytest.raises(DomainError):
+            CellSet(2, 4, frozenset([1, 2]))
+        with pytest.raises(DomainError):
+            CellSet(True, 4, frozenset())
+        assert CellSet(2, 4, [[0, 1], [0, 1]]).cells == frozenset([(0, 1)])
 
 
 class TestDiscretizeSlab:
@@ -119,6 +136,26 @@ class TestEpsilonParams:
     def test_auto_rejects_kappa_equal_n(self):
         with pytest.raises(DomainError):
             EpsilonParams.auto(2, 10, Fraction(2), denominator_cap=1000)
+
+    def test_auto_against_linear_scan(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            kappa = Fraction(rng.randint(1, 1000 * n), 1000)
+            cap = rng.choice([2 * n + 2, 2 * n + 3, 50, 400, 3000])
+            expected = linear_scan_epsilon(n, kappa, cap)
+            if expected is None:
+                with pytest.raises(DomainError):
+                    EpsilonParams.auto(n, 10, kappa, denominator_cap=cap)
+            else:
+                params = EpsilonParams.auto(n, 10, kappa, denominator_cap=cap)
+                assert params.epsilon == expected
+
+    def test_auto_fails_fast_near_n(self):
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            EpsilonParams.auto(2, 10, 2 - Fraction(1, 10**6))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestCoverSets:

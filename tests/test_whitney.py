@@ -24,6 +24,14 @@ def count_by_rank(n: int, m: int) -> list[int]:
     return counts
 
 
+def count_by_inclusion_exclusion(n: int, m: int, r: int) -> int:
+    """Oracle: points of rank r, sum_j (-1)^j C(n,j) C(r - jm + n - 1, n - 1)."""
+    return sum(
+        (-1) ** j * math.comb(n, j) * math.comb(r - j * m + n - 1, n - 1)
+        for j in range(min(n, r // m) + 1)
+    )
+
+
 class TestWhitneyNumbers:
     def test_frozen_small_tables(self):
         assert whitney_numbers(1, 3).coeffs == (1, 1, 1)
@@ -34,6 +42,14 @@ class TestWhitneyNumbers:
         for n in range(1, 5):
             for m in range(2, 7):
                 assert list(whitney_numbers(n, m).coeffs) == count_by_rank(n, m)
+
+    @pytest.mark.parametrize("n, m", [(8, 1200), (3, 5000), (16, 50), (1, 9), (2, 2)])
+    def test_against_inclusion_exclusion(self, n, m):
+        # sizes beyond the reach of the enumeration oracle
+        coeffs = whitney_numbers(n, m).coeffs
+        assert list(coeffs) == [
+            count_by_inclusion_exclusion(n, m, r) for r in range(n * (m - 1) + 1)
+        ]
 
     def test_binomial_specialisation(self):
         for n in range(1, 12):
