@@ -9,6 +9,19 @@ carried as floats with relative error below 2**-50 (comfortably inside
 the documented 2**-40 budget), and inequality tests against such
 lengths use explicit slack.
 
+Storage.  A polyline keeps one common denominator D, the least one, and
+one tuple of integer numerators per vertex: vertex i is numerators[i] / D.
+Validation, lengths and clipping run on these integers; `vertices`
+builds the `Fraction` view on each access and keeps nothing.  An
+axis-parallel segment adds an integer difference, and a length becomes
+a `Fraction` once, at the end.  A skew segment takes its float
+differences as y/D - x/D.  Python's int true division is correctly
+rounded, so y/D gives the float nearest the rational y/D, which is also
+what float(Fraction(y, D)) gives; the lengths are therefore bit-identical
+to those of the same polyline in `Fraction` arithmetic.  The rounded
+difference (y-x)/D would not be: it changes the last bits of some skew
+lengths.
+
 The anti-diagonal decomposition clips a polyline at the hyperplanes
 where the coordinate sum is an integer; the coordinate sum itself is a
 1-Lipschitz-inverse parametrisation of any chain, which is what caps the
@@ -20,18 +33,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from .errors import DomainError
 from .rational import as_rational, RationalLike
 
 Point = tuple[Fraction, ...]
+#: The numerators of one vertex over the polyline's denominator.
+Numerators = tuple[int, ...]
 
 
 def _as_point(coords: Sequence[RationalLike]) -> Point:
     return tuple(
         c if type(c) is Fraction else as_rational(c) for c in coords
     )
+
+
+def _over_common_denominator(
+    vertices: Sequence[Sequence[RationalLike]],
+) -> tuple[tuple[Numerators, ...], int]:
+    """The vertices as integer numerators over the lcm of their denominators."""
+    pts = [_as_point(v) for v in vertices]
+    den = math.lcm(*{c.denominator for c in chain.from_iterable(pts)})
+    return tuple(tuple(c.numerator * (den // c.denominator) for c in p) for p in pts), den
 
 
 def validate_monotone(vertices: Sequence[Sequence[RationalLike]]) -> bool:
@@ -45,86 +70,140 @@ def validate_monotone(vertices: Sequence[Sequence[RationalLike]]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+def _first_fault(n: int, numerators: Sequence[Sequence[int]], den: int) -> str:
+    # The first fault in vertex order, to word the error the whole-set
+    # checks found.
+    prev = None
+    for v in numerators:
+        if len(v) != n:
+            return "vertex dimension does not match n"
+        for x in v:
+            if type(x) is not int:
+                return f"numerator {x!r} is not an integer"
+            if not 0 <= x <= den:
+                return f"coordinate {Fraction(x, den)} outside [0, 1]"
+        if prev is not None and any(y < x for x, y in zip(prev, v)):
+            return "vertices are not componentwise nondecreasing"
+        prev = v
+    raise AssertionError("no fault found; validation bug")
+
+
+@dataclass(frozen=True, init=False)
 class MonotonePolyline:
-    """Componentwise nondecreasing rational vertices in [0,1]^n."""
+    """Componentwise nondecreasing rational vertices in [0,1]^n.
+
+    Build it from rational vertices, `MonotonePolyline(n, vertices)`, or
+    from integer numerators over a positive denominator,
+    `MonotonePolyline(n, numerators=..., denominator=D)`.  Either way it
+    stores the numerators over the least common denominator, so equal
+    polylines compare equal.
+    """
 
     n: int
-    vertices: tuple[Point, ...]
+    numerators: tuple[Numerators, ...]
+    denominator: int
+
+    def __init__(
+        self,
+        n: int,
+        vertices: Sequence[Sequence[RationalLike]] = (),
+        *,
+        numerators: Optional[Sequence[Sequence[int]]] = None,
+        denominator: int = 1,
+    ) -> None:
+        if numerators is None:
+            numerators, denominator = _over_common_denominator(vertices)
+        elif vertices:
+            raise TypeError("pass vertices or numerators, not both")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "numerators", tuple(map(tuple, numerators)))
+        object.__setattr__(self, "denominator", denominator)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.n}")
-        pts = tuple(_as_point(v) for v in self.vertices)
-        object.__setattr__(self, "vertices", pts)
-        prev: Point | None = None
-        for p in pts:
-            if len(p) != self.n:
-                raise DomainError("vertex dimension does not match n")
-            for c in p:
-                if c < 0 or c > 1:
-                    raise DomainError(f"coordinate {c} outside [0, 1]")
-            if prev is not None:
-                for x, y in zip(prev, p):
-                    if y < x:
-                        raise DomainError("vertices are not componentwise nondecreasing")
-            prev = p
+        n, den, nums = self.n, self.denominator, self.numerators
+        if type(n) is not int:
+            raise DomainError(f"n must be an integer, got {n!r}")
+        if n < 1:
+            raise DomainError(f"dimension must be >= 1, got {n}")
+        if type(den) is not int or den < 1:
+            raise DomainError(f"denominator must be a positive integer, got {den!r}")
+        # Whole-set checks; the offending vertex is looked up only to word
+        # the error.  Bools are not numerators.
+        flat = list(chain.from_iterable(nums))
+        if (
+            set(map(len, nums)) - {n}
+            or set(map(type, flat)) - {int}
+            or (flat and not 0 <= min(flat) <= max(flat) <= den)
+            or any(col != sorted(col) for col in (flat[j::n] for j in range(n)))
+        ):
+            raise DomainError(_first_fault(n, nums, den))
+        g = math.gcd(den, *flat)
+        if g > 1:
+            object.__setattr__(self, "denominator", den // g)
+            object.__setattr__(self, "numerators", tuple(tuple(x // g for x in v) for v in nums))
 
-    @classmethod
-    def _trusted(cls, n: int, vertices: tuple[Point, ...]) -> "MonotonePolyline":
-        # internal fast path for vertices already validated by construction
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "vertices", vertices)
-        return obj
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        """The vertices as Fractions, built on each access."""
+        den = self.denominator
+        return tuple(tuple(Fraction(x, den) for x in v) for v in self.numerators)
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.numerators)
 
 
 def polyline(vertices: Sequence[Sequence[RationalLike]], n: int | None = None) -> MonotonePolyline:
     """Build a polyline, inferring the dimension from the first vertex."""
-    pts = tuple(_as_point(v) for v in vertices)
+    vertices = tuple(vertices)
     if n is None:
-        if not pts:
+        if not vertices:
             raise DomainError("cannot infer dimension of an empty polyline")
-        n = len(pts[0])
-    return MonotonePolyline(n=n, vertices=pts)
+        n = len(vertices[0])
+    return MonotonePolyline(n=n, vertices=vertices)
 
 
-def segment_length(a: Point, b: Point) -> Fraction | float:
+def _segment(a: Numerators, b: Numerators, den: int) -> int | float:
+    # Length of a -> b over den: the numerator of the exact length when at
+    # most one coordinate moves, else a float (see the module docstring).
+    moving = [(x, y) for x, y in zip(a, b) if x != y]
+    if len(moving) <= 1:
+        return abs(moving[0][1] - moving[0][0]) if moving else 0
+    return math.sqrt(math.fsum((y / den - x / den) ** 2 for x, y in moving))
+
+
+def segment_length(a: Sequence[RationalLike], b: Sequence[RationalLike]) -> Fraction | float:
     """Euclidean length of one segment; exact when at most one coordinate moves."""
-    moving = [(x, y) for x, y in zip(a, b) if x is not y and y != x]
-    if not moving:
-        return Fraction(0)
-    if len(moving) == 1:
-        x, y = moving[0]
-        return abs(y - x)
-    return math.sqrt(math.fsum((float(y) - float(x)) ** 2 for x, y in moving))
+    (na, nb), den = _over_common_denominator((a, b))
+    length = _segment(na, nb, den)
+    return Fraction(length, den) if type(length) is int else length
 
 
 def h1_length(p: MonotonePolyline) -> Fraction | float:
     """Arc length of the polyline: exact Fraction for staircases, else float.
 
-    The float value carries relative error below 2**-50: each square
-    root is correctly rounded from exactly representable differences of
-    rounded coordinates, and the parts are combined with fsum.
+    The axis-parallel segments add up as integer numerators over the
+    polyline's denominator D, turned into one Fraction at the end.  A
+    skew segment's length is the square root of the fsum of the squared
+    float differences y/D - x/D of its moving coordinates, and the parts
+    are combined with fsum.  The int division y/D is correctly rounded,
+    as float(Fraction(y, D)) is, so every float is bit-identical to that
+    of the same computation in Fraction arithmetic.
     """
-    exact_parts: list[Fraction] = []
+    den = p.denominator
+    nums = p.numerators
+    exact = 0
     float_parts: list[float] = []
-    verts = p.vertices
-    for a, b in zip(verts, verts[1:]):
-        length = segment_length(a, b)
-        if type(length) is Fraction:
-            if length:
-                exact_parts.append(length)
+    for a, b in zip(nums, nums[1:]):
+        length = _segment(a, b, den)
+        if type(length) is int:
+            exact += length
         else:
             float_parts.append(length)
-    exact_total = sum(exact_parts, Fraction(0))
     if not float_parts:
-        return exact_total
-    if exact_total:
-        float_parts.append(float(exact_total))
+        return Fraction(exact, den)
+    if exact:
+        float_parts.append(exact / den)
     return math.fsum(float_parts)
 
 
@@ -168,10 +247,15 @@ class AntidiagonalDecomposition:
     pieces: tuple[AntidiagonalPiece, ...]
 
 
-def _interpolate(a: Point, b: Point, sa: Fraction, sb: Fraction, target: Fraction) -> Point:
-    # Point on the segment a->b whose coordinate sum equals target.
-    t = (target - sa) / (sb - sa)
-    return tuple(x + t * (y - x) for x, y in zip(a, b))
+def _cut(a: Numerators, b: Numerators, sa: int, sb: int, level: int) -> tuple[Numerators, int]:
+    # The point of the segment a -> b whose numerator sum is `level`, with
+    # sa <= level < sb the numerator sums of a and b: numerators over
+    # den * scale, where den is the polyline's denominator, in lowest terms
+    # for scale.  An axis-parallel segment gives scale 1.
+    span, t = sb - sa, level - sa
+    point = [x * span + t * (y - x) for x, y in zip(a, b)]
+    g = math.gcd(span, *point)
+    return tuple(c // g for c in point), span // g
 
 
 def antidiagonal_decompose(p: MonotonePolyline) -> AntidiagonalDecomposition:
@@ -181,46 +265,43 @@ def antidiagonal_decompose(p: MonotonePolyline) -> AntidiagonalDecomposition:
     clipping vertices are exact rational intersections and appear in
     both adjacent pieces.  One forward walk assigns every segment: the
     coordinate sum is nondecreasing along a monotone polyline, so the
-    active piece index only ever advances.
+    active piece index only ever advances.  The walk compares integer
+    numerator sums with index * D, for D the polyline's denominator.
     """
-    n = p.n
-    buckets: list[list[Point] | None] = [None] * (n + 1)
-
-    def push(i: int, pt: Point) -> None:
-        bucket = buckets[i]
-        if bucket is None:
-            bucket = buckets[i] = []
-        if not bucket or bucket[-1] != pt:
-            bucket.append(pt)
-
-    if p.vertices:
-        sums = [coordinate_sum(v) for v in p.vertices]
-        s0 = sums[0]
-        if s0 == int(s0):
-            index = max(1, min(n, int(s0)))
-        else:
-            index = int(s0) + 1
-        push(index, p.vertices[0])
-        for (a, b), (sa, sb) in zip(
-            zip(p.vertices, p.vertices[1:]), zip(sums, sums[1:])
-        ):
-            push(index, a)
-            while sb > index and index < n:
-                cut = _interpolate(a, b, sa, sb, Fraction(index))
-                push(index, cut)
+    n, den, nums = p.n, p.denominator, p.numerators
+    # Bucket entries are (numerators, scale): a point over den * scale.
+    buckets: list[list[tuple[Numerators, int]]] = [[] for _ in range(n + 1)]
+    if nums:
+        sums = list(map(sum, nums))
+        level, rest = divmod(sums[0], den)
+        index = max(1, min(n, level)) if rest == 0 else level + 1
+        buckets[index].append((nums[0], 1))
+        for a, b, sa, sb in zip(nums, nums[1:], sums, sums[1:]):
+            while sb > index * den and index < n:
+                cut = _cut(a, b, sa, sb, index * den)
+                buckets[index].append(cut)
                 index += 1
-                push(index, cut)
-            push(index, b)
+                buckets[index].append(cut)
+            buckets[index].append((b, 1))
 
     pieces = []
     for i in range(1, n + 1):
         bucket = buckets[i]
-        if bucket is None:
+        if not bucket:
             pieces.append(AntidiagonalPiece(index=i, piece=None, s_interval=None))
             continue
-        sub = MonotonePolyline._trusted(n, tuple(bucket))
-        s_lo = coordinate_sum(bucket[0]) - (i - 1)
-        s_hi = coordinate_sum(bucket[-1]) - (i - 1)
+        # Only the first and the last entry of a bucket can be cuts; the
+        # piece's denominator is den * scale.
+        scale = math.lcm(bucket[0][1], bucket[-1][1])
+        verts = [v if s == scale else tuple(x * (scale // s) for x in v) for v, s in bucket]
+        # A vertex on a hyperplane is also the cut there, and input
+        # vertices may repeat: drop consecutive duplicates.
+        verts[1:] = [v for u, v in zip(verts, verts[1:]) if v != u]
+        piece_den = den * scale
+        offset = (i - 1) * piece_den
+        s_lo = Fraction(sum(verts[0]) - offset, piece_den)
+        s_hi = Fraction(sum(verts[-1]) - offset, piece_den)
+        sub = MonotonePolyline(n, numerators=verts, denominator=piece_den)
         pieces.append(AntidiagonalPiece(index=i, piece=sub, s_interval=(s_lo, s_hi)))
     return AntidiagonalDecomposition(pieces=tuple(pieces))
 
@@ -229,5 +310,5 @@ def extremal_chain(n: int) -> MonotonePolyline:
     """The length-n staircase: fill coordinates one at a time, left to right."""
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
-    verts = [tuple(Fraction(1) if j < i else Fraction(0) for j in range(n)) for i in range(n + 1)]
-    return MonotonePolyline(n=n, vertices=tuple(verts))
+    verts = [(1,) * i + (0,) * (n - i) for i in range(n + 1)]
+    return MonotonePolyline(n=n, numerators=verts, denominator=1)

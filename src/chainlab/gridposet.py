@@ -38,7 +38,9 @@ def _check_point(p: GridPoint, n: int, m: int) -> None:
     if len(p) != n:
         raise DomainError(f"point {p} has {len(p)} coordinates, expected {n}")
     for c in p:
-        if not isinstance(c, int) or not 0 <= c <= m - 1:
+        if type(c) is not int:
+            raise DomainError(f"coordinate {c!r} of {p} is not an integer")
+        if not 0 <= c <= m - 1:
             raise DomainError(f"coordinate {c!r} of {p} outside [0, {m - 1}]")
 
 
@@ -65,6 +67,9 @@ class ChainOfPoints:
     def __post_init__(self) -> None:
         if any(len(p) != len(self.points[0]) for p in self.points):
             raise DomainError("points of mixed dimension")
+        if set(map(type, itertools.chain.from_iterable(self.points))) - {int}:
+            bad = next(p for p in self.points if any(type(c) is not int for c in p))
+            raise DomainError(f"point {bad} has a coordinate that is not an integer")
         for a, b in zip(self.points, self.points[1:]):
             if a == b or not dominates(b, a):
                 raise DomainError(f"{a} -> {b} is not a strict componentwise step")
@@ -82,11 +87,24 @@ class WeightedGrid:
     weights: Mapping[GridPoint, Fraction]
 
     def __post_init__(self) -> None:
+        for name, value in (("n", self.n), ("m", self.m)):
+            if type(value) is not int:
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n < 1 or self.m < 2:
             raise DomainError(f"need n >= 1 and m >= 2, got n={self.n}, m={self.m}")
+        # Whole-set checks; the offending point is looked up only to word
+        # the error.  Bools are not coordinates.
+        points = list(self.weights)
+        coords = list(itertools.chain.from_iterable(points))
+        if (
+            set(map(len, points)) - {self.n}
+            or set(map(type, coords)) - {int}
+            or (coords and not 0 <= min(coords) <= max(coords) < self.m)
+        ):
+            for p in points:
+                _check_point(p, self.n, self.m)
         clean = {}
         for p, w in self.weights.items():
-            _check_point(p, self.n, self.m)
             w = as_rational(w)
             if w < 0:
                 raise DomainError(f"negative weight {w} at {p}")

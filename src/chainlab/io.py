@@ -7,18 +7,27 @@ depends on float formatting.
 * polyline file:  {"n": 2, "vertices": [["0/1", "1/2"], ...]}
 * weights file:   {"n": 2, "m": 2, "weights": [{"point": [0, 1], "w": "5/1"}, ...]}
 * cube chain:     {"n": 2, "m": 10, "cubes": [[0, 0], [1, 1], ...]}
+
+Polyline coordinates load straight into the integer-numerator form of
+`MonotonePolyline`.  A coordinate that is a string "P/Q" of ASCII digits
+with Q > 0 is split with `str.partition` and read with `int`; any other
+value (an int, a string with a sign, spaces or an underscore, "P/0", or
+digits past `int`'s string limit) goes through `as_rational`, so the
+accepted coordinates and the error messages are those of
+`Fraction(str)`.  The common denominator is the lcm of the denominators.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
 from .chain_geometry import MonotonePolyline
 from .errors import DomainError
 from .gridposet import ChainOfPoints, WeightedGrid
-from .rational import as_rational, format_rational
+from .rational import as_rational, format_quotient
 from .verifier import CellSet
 
 
@@ -65,29 +74,63 @@ def cellset_from_dict(data: dict) -> CellSet:
 
 
 def polyline_to_dict(p: MonotonePolyline) -> dict:
+    den = p.denominator
     return {
         "n": p.n,
-        "vertices": [[format_rational(c) for c in v] for v in p.vertices],
+        "vertices": [[format_quotient(x, den) for x in v] for v in p.numerators],
     }
 
 
+def _numerator_and_denominator(value: object) -> tuple[int, int]:
+    if type(value) is str and value.isascii():
+        p, sep, q = value.partition("/")
+        if sep and p.isdigit() and q.isdigit():
+            try:
+                num, den = int(p), int(q)
+            except ValueError:  # past int's limit on string digits
+                pass
+            else:
+                if den:
+                    return num, den
+    c = _rational_field(value, "polyline vertex")
+    return c.numerator, c.denominator
+
+
+def _check_entries(items: object, kind: type, what: str) -> None:
+    # Whole-list check; the offending entry is looked up only for the message.
+    if type(items) is not list:
+        raise DomainError(f"{what} must be a list, got {items!r}")
+    if set(map(type, items)) - {kind}:
+        bad = next(v for v in items if type(v) is not kind)
+        raise DomainError(f"{what}: {bad!r} is not a {kind.__name__}")
+
+
 def polyline_from_dict(data: dict) -> MonotonePolyline:
-    return MonotonePolyline(
-        n=_require(data, "n", "polyline"),
-        vertices=tuple(
-            tuple(_rational_field(c, "polyline vertex") for c in v)
-            for v in _require(data, "vertices", "polyline")
-        ),
-    )
+    n = _require(data, "n", "polyline")
+    vertices = _require(data, "vertices", "polyline")
+    _check_entries(vertices, list, "polyline vertices")
+    numerators = [[_numerator_and_denominator(c) for c in v] for v in vertices]
+    den = math.lcm(*{q for v in numerators for _, q in v})
+    # In place, so that the (P, Q) pairs of a vertex are freed as its
+    # numerators are made: the two forms never coexist whole.
+    for i, v in enumerate(numerators):
+        numerators[i] = tuple(p * (den // q) for p, q in v)
+    return MonotonePolyline(n=n, numerators=numerators, denominator=den)
 
 
 def weighted_grid_from_dict(data: dict) -> WeightedGrid:
+    entries = _require(data, "weights", "weights")
+    _check_entries(entries, dict, "weights")
+    points = [_require(entry, "point", "weights entry") for entry in entries]
+    _check_entries(points, list, "weights points")
     weights: dict[tuple[int, ...], Fraction] = {}
-    for entry in _require(data, "weights", "weights"):
-        point = tuple(_require(entry, "point", "weights entry"))
-        weights[point] = _rational_field(
-            _require(entry, "w", "weights entry"), f"weight at {point}"
-        )
+    try:
+        for entry, point in zip(entries, map(tuple, points)):
+            weights[point] = _rational_field(
+                _require(entry, "w", "weights entry"), f"weight at {point}"
+            )
+    except TypeError as exc:  # a coordinate that cannot be hashed
+        raise DomainError(f"weights points must hold integer coordinates: {exc}") from exc
     return WeightedGrid(
         n=_require(data, "n", "weights"),
         m=_require(data, "m", "weights"),
@@ -96,5 +139,6 @@ def weighted_grid_from_dict(data: dict) -> WeightedGrid:
 
 
 def cube_chain_from_dict(data: dict) -> tuple[ChainOfPoints, int]:
-    cubes = tuple(tuple(c) for c in _require(data, "cubes", "cube chain"))
-    return ChainOfPoints(points=cubes), _require(data, "m", "cube chain")
+    cubes = _require(data, "cubes", "cube chain")
+    _check_entries(cubes, list, "cube chain cubes")
+    return ChainOfPoints(points=tuple(map(tuple, cubes))), _require(data, "m", "cube chain")

@@ -9,6 +9,7 @@ so that no output ever depends on float formatting.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -39,7 +40,13 @@ def as_rational(value: RationalLike) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Serialise a Fraction as "P/Q" with an explicit denominator."""
     value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    return format_quotient(value.numerator, value.denominator)
+
+
+def format_quotient(numerator: int, denominator: int) -> str:
+    """Serialise numerator/denominator (denominator > 0) as "P/Q" in lowest terms."""
+    g = math.gcd(numerator, denominator)
+    return f"{numerator // g}/{denominator // g}"
 
 
 def is_rational(value: object) -> bool:

@@ -232,6 +232,8 @@ class CoverSets:
 
 
 def _coarse_counts(a: CellSet, m: int) -> dict[GridPoint, int]:
+    if type(m) is not int or m < 1:
+        raise DomainError(f"coarse resolution must be a positive integer, got {m!r}")
     if a.M % m != 0:
         raise DomainError(f"coarse resolution {m} does not divide M={a.M}")
     w = a.M // m
@@ -341,9 +343,7 @@ def _corners_to_polyline(corners: list[GridPoint], n: int, M: int) -> MonotonePo
                 verts[-1] = c
                 continue
         verts.append(c)
-    return MonotonePolyline(
-        n=n, vertices=tuple(tuple(Fraction(x, M) for x in v) for v in verts)
-    )
+    return MonotonePolyline(n=n, numerators=verts, denominator=M)
 
 
 def _staircase_dp(
@@ -420,7 +420,8 @@ def staircase_mass(a: CellSet, p: MonotonePolyline) -> Fraction:
         raise DomainError(f"polyline dimension {p.n} != cell set dimension {a.n}")
     M = a.M
     total = Fraction(0)
-    for start, end in zip(p.vertices, p.vertices[1:]):
+    verts = p.vertices
+    for start, end in zip(verts, verts[1:]):
         deltas = [y - x for x, y in zip(start, end)]
         moving = [j for j, d in enumerate(deltas) if d != 0]
         if not moving:

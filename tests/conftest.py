@@ -13,41 +13,22 @@ import pytest
 from chainlab import CellSet, ChainOfPoints, MonotonePolyline
 
 
-_FRACTION_CACHE: dict[int, list[Fraction]] = {}
-
-
-def _fraction_table(denominator: int) -> list[Fraction]:
-    table = _FRACTION_CACHE.get(denominator)
-    if table is None:
-        table = [Fraction(i, denominator) for i in range(denominator + 1)]
-        _FRACTION_CACHE[denominator] = table
-    return table
-
-
 def random_monotone_polyline(
     rng: random.Random,
     n: int,
     max_vertices: int = 50,
     denominator: int = 16,
-    check: bool = False,
 ) -> MonotonePolyline:
     """Random chain polyline: each coordinate is an independent sorted sample.
 
-    Shares Fraction objects from a per-denominator table and skips the
-    constructor's validation (the sorted columns are monotone by
-    construction); callers spot-check with check=True.
+    The vertices are integer numerators over `denominator`, handed to the
+    validating constructor.
     """
-    table = _fraction_table(denominator)
     count = rng.randint(1, max_vertices)
     columns = [
         sorted(rng.randint(0, denominator) for _ in range(count)) for _ in range(n)
     ]
-    vertices = tuple(
-        tuple(table[col[i]] for col in columns) for i in range(count)
-    )
-    if check:
-        return MonotonePolyline(n=n, vertices=vertices)
-    return MonotonePolyline._trusted(n, vertices)
+    return MonotonePolyline(n, numerators=list(zip(*columns)), denominator=denominator)
 
 
 def random_cellset(

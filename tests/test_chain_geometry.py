@@ -18,6 +18,7 @@ from chainlab import (
     segment_length,
     validate_monotone,
 )
+import polyline_oracle as oracle
 from conftest import random_monotone_polyline
 
 SLACK = Fraction(1, 2**30)
@@ -218,3 +219,72 @@ class TestAntidiagonalDecompose:
                     piece_vertices.add(v)
             for v in p.vertices:
                 assert v in piece_vertices
+
+
+def _same(got, want) -> bool:
+    # Equal Fractions, or floats equal bit for bit.
+    if isinstance(want, float):
+        return type(got) is float and got.hex() == want.hex()
+    return type(got) is Fraction and got == want
+
+
+class TestAgainstFractionOracle:
+    """The integer kernels against the Fraction code they replaced."""
+
+    def check(self, n, vertices):
+        p = MonotonePolyline(n, vertices)
+        assert p.vertices == vertices
+        for a, b in zip(vertices, vertices[1:]):
+            assert _same(segment_length(a, b), oracle.segment_length(a, b))
+        assert _same(h1_length(p), oracle.h1_length(vertices))
+        got = antidiagonal_decompose(p).pieces
+        want = oracle.antidiagonal_decompose(n, vertices)
+        assert len(got) == len(want) == n
+        for piece, (index, piece_vertices, s_interval) in zip(got, want):
+            assert piece.index == index
+            assert piece.s_interval == s_interval
+            if piece_vertices is None:
+                assert piece.piece is None
+                continue
+            assert piece.piece.vertices == piece_vertices
+            assert _same(h1_length(piece.piece), oracle.h1_length(piece_vertices))
+
+    def test_random_polylines(self):
+        rng = random.Random(83)
+        on_hyperplane = repeated = 0
+        for kind in ("staircase", "skew"):
+            for _ in range(400):
+                n = rng.randint(1, 5)
+                vertices = oracle.random_vertices(rng, n, kind)
+                on_hyperplane += any(sum(v) == int(sum(v)) for v in vertices[1:-1])
+                repeated += any(a == b for a, b in zip(vertices, vertices[1:]))
+                self.check(n, vertices)
+        assert on_hyperplane > 100 and repeated > 100
+
+    def test_edge_cases(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        self.check(3, ())
+        self.check(2, ((half, third),))
+        self.check(2, ((Fraction(0), Fraction(0)),))
+        self.check(3, ((Fraction(1), Fraction(1), Fraction(1)),))
+        # every vertex on an integer-sum hyperplane, and repeated
+        ones = (Fraction(0), Fraction(0)), (half, half), (half, half), (Fraction(1), Fraction(1))
+        self.check(2, ones)
+        self.check(3, extremal_chain(3).vertices)
+        # one skew segment crossing two hyperplanes
+        self.check(3, ((Fraction(0),) * 3, (Fraction(1), Fraction(9, 10), Fraction(7, 10))))
+
+    def test_numerator_constructor_matches_fractions(self):
+        rng = random.Random(89)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            vertices = oracle.random_vertices(rng, n, rng.choice(("staircase", "skew")))
+            p = MonotonePolyline(n, vertices)
+            scale = rng.randint(1, 5)
+            q = MonotonePolyline(
+                n,
+                numerators=[[x * scale for x in v] for v in p.numerators],
+                denominator=p.denominator * scale,
+            )
+            assert q == p and q.denominator == p.denominator
+            assert math.gcd(p.denominator, *(x for v in p.numerators for x in v)) == 1

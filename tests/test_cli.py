@@ -2,10 +2,13 @@
 
 import io
 import json
+import random
 from pathlib import Path
 
 import jsonschema
 
+import polyline_oracle as oracle
+from chainlab import format_rational
 from chainlab.cli import run
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -179,6 +182,13 @@ class TestKsperner:
         assert json.loads(err)["error"]["code"] == "resource"
 
 
+def _file_coordinate(j, c):
+    # Plain integers and unreduced "P/Q" strings load like reduced ones.
+    if j == 0:
+        return int(c) if c.denominator == 1 else format_rational(c)
+    return f"{3 * c.numerator}/{3 * c.denominator}" if j == 1 else format_rational(c)
+
+
 class TestChain:
     def test_length_and_decompose(self, tmp_path):
         poly = {"n": 2, "vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["1/1", "1/1"]]}
@@ -200,6 +210,41 @@ class TestChain:
         code, _, err = invoke(["chain", "length", "--file", str(path)])
         assert code == 2
         check_schema("error", err)
+
+    def test_stdout_matches_fraction_oracle(self, tmp_path):
+        rng = random.Random(97)
+        path = tmp_path / "poly.json"
+        for i in range(40):
+            n = rng.randint(1, 4)
+            vertices = oracle.random_vertices(rng, n, ("staircase", "skew")[i % 2])
+            text = [[_file_coordinate(j, c) for j, c in enumerate(v)] for v in vertices]
+            path.write_text(json.dumps({"n": n, "vertices": text}))
+            for action in ("length", "decompose"):
+                code, out, err = invoke(["chain", action, "--file", str(path)])
+                assert (code, err) == (0, "")
+                want = oracle.chain_payload(action, n, vertices)
+                assert out == json.dumps(want, sort_keys=True) + "\n"
+                check_schema(f"chain-{action}", out)
+
+    def test_malformed_polyline_files(self, tmp_path):
+        path = tmp_path / "bad.json"
+        cases = [
+            ({"n": "2", "vertices": [["0/1", "0/1"]]}, "n must be an integer"),
+            ({"n": True, "vertices": [["0/1"], ["1/1"]]}, "n must be an integer"),
+            ({"n": 2, "vertices": [5]}, "5 is not a list"),
+            ({"n": 2, "vertices": 5}, "must be a list"),
+            ({"n": 2, "vertices": [["1/2", True]]}, "bool is not a rational scalar"),
+            ({"n": 2, "vertices": [["1/0", "0/1"]]}, "cannot parse rational from '1/0'"),
+            ({"n": 2, "vertices": [["1" * 5000 + "/3", "0/1"]]}, "cannot parse rational"),
+            ({"n": 2, "vertices": [["0/1", "3/2"]]}, "coordinate 3/2 outside [0, 1]"),
+            ({"n": 2, "vertices": [["1/2", "0/1"], ["1/3", "1/1"]]}, "not componentwise nondecreasing"),
+        ]
+        for data, message in cases:
+            path.write_text(json.dumps(data))
+            code, out, err = invoke(["chain", "length", "--file", str(path)])
+            assert (code, out) == (2, ""), data
+            payload = check_schema("error", err)
+            assert message in payload["error"]["message"], data
 
 
 class TestVerifyPipeline:
@@ -294,6 +339,43 @@ class TestVerifyPipeline:
     def test_cell_file_out_of_range_coordinate(self, tmp_path):
         message = self._verify_cell_file(tmp_path, {"n": 2, "M": 4, "cells": [[0, 1], [4, 0]]})
         assert "(4, 0) outside the resolution-4 grid" in message
+
+    def test_malformed_cube_chain_files(self, tmp_path):
+        cells_path = tmp_path / "cells.json"
+        cells_path.write_text(json.dumps({"n": 2, "M": 4, "cells": [[0, 0], [1, 1]]}))
+        path = tmp_path / "cubes.json"
+        for data in (
+            {"n": 2, "m": 2, "cubes": [1, 2]},
+            {"n": 2, "m": 2, "cubes": 7},
+            {"n": 2, "m": "2", "cubes": [[0, 0], [1, 1]]},
+            {"n": 2, "m": 0, "cubes": [[0, 0], [1, 1]]},
+            {"n": 2, "m": 2, "cubes": [[True, 0], [1, 1]]},
+            {"n": 2, "m": 2, "cubes": [["a", 0], [1, 1]]},
+        ):
+            path.write_text(json.dumps(data))
+            code, out, err = invoke(
+                ["chainbuild", "--cubes", str(path), "--set", str(cells_path), "--epsilon", "1/10"]
+            )
+            assert (code, out) == (2, ""), data
+            check_schema("error", err)
+
+    def test_malformed_weights_files(self, tmp_path):
+        path = tmp_path / "weights.json"
+        for data, message in (
+            ({"n": 2, "m": 2, "weights": [{"point": [True, 0], "w": "1/1"}]}, "not an integer"),
+            ({"n": 2, "m": 2, "weights": [5]}, "5 is not a dict"),
+            ({"n": 2, "m": 2, "weights": 5}, "must be a list"),
+            ({"n": 2, "m": 2, "weights": [{"point": 5, "w": "1/1"}]}, "5 is not a list"),
+            ({"n": 2, "m": 2, "weights": [{"point": [[1], 0], "w": "1/1"}]}, "integer coordinates"),
+            ({"n": "2", "m": 2, "weights": [{"point": [1, 0], "w": "1/1"}]}, "n must be an integer"),
+            ({"n": 2, "m": True, "weights": []}, "m must be an integer"),
+            ({"n": 2, "m": 2, "weights": [{"point": [0, 2], "w": "1/1"}]}, "outside [0, 1]"),
+        ):
+            path.write_text(json.dumps(data))
+            code, out, err = invoke(["maxchain", "--weights", str(path)])
+            assert (code, out) == (2, ""), data
+            payload = check_schema("error", err)
+            assert message in payload["error"]["message"], data
 
     def test_bad_rational_in_weights_file(self, tmp_path):
         path = tmp_path / "weights.json"
