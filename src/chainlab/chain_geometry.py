@@ -5,9 +5,12 @@ represented here by its finitely-describable workhorse: a polyline with
 rational, componentwise nondecreasing vertices.  Arc length doubles as
 1-dimensional Hausdorff measure for these curves.  It is exact whenever
 every segment is axis-parallel; skew segments contribute square roots,
-carried as floats with relative error below 2**-50 (comfortably inside
-the documented 2**-40 budget), and inequality tests against such
-lengths use explicit slack.
+carried as floats, and inequality tests against such lengths use
+explicit slack.  The float error is small in absolute terms only, about
+2**-53 per coordinate difference, not relative: under cancellation a
+tiny skew segment can lose every bit (with D = 3**40, the segment from
+((D-2)/D, (D-2)/D) to ((D-1)/D, (D-1)/D) has length sqrt(2)/D but
+measures 0.0, as both ends round to 1.0).
 
 Storage.  A polyline keeps one common denominator D, the least one, and
 one tuple of integer numerators per vertex: vertex i is numerators[i] / D.

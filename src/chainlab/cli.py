@@ -172,7 +172,7 @@ def _cmd_maxchain(args: argparse.Namespace, config: Config) -> dict:
 
 def _cmd_scd(args: argparse.Namespace, config: Config) -> dict:
     # The points of the decomposition are built only when they are printed.
-    lengths = _scd_chain_lengths(args.n, args.m)
+    lengths = _scd_chain_lengths(args.n, args.m, max_points=config.scd_max_points)
     payload = {
         "n": args.n,
         "m": args.m,
@@ -181,13 +181,17 @@ def _cmd_scd(args: argparse.Namespace, config: Config) -> dict:
         "chains": None,
     }
     if args.print_chains:
-        scd = symmetric_chain_decomposition(args.n, args.m)
+        scd = symmetric_chain_decomposition(
+            args.n, args.m, max_points=config.scd_max_points
+        )
         payload["chains"] = [[list(p) for p in c.points] for c in scd.chains]
     return payload
 
 
 def _cmd_ksperner(args: argparse.Namespace, config: Config) -> dict:
-    bound = ksperner_bound_via_scd(args.n, args.m, args.k)
+    bound = ksperner_bound_via_scd(
+        args.n, args.m, args.k, max_points=config.scd_max_points
+    )
     payload = {
         "n": args.n,
         "m": args.m,
@@ -197,7 +201,9 @@ def _cmd_ksperner(args: argparse.Namespace, config: Config) -> dict:
         "match": None,
     }
     if args.brute:
-        brute = ksperner_max_bruteforce(args.n, args.m, args.k)
+        brute = ksperner_max_bruteforce(
+            args.n, args.m, args.k, max_points=config.bruteforce_max_points
+        )
         payload["brute"] = brute
         payload["match"] = brute == bound
     return payload
@@ -244,7 +250,7 @@ def _cmd_raster_slab(args: argparse.Namespace, config: Config) -> dict:
     cells = discretize_slab(
         args.n, args.M, args.kappa, args.mode, max_cells=config.max_grid_states
     )
-    chainlab_io.dump_json(args.output, chainlab_io.cellset_to_dict(cells))
+    chainlab_io.write_cellset(args.output, cells)
     vol = measure(cells)
     return {
         "n": args.n,

@@ -26,11 +26,6 @@ from .whitney import sum_k_largest, whitney_numbers
 
 GridPoint = tuple[int, ...]
 
-#: Cap on m^n for the brute-force family enumeration.
-BRUTEFORCE_MAX_POINTS = 16
-#: Cap on m^n for the symmetric chain decomposition output.
-SCD_MAX_POINTS = 12**6
-
 _ZERO = Fraction(0)
 
 
@@ -228,16 +223,18 @@ def max_weight_chain(
     )
 
 
-def _check_scd_size(n: int, m: int) -> None:
+def _check_scd_size(n: int, m: int, max_points: int) -> None:
     if n < 1 or m < 2:
         raise DomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
-    if m**n > SCD_MAX_POINTS:
+    if m**n > max_points:
         raise ResourceLimitError(
-            f"decomposition of {m}^{n} points exceeds the cap {SCD_MAX_POINTS}"
+            f"decomposition of {m}^{n} points exceeds the cap {max_points}"
         )
 
 
-def symmetric_chain_decomposition(n: int, m: int) -> SymmetricChainDecomposition:
+def symmetric_chain_decomposition(
+    n: int, m: int, max_points: int = Config.scd_max_points
+) -> SymmetricChainDecomposition:
     """Symmetric chain decomposition of {0..m-1}^n.
 
     Inductive product construction: each symmetric chain of the
@@ -245,7 +242,7 @@ def symmetric_chain_decomposition(n: int, m: int) -> SymmetricChainDecomposition
     factor, is peeled into hooks (one row to its corner, then up the
     column), every hook again saturated and symmetric.
     """
-    _check_scd_size(n, m)
+    _check_scd_size(n, m, max_points)
     q = m - 1
     chains: list[list[GridPoint]] = [[(j,) for j in range(m)]]
     for _ in range(n - 1):
@@ -262,7 +259,7 @@ def symmetric_chain_decomposition(n: int, m: int) -> SymmetricChainDecomposition
     )
 
 
-def _scd_chain_lengths(n: int, m: int) -> list[int]:
+def _scd_chain_lengths(n: int, m: int, max_points: int = Config.scd_max_points) -> list[int]:
     """Chain lengths of `symmetric_chain_decomposition(n, m)`, longest first.
 
     The same induction on lengths alone, without building a point: the
@@ -270,7 +267,7 @@ def _scd_chain_lengths(n: int, m: int) -> list[int]:
     t = 0..min(p, m-1).  Lengths are kept as a length -> count table,
     which has at most n(m-1)+1 entries.
     """
-    _check_scd_size(n, m)
+    _check_scd_size(n, m, max_points)
     counts = {m: 1}
     for _ in range(n - 1):
         spliced: dict[int, int] = defaultdict(int)
@@ -281,7 +278,9 @@ def _scd_chain_lengths(n: int, m: int) -> list[int]:
     return [size for size in sorted(counts, reverse=True) for _ in range(counts[size])]
 
 
-def ksperner_bound_via_scd(n: int, m: int, k: int) -> int:
+def ksperner_bound_via_scd(
+    n: int, m: int, k: int, max_points: int = Config.scd_max_points
+) -> int:
     """Upper bound sum over chains of min(k, |chain|) for k-Sperner families.
 
     The chains are those of the symmetric chain decomposition, of which
@@ -291,7 +290,7 @@ def ksperner_bound_via_scd(n: int, m: int, k: int) -> int:
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    bound = sum(min(k, size) for size in _scd_chain_lengths(n, m))
+    bound = sum(min(k, size) for size in _scd_chain_lengths(n, m, max_points))
     expected = sum_k_largest(whitney_numbers(n, m), k).value
     if bound != expected:
         raise AssertionError(
@@ -300,7 +299,13 @@ def ksperner_bound_via_scd(n: int, m: int, k: int) -> int:
     return bound
 
 
-def ksperner_max_bruteforce(n: int, m: int, k: int, prune: bool = True) -> int:
+def ksperner_max_bruteforce(
+    n: int,
+    m: int,
+    k: int,
+    prune: bool = True,
+    max_points: int = Config.bruteforce_max_points,
+) -> int:
     """Exact maximum size of a family with no chain of k+1 points.
 
     Depth-first enumeration over all families, processed in a linear
@@ -312,10 +317,8 @@ def ksperner_max_bruteforce(n: int, m: int, k: int, prune: bool = True) -> int:
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     size = m**n
-    if size > BRUTEFORCE_MAX_POINTS:
-        raise ResourceLimitError(
-            f"family space 2^{size} too large; cap is 2^{BRUTEFORCE_MAX_POINTS}"
-        )
+    if size > max_points:
+        raise ResourceLimitError(f"family space 2^{size} too large; cap is 2^{max_points}")
     points = sorted(_unflatten(i, n, m) for i in range(size))
     points.sort(key=lambda p: (sum(p), p))
     preds = [

@@ -15,6 +15,12 @@ value (an int, a string with a sign, spaces or an underscore, "P/0", or
 digits past `int`'s string limit) goes through `as_rational`, so the
 accepted coordinates and the error messages are those of
 `Fraction(str)`.  The common denominator is the lcm of the denominators.
+
+Cell set files are read through `CellSet`, which stores the cells as
+sorted flat indices; `write_cellset` writes them back in the layout of
+`json.dump(..., sort_keys=True, indent=1)` straight from those indices.
+`cellset_to_dict` with `dump_json` writes the same bytes through the
+JSON encoder.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ import json
 import math
 from fractions import Fraction
 from typing import Any
+
+import numpy as np
 
 from .chain_geometry import MonotonePolyline
 from .errors import DomainError
@@ -62,7 +70,23 @@ def dump_json(path: str, payload: dict) -> None:
 
 
 def cellset_to_dict(a: CellSet) -> dict:
-    return {"n": a.n, "M": a.M, "cells": sorted(list(c) for c in a.cells)}
+    return {"n": a.n, "M": a.M, "cells": list(map(list, a.points()))}
+
+
+def write_cellset(path: str, a: CellSet) -> None:
+    """Write a cell set file: the bytes of dump_json(path, cellset_to_dict(a)).
+
+    The text is built without the JSON encoder: one "%d" template per
+    cell, in the layout of indent=1, repeated and filled by a single `%`
+    from the coordinates of the sorted flat indices.
+    """
+    cell = "  [\n" + ",\n".join(["   %d"] * a.n) + "\n  ]"
+    coords = np.stack(a.coordinates(), axis=1).ravel().tolist()
+    cells = "[]"
+    if coords:
+        cells = "[\n" + ",\n".join([cell] * len(a.cells)) % tuple(coords) + "\n ]"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{\n "M": {a.M},\n "cells": {cells},\n "n": {a.n}\n}}\n')
 
 
 def cellset_from_dict(data: dict) -> CellSet:

@@ -24,6 +24,16 @@ lower bound (1-(2n+2)eps) * (1-eps)^n * (|cubes|-1)/m.
 Both staircase searches run on `gridposet.monotone_path_dp`, with each
 fine lattice edge scored once, as a 0/1 gain that the forward pass and
 the backtrack both read.
+
+Storage.  A `CellSet` keeps its cells as one sorted, duplicate-free numpy
+int64 array of row-major flat indices, in the order of sorted coordinate
+tuples; M**n must stay below 2**63 (`ResourceLimitError` otherwise).
+Every stage works on that array: the slab raster keeps the flat indices
+of an integer range of coordinate sums, the coarse counts are an
+`np.unique` of floor-divided coordinates (only touched coarse cubes, and
+computed once per `end_to_end_verify`), and the edge gains of a box are
+one `np.searchsorted` membership test.  Counts leave numpy as Python
+ints, so every `Fraction` has int numerator and denominator.
 """
 
 from __future__ import annotations
@@ -33,6 +43,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Mapping
+
+import numpy as np
 
 from .chain_geometry import MonotonePolyline
 from .config import Config
@@ -49,17 +61,33 @@ from .slab_volume import SlabSpec, slab_volume_exact
 from .whitney import whitney_sum
 
 
-@dataclass(frozen=True)
+#: Flat cell indices are numpy int64, so M**n must stay below 2**63.
+_FLAT_LIMIT = 2**63
+
+
+def _check_flat_range(n: int, M: int) -> None:
+    # With M >= 2, n >= 63 is out of range; testing it first avoids a huge power.
+    if M >= 2 and (n >= 63 or M**n >= _FLAT_LIMIT):
+        raise ResourceLimitError(
+            f"{M}^{n} cells exceed the int64 range of flat cell indices"
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class CellSet:
     """A union of grid cubes with side 1/M, identified by their index vectors.
 
-    `cells` may be given as any iterable of coordinate sequences; it is
-    stored as a frozenset of integer tuples.
+    Storage: `cells` is one sorted, duplicate-free, read-only numpy int64
+    array of row-major flat cell indices; cell (c_1, ..., c_n) has index
+    sum c_j * M**(n-j).  Sorted flat indices are in the order of sorted
+    coordinate tuples.  `cells` may be given as any iterable of integer
+    coordinate sequences or as a one-dimensional integer ndarray of flat
+    indices; duplicates collapse.
     """
 
     n: int
     M: int
-    cells: frozenset[GridPoint]
+    cells: np.ndarray
 
     def __post_init__(self) -> None:
         for name, value in (("n", self.n), ("M", self.M)):
@@ -67,24 +95,99 @@ class CellSet:
                 raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n < 1 or self.M < 2:
             raise DomainError(f"need n >= 1 and M >= 2, got n={self.n}, M={self.M}")
-        try:
-            listed = list(map(tuple, self.cells))
-            cells = frozenset(listed)
-        except TypeError as exc:
-            raise DomainError(f"cells must be lists of integer coordinates: {exc}") from exc
+        _check_flat_range(self.n, self.M)
+        if isinstance(self.cells, np.ndarray):
+            flat = self._flat_from_indices(self.cells)
+        else:
+            flat = self._flat_from_coordinates(self.cells)
+        # Sort, then drop repeats: np.unique gives the same array, but
+        # numpy 2 runs it through a hash table, about 20 times slower here.
+        flat = np.sort(flat)
+        if len(flat) > 1:
+            flat = flat[np.append(True, flat[1:] != flat[:-1])]
+        flat.flags.writeable = False
+        object.__setattr__(self, "cells", flat)
+
+    def _flat_from_indices(self, flat: np.ndarray) -> np.ndarray:
+        if flat.ndim != 1 or flat.dtype.kind not in "iu":
+            raise DomainError(
+                f"cell index arrays must be one-dimensional integer arrays, got {flat.dtype} "
+                f"of shape {flat.shape}"
+            )
+        if flat.size and not 0 <= flat.min() <= flat.max() < self.M**self.n:
+            raise DomainError(f"flat cell index outside the resolution-{self.M} grid")
+        return flat.astype(np.int64)
+
+    def _flat_from_coordinates(self, cells: object) -> np.ndarray:
+        # A list of lists or tuples (a loaded cell file) is read in place;
+        # anything else is first copied into a list of tuples.
+        rows = cells
+        if type(rows) is not list or set(map(type, rows)) - {list, tuple}:
+            try:
+                rows = list(map(tuple, rows))
+            except TypeError as exc:
+                raise DomainError(f"cells must be lists of integer coordinates: {exc}") from exc
+        types = set(map(type, itertools.chain.from_iterable(rows)))
+        # A nested list or object as a coordinate is reported as such,
+        # ahead of the whole-set checks.
+        if any(t.__hash__ is None for t in types):
+            bad = next(
+                type(x) for x in itertools.chain.from_iterable(rows) if type(x).__hash__ is None
+            )
+            raise DomainError(
+                "cells must be lists of integer coordinates: "
+                f"unhashable type: {bad.__name__!r}"
+            )
         # Whole-set checks first; the offending cell, in input order, is
         # looked up only to word the error.  Bools are not coordinates.
-        if set(map(len, listed)) - {self.n}:
-            bad = next(c for c in listed if len(c) != self.n)
-            raise DomainError(f"cell {bad} has wrong dimension")
-        coords = list(itertools.chain.from_iterable(listed))
-        if set(map(type, coords)) - {int}:
-            bad = next(c for c in listed if any(type(x) is not int for x in c))
-            raise DomainError(f"cell {bad} has a coordinate that is not an integer")
-        if coords and not 0 <= min(coords) <= max(coords) < self.M:
-            bad = next(c for c in listed if not all(0 <= x < self.M for x in c))
-            raise DomainError(f"cell {bad} outside the resolution-{self.M} grid")
-        object.__setattr__(self, "cells", cells)
+        if set(map(len, rows)) - {self.n}:
+            bad = next(c for c in rows if len(c) != self.n)
+            raise DomainError(f"cell {tuple(bad)} has wrong dimension")
+        if types - {int}:
+            bad = next(c for c in rows if any(type(x) is not int for x in c))
+            raise DomainError(f"cell {tuple(bad)} has a coordinate that is not an integer")
+        try:
+            values = np.fromiter(
+                itertools.chain.from_iterable(rows), dtype=np.int64, count=len(rows) * self.n
+            )
+        except OverflowError:  # beyond int64, so beyond the grid
+            values = None
+        if values is None or (values.size and not 0 <= values.min() <= values.max() < self.M):
+            bad = next(c for c in rows if not all(0 <= x < self.M for x in c))
+            raise DomainError(f"cell {tuple(bad)} outside the resolution-{self.M} grid")
+        columns = values.reshape(-1, self.n).T
+        flat = columns[0]
+        for column in columns[1:]:
+            flat = flat * self.M + column
+        return flat
+
+    def coordinates(self) -> tuple[np.ndarray, ...]:
+        """The cells' coordinates, one array per axis, in sorted cell order."""
+        return np.unravel_index(self.cells, (self.M,) * self.n)
+
+    def points(self) -> list[GridPoint]:
+        """The cells as coordinate tuples of Python ints, sorted."""
+        return list(zip(*(axis.tolist() for axis in self.coordinates())))
+
+    def __contains__(self, cell: object) -> bool:
+        """Whether the coordinate sequence `cell` is a cell of the set."""
+        if len(cell) != self.n or not all(0 <= c < self.M for c in cell):
+            return False
+        flat = 0
+        for c in cell:
+            flat = flat * self.M + c
+        i = int(np.searchsorted(self.cells, flat))
+        return i < len(self.cells) and int(self.cells[i]) == flat
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CellSet):
+            return NotImplemented
+        return (self.n, self.M) == (other.n, other.M) and np.array_equal(
+            self.cells, other.cells
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.M, self.cells.tobytes()))
 
 
 def measure(a: CellSet) -> Fraction:
@@ -107,24 +210,32 @@ def discretize_slab(
     below it.  Cells meeting the slab only in a boundary hyperplane do
     not count as outer; they would inflate the bracket without covering
     anything of positive measure.
+
+    A cell with index sum s has closure sums in [s/M, (s+n)/M], so each
+    mode keeps an integer range of s.  The sums of all M^n cells are
+    built by broadcasting, in flat-index order, and the kept cells are
+    their flat indices.
     """
     if mode not in ("inner", "outer"):
         raise DomainError(f"mode must be 'inner' or 'outer', got {mode!r}")
     spec = SlabSpec(n=n, kappa=as_rational(kappa))
     if M**n > max_cells:
         raise ResourceLimitError(f"{M}^{n} cells exceed the cap {max_cells}")
+    _check_flat_range(n, M)
     lo_times_m = spec.lower_sum * M
     hi_times_m = spec.upper_sum * M
-    cells = []
-    for cell in itertools.product(range(M), repeat=n):
-        s = sum(cell)
-        if mode == "inner":
-            keep = s >= lo_times_m and s + n <= hi_times_m
-        else:
-            keep = s < hi_times_m and s + n > lo_times_m
-        if keep:
-            cells.append(cell)
-    return CellSet(n=n, M=M, cells=frozenset(cells))
+    if mode == "inner":
+        # s >= lo*M and s + n <= hi*M
+        s_lo, s_hi = math.ceil(lo_times_m), math.floor(hi_times_m) - n
+    else:
+        # s < hi*M and s + n > lo*M
+        s_lo, s_hi = math.floor(lo_times_m) - n + 1, math.ceil(hi_times_m) - 1
+    axis = np.arange(max(M, 0), dtype=np.int64)
+    sums = axis
+    for _ in range(n - 1):
+        sums = (sums[:, None] + axis).ravel()
+    cells = np.flatnonzero((sums >= s_lo) & (sums <= s_hi))
+    return CellSet(n=n, M=M, cells=cells)
 
 
 def _check_epsilon(n: int, epsilon: Fraction) -> None:
@@ -237,20 +348,33 @@ def _coarse_counts(a: CellSet, m: int) -> dict[GridPoint, int]:
     if a.M % m != 0:
         raise DomainError(f"coarse resolution {m} does not divide M={a.M}")
     w = a.M // m
-    counts: dict[GridPoint, int] = {}
-    for cell in a.cells:
-        coarse = tuple(c // w for c in cell)
-        counts[coarse] = counts.get(coarse, 0) + 1
-    return counts
+    # Flat coarse index of every cell; only the touched coarse cubes are
+    # ever materialised, never all m^n of them.
+    coarse = np.zeros(len(a.cells), dtype=np.int64)
+    for axis in a.coordinates():
+        coarse = coarse * m + axis // w
+    cubes, counts = np.unique(coarse, return_counts=True)
+    points = zip(*(axis.tolist() for axis in np.unravel_index(cubes, (m,) * a.n)))
+    return dict(zip(points, counts.tolist()))
 
 
-def cover_sets(a: CellSet, m: int, params: EpsilonParams) -> CoverSets:
-    """Per-coarse-cell densities and the touched/dense coarse cell sets."""
+def cover_sets(
+    a: CellSet,
+    m: int,
+    params: EpsilonParams,
+    counts: Mapping[GridPoint, int] | None = None,
+) -> CoverSets:
+    """Per-coarse-cell densities and the touched/dense coarse cell sets.
+
+    `counts` are the cells per touched coarse cube, `_coarse_counts(a, m)`,
+    computed here when not given.
+    """
     if params.n != a.n:
         raise DomainError(f"params dimension {params.n} != cell set dimension {a.n}")
     if params.m != m:
         raise DomainError(f"params carry m={params.m} but m={m} was requested")
-    counts = _coarse_counts(a, m)
+    if counts is None:
+        counts = _coarse_counts(a, m)
     per_cube = (a.M // m) ** a.n
     density = {d: Fraction(c, per_cube) for d, c in counts.items()}
     threshold = params.density_threshold
@@ -308,16 +432,20 @@ def claim_check(
 
 
 def max_cell_chain_mass_upper(
-    a: CellSet, m: int, max_states: int = Config.max_grid_states
+    a: CellSet,
+    m: int,
+    max_states: int = Config.max_grid_states,
+    counts: Mapping[GridPoint, int] | None = None,
 ) -> Fraction:
     """Sound upper bound on sup over chains C of H^1(A intersect C).
 
     Any chain meets at most n/m of length inside one coarse cube, and
     the cubes it meets form a chain, so the maximum number of touched
     cubes on a cube chain, times n/m, dominates the supremum.  Loose by
-    up to a factor n.
+    up to a factor n.  `counts` is as in `cover_sets`.
     """
-    counts = _coarse_counts(a, m)
+    if counts is None:
+        counts = _coarse_counts(a, m)
     if not counts:
         return Fraction(0)
     grid = WeightedGrid(n=a.n, m=m, weights={d: Fraction(1) for d in counts})
@@ -346,6 +474,39 @@ def _corners_to_polyline(corners: list[GridPoint], n: int, M: int) -> MonotonePo
     return MonotonePolyline(n=n, numerators=verts, denominator=M)
 
 
+def _edge_gains(
+    a: CellSet, lo_corner: GridPoint, hi_corner: GridPoint
+) -> list[bytearray]:
+    """0/1 gains of the fine lattice edges of a box, one array per axis.
+
+    gains[j][x] = 1 iff the edge arriving at corner x (a flat row-major
+    index of the box) along axis j lies in a cell of `a`: in x's absolute
+    coordinates, the cell with index x_j - 1 along j and min(x_t, M-1)
+    along every other axis t.  The first corner along j has no such edge
+    and gains 0.  The flat indices of all edge cells are built by
+    broadcasting and looked up in `a.cells` by one `np.searchsorted`.
+    """
+    n, M = a.n, a.M
+    shape = [hi - lo + 1 for lo, hi in zip(lo_corner, hi_corner)]
+    across = [
+        np.minimum(np.arange(lo, hi + 1), M - 1) for lo, hi in zip(lo_corner, hi_corner)
+    ]
+    gains = []
+    for j in range(n):
+        flat = 0
+        for t in range(n):
+            coord = np.arange(lo_corner[t] - 1, hi_corner[t]) if t == j else across[t]
+            flat = flat * M + coord.reshape([-1 if s == t else 1 for s in range(n)])
+        flat = flat.ravel()
+        if len(a.cells):
+            hit = np.take(a.cells, np.searchsorted(a.cells, flat), mode="clip") == flat
+        else:
+            hit = np.zeros(len(flat), dtype=bool)
+        hit.reshape(shape)[(slice(None),) * j + (0,)] = False
+        gains.append(bytearray(hit))
+    return gains
+
+
 def _staircase_dp(
     a: CellSet,
     lo_corner: GridPoint,
@@ -359,21 +520,13 @@ def _staircase_dp(
     reconstructed from the top corner with the smallest axis preferred,
     so reruns are identical.
     """
-    n, M = a.n, a.M
+    n = a.n
     extent = [hi - lo + 1 for lo, hi in zip(lo_corner, hi_corner)]
     size = math.prod(extent)
     if size > max_corners:
         raise ResourceLimitError(f"staircase DP over {size} corners, cap {max_corners}")
     strides = [math.prod(extent[j + 1 :]) for j in range(n)]
-    # gains[j][x] = 1 iff the edge arriving at corner x along axis j lies in
-    # a cell of `a`: in x's absolute coordinates, the cell with index x_j - 1
-    # along j and min(x_t, M-1) along every other axis t.  The index -1
-    # stands for the edge that does not exist at the box's lower face.
-    across = [[min(c, M - 1) for c in range(lo, hi + 1)] for lo, hi in zip(lo_corner, hi_corner)]
-    gains = []
-    for j in range(n):
-        axes = across[:j] + [[-1, *range(lo_corner[j], hi_corner[j])]] + across[j + 1 :]
-        gains.append(bytearray(map(a.cells.__contains__, itertools.product(*axes))))
+    gains = _edge_gains(a, lo_corner, hi_corner)
     best = monotone_path_dp(extent, gains)
 
     path = [hi_corner]
@@ -439,7 +592,7 @@ def staircase_mass(a: CellSet, p: MonotonePolyline) -> Fraction:
             if overlap <= 0:
                 continue
             cell = tuple(k if j == axis else transverse[j] for j in range(a.n))
-            if cell in a.cells:
+            if cell in a:
                 total += overlap
     return total
 
@@ -564,9 +717,10 @@ def end_to_end_verify(
         )
     else:
         params = EpsilonParams(n=a.n, m=m, epsilon=as_rational(epsilon), kappa=kappa)
-    cover = cover_sets(a, m, params)
+    counts = _coarse_counts(a, m)
+    cover = cover_sets(a, m, params, counts=counts)
     claim = claim_check(a, m, params, cover=cover)
-    upper = max_cell_chain_mass_upper(a, m, max_states=max_grid_states)
+    upper = max_cell_chain_mass_upper(a, m, max_states=max_grid_states, counts=counts)
     adversarial = adversarial_chain_search(a, max_corners=max_corners)
     cap = whitney_sum(a.n, m, params.kappa_prime).value
     volume = slab_volume_exact(SlabSpec(n=a.n, kappa=kappa)).exact
