@@ -172,7 +172,7 @@ def _cmd_maxchain(args: argparse.Namespace, config: Config) -> dict:
 
 def _cmd_scd(args: argparse.Namespace, config: Config) -> dict:
     # The points of the decomposition are built only when they are printed.
-    lengths = _scd_chain_lengths(args.n, args.m, max_points=config.scd_max_points)
+    lengths = _scd_chain_lengths(args.n, args.m)
     payload = {
         "n": args.n,
         "m": args.m,
@@ -181,17 +181,13 @@ def _cmd_scd(args: argparse.Namespace, config: Config) -> dict:
         "chains": None,
     }
     if args.print_chains:
-        scd = symmetric_chain_decomposition(
-            args.n, args.m, max_points=config.scd_max_points
-        )
+        scd = symmetric_chain_decomposition(args.n, args.m)
         payload["chains"] = [[list(p) for p in c.points] for c in scd.chains]
     return payload
 
 
 def _cmd_ksperner(args: argparse.Namespace, config: Config) -> dict:
-    bound = ksperner_bound_via_scd(
-        args.n, args.m, args.k, max_points=config.scd_max_points
-    )
+    bound = ksperner_bound_via_scd(args.n, args.m, args.k)
     payload = {
         "n": args.n,
         "m": args.m,
@@ -201,9 +197,7 @@ def _cmd_ksperner(args: argparse.Namespace, config: Config) -> dict:
         "match": None,
     }
     if args.brute:
-        brute = ksperner_max_bruteforce(
-            args.n, args.m, args.k, max_points=config.bruteforce_max_points
-        )
+        brute = ksperner_max_bruteforce(args.n, args.m, args.k)
         payload["brute"] = brute
         payload["match"] = brute == bound
     return payload

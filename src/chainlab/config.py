@@ -26,10 +26,6 @@ class Config:
     default_seed: int = 0
     #: Largest denominator tried by the automatic epsilon rule.
     epsilon_denominator_cap: int = 10**6
-    #: Cap on m**n for the symmetric chain decomposition and its lengths.
-    scd_max_points: int = 12**6
-    #: Cap on m**n for the brute-force k-Sperner family enumeration.
-    bruteforce_max_points: int = 16
 
     def __post_init__(self) -> None:
         for cap in (
@@ -38,8 +34,6 @@ class Config:
             self.max_table_bytes,
             self.max_dimension,
             self.epsilon_denominator_cap,
-            self.scd_max_points,
-            self.bruteforce_max_points,
         ):
             if not isinstance(cap, int) or cap <= 0:
                 raise DomainError(f"resource caps must be positive integers, got {cap!r}")

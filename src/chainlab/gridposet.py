@@ -26,6 +26,11 @@ from .whitney import sum_k_largest, whitney_numbers
 
 GridPoint = tuple[int, ...]
 
+#: Cap on m^n for the brute-force family enumeration.
+BRUTEFORCE_MAX_POINTS = 16
+#: Cap on m^n for the symmetric chain decomposition output.
+SCD_MAX_POINTS = 12**6
+
 _ZERO = Fraction(0)
 
 
@@ -223,18 +228,16 @@ def max_weight_chain(
     )
 
 
-def _check_scd_size(n: int, m: int, max_points: int) -> None:
+def _check_scd_size(n: int, m: int) -> None:
     if n < 1 or m < 2:
         raise DomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
-    if m**n > max_points:
+    if m**n > SCD_MAX_POINTS:
         raise ResourceLimitError(
-            f"decomposition of {m}^{n} points exceeds the cap {max_points}"
+            f"decomposition of {m}^{n} points exceeds the cap {SCD_MAX_POINTS}"
         )
 
 
-def symmetric_chain_decomposition(
-    n: int, m: int, max_points: int = Config.scd_max_points
-) -> SymmetricChainDecomposition:
+def symmetric_chain_decomposition(n: int, m: int) -> SymmetricChainDecomposition:
     """Symmetric chain decomposition of {0..m-1}^n.
 
     Inductive product construction: each symmetric chain of the
@@ -242,7 +245,7 @@ def symmetric_chain_decomposition(
     factor, is peeled into hooks (one row to its corner, then up the
     column), every hook again saturated and symmetric.
     """
-    _check_scd_size(n, m, max_points)
+    _check_scd_size(n, m)
     q = m - 1
     chains: list[list[GridPoint]] = [[(j,) for j in range(m)]]
     for _ in range(n - 1):
@@ -259,7 +262,7 @@ def symmetric_chain_decomposition(
     )
 
 
-def _scd_chain_lengths(n: int, m: int, max_points: int = Config.scd_max_points) -> list[int]:
+def _scd_chain_lengths(n: int, m: int) -> list[int]:
     """Chain lengths of `symmetric_chain_decomposition(n, m)`, longest first.
 
     The same induction on lengths alone, without building a point: the
@@ -267,7 +270,7 @@ def _scd_chain_lengths(n: int, m: int, max_points: int = Config.scd_max_points) 
     t = 0..min(p, m-1).  Lengths are kept as a length -> count table,
     which has at most n(m-1)+1 entries.
     """
-    _check_scd_size(n, m, max_points)
+    _check_scd_size(n, m)
     counts = {m: 1}
     for _ in range(n - 1):
         spliced: dict[int, int] = defaultdict(int)
@@ -278,9 +281,7 @@ def _scd_chain_lengths(n: int, m: int, max_points: int = Config.scd_max_points) 
     return [size for size in sorted(counts, reverse=True) for _ in range(counts[size])]
 
 
-def ksperner_bound_via_scd(
-    n: int, m: int, k: int, max_points: int = Config.scd_max_points
-) -> int:
+def ksperner_bound_via_scd(n: int, m: int, k: int) -> int:
     """Upper bound sum over chains of min(k, |chain|) for k-Sperner families.
 
     The chains are those of the symmetric chain decomposition, of which
@@ -290,7 +291,7 @@ def ksperner_bound_via_scd(
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    bound = sum(min(k, size) for size in _scd_chain_lengths(n, m, max_points))
+    bound = sum(min(k, size) for size in _scd_chain_lengths(n, m))
     expected = sum_k_largest(whitney_numbers(n, m), k).value
     if bound != expected:
         raise AssertionError(
@@ -299,13 +300,7 @@ def ksperner_bound_via_scd(
     return bound
 
 
-def ksperner_max_bruteforce(
-    n: int,
-    m: int,
-    k: int,
-    prune: bool = True,
-    max_points: int = Config.bruteforce_max_points,
-) -> int:
+def ksperner_max_bruteforce(n: int, m: int, k: int, prune: bool = True) -> int:
     """Exact maximum size of a family with no chain of k+1 points.
 
     Depth-first enumeration over all families, processed in a linear
@@ -317,8 +312,10 @@ def ksperner_max_bruteforce(
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     size = m**n
-    if size > max_points:
-        raise ResourceLimitError(f"family space 2^{size} too large; cap is 2^{max_points}")
+    if size > BRUTEFORCE_MAX_POINTS:
+        raise ResourceLimitError(
+            f"family space 2^{size} too large; cap is 2^{BRUTEFORCE_MAX_POINTS}"
+        )
     points = sorted(_unflatten(i, n, m) for i in range(size))
     points.sort(key=lambda p: (sum(p), p))
     preds = [

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Mapping
@@ -170,7 +171,15 @@ class CellSet:
         return list(zip(*(axis.tolist() for axis in self.coordinates())))
 
     def __contains__(self, cell: object) -> bool:
-        """Whether the coordinate sequence `cell` is a cell of the set."""
+        """Whether the coordinate sequence `cell` is a cell of the set.
+
+        Coordinates must be integers (bools count as 0 and 1); a cell with
+        any other coordinate, such as 1.0 or 0.5, is never a member.
+        """
+        try:
+            cell = [operator.index(c) for c in cell]
+        except TypeError:
+            return False
         if len(cell) != self.n or not all(0 <= c < self.M for c in cell):
             return False
         flat = 0
@@ -358,23 +367,13 @@ def _coarse_counts(a: CellSet, m: int) -> dict[GridPoint, int]:
     return dict(zip(points, counts.tolist()))
 
 
-def cover_sets(
-    a: CellSet,
-    m: int,
-    params: EpsilonParams,
-    counts: Mapping[GridPoint, int] | None = None,
-) -> CoverSets:
-    """Per-coarse-cell densities and the touched/dense coarse cell sets.
-
-    `counts` are the cells per touched coarse cube, `_coarse_counts(a, m)`,
-    computed here when not given.
-    """
+def cover_sets(a: CellSet, m: int, params: EpsilonParams) -> CoverSets:
+    """Per-coarse-cell densities and the touched/dense coarse cell sets."""
     if params.n != a.n:
         raise DomainError(f"params dimension {params.n} != cell set dimension {a.n}")
     if params.m != m:
         raise DomainError(f"params carry m={params.m} but m={m} was requested")
-    if counts is None:
-        counts = _coarse_counts(a, m)
+    counts = _coarse_counts(a, m)
     per_cube = (a.M // m) ** a.n
     density = {d: Fraction(c, per_cube) for d, c in counts.items()}
     threshold = params.density_threshold
@@ -435,20 +434,20 @@ def max_cell_chain_mass_upper(
     a: CellSet,
     m: int,
     max_states: int = Config.max_grid_states,
-    counts: Mapping[GridPoint, int] | None = None,
+    cover: CoverSets | None = None,
 ) -> Fraction:
     """Sound upper bound on sup over chains C of H^1(A intersect C).
 
     Any chain meets at most n/m of length inside one coarse cube, and
     the cubes it meets form a chain, so the maximum number of touched
     cubes on a cube chain, times n/m, dominates the supremum.  Loose by
-    up to a factor n.  `counts` is as in `cover_sets`.
+    up to a factor n.  The touched cubes are read from `cover` when
+    given, which must be `cover_sets` of the same `a` and `m`.
     """
-    if counts is None:
-        counts = _coarse_counts(a, m)
-    if not counts:
+    touched = _coarse_counts(a, m).keys() if cover is None else cover.touched
+    if not touched:
         return Fraction(0)
-    grid = WeightedGrid(n=a.n, m=m, weights={d: Fraction(1) for d in counts})
+    grid = WeightedGrid(n=a.n, m=m, weights={d: Fraction(1) for d in touched})
     return Fraction(a.n, m) * max_weight_chain(grid, max_states=max_states).total
 
 
@@ -717,10 +716,9 @@ def end_to_end_verify(
         )
     else:
         params = EpsilonParams(n=a.n, m=m, epsilon=as_rational(epsilon), kappa=kappa)
-    counts = _coarse_counts(a, m)
-    cover = cover_sets(a, m, params, counts=counts)
+    cover = cover_sets(a, m, params)
     claim = claim_check(a, m, params, cover=cover)
-    upper = max_cell_chain_mass_upper(a, m, max_states=max_grid_states, counts=counts)
+    upper = max_cell_chain_mass_upper(a, m, max_states=max_grid_states, cover=cover)
     adversarial = adversarial_chain_search(a, max_corners=max_corners)
     cap = whitney_sum(a.n, m, params.kappa_prime).value
     volume = slab_volume_exact(SlabSpec(n=a.n, kappa=kappa)).exact

@@ -98,6 +98,15 @@ class TestAgainstTupleOracles:
             for cell in itertools.product(range(-1, M + 1), repeat=n):
                 assert (cell in a) == (cell in members)
             assert (0,) * (n + 1) not in a
+        # A non-integer coordinate must not land on another cell's flat
+        # index: (0.5, 0) would give 0.5 * 4 + 0 = 2, the index of (0, 2).
+        a = CellSet(2, 4, [[0, 2], [1, 0]])
+        assert (0.5, 0) not in a
+        assert (1.0, 0) not in a
+        assert (Fraction(1, 2), 0) not in a
+        assert ("0", 2) not in a
+        assert (True, 0) in a  # bools are ints, as in a frozenset of tuples
+        assert (np.int64(0), np.int64(2)) in a
 
 
 class TestRepresentation:

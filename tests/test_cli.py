@@ -167,22 +167,6 @@ class TestScd:
         assert out == ""
         assert json.loads(err)["error"]["code"] == "resource"
 
-    def test_point_cap_from_config(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"scd_max_points": 15}))
-        for extra in ([], ["--print"]):
-            argv = ["scd", "--n", "2", "--m", "4", "--config", str(config), *extra]
-            code, out, err = invoke(argv)
-            assert code == 3
-            assert out == ""
-            assert check_schema("error", err)["error"]["message"] == (
-                "decomposition of 4^2 points exceeds the cap 15"
-            )
-        config.write_text(json.dumps({"scd_max_points": 16}))
-        code, out, _ = invoke(["scd", "--n", "2", "--m", "4", "--config", str(config)])
-        assert code == 0
-        assert check_schema("scd", out)["chain_count"] == 4
-
 
 class TestKsperner:
     def test_bound_and_brute(self):
@@ -196,28 +180,6 @@ class TestKsperner:
         code, _, err = invoke(["ksperner", "--n", "2", "--m", "5", "--k", "1", "--brute"])
         assert code == 3
         assert json.loads(err)["error"]["code"] == "resource"
-
-    def test_caps_from_config(self, tmp_path):
-        config = tmp_path / "config.json"
-        argv = ["ksperner", "--n", "2", "--m", "3", "--k", "1", "--config", str(config)]
-        config.write_text(json.dumps({"bruteforce_max_points": 8}))
-        code, out, _ = invoke(argv)
-        assert code == 0  # the cap bounds only the brute force
-        code, out, err = invoke(argv + ["--brute"])
-        assert code == 3
-        assert out == ""
-        assert check_schema("error", err)["error"]["message"] == (
-            "family space 2^9 too large; cap is 2^8"
-        )
-        config.write_text(json.dumps({"bruteforce_max_points": 25}))
-        code, out, _ = invoke(["ksperner", "--n", "2", "--m", "5", "--k", "1", "--brute",
-                               "--config", str(config)])
-        assert code == 0
-        assert check_schema("ksperner", out)["match"] is True
-        config.write_text(json.dumps({"scd_max_points": 8}))
-        code, out, err = invoke(argv)
-        assert code == 3
-        assert check_schema("error", err)["error"]["code"] == "resource"
 
 
 def _file_coordinate(j, c):

@@ -267,6 +267,16 @@ class TestChainMassBounds:
             upper = max_cell_chain_mass_upper(a, 8)
             assert lower <= upper
 
+    def test_upper_reads_touched_cubes_from_cover(self):
+        rng = random.Random(5120)
+        for _ in range(20):
+            n = rng.randint(1, 3)
+            a = random_cellset(rng, n, 12, density=rng.uniform(0, 0.6))
+            params = EpsilonParams(n=n, m=4, epsilon=Fraction(1, 40), kappa=Fraction(1, 2))
+            cover = cover_sets(a, 4, params)
+            upper = max_cell_chain_mass_upper(a, 4, cover=cover)
+            assert upper == max_cell_chain_mass_upper(a, 4)
+
     def test_witness_mass_matches_oracle(self):
         rng = random.Random(97)
         for _ in range(20):
