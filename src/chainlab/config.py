@@ -28,6 +28,7 @@ class Config:
     epsilon_denominator_cap: int = 10**6
 
     def __post_init__(self) -> None:
+        # type() rather than isinstance(): a bool is not a cap or a seed.
         for cap in (
             self.max_grid_states,
             self.max_fine_states,
@@ -35,8 +36,12 @@ class Config:
             self.max_dimension,
             self.epsilon_denominator_cap,
         ):
-            if not isinstance(cap, int) or cap <= 0:
+            if type(cap) is not int or cap <= 0:
                 raise DomainError(f"resource caps must be positive integers, got {cap!r}")
+        if type(self.default_seed) is not int or self.default_seed < 0:
+            raise DomainError(
+                f"default_seed must be a non-negative integer, got {self.default_seed!r}"
+            )
 
     @classmethod
     def from_file(cls, path: str) -> "Config":

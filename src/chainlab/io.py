@@ -20,7 +20,9 @@ Cell set files are read through `CellSet`, which stores the cells as
 sorted flat indices; `write_cellset` writes them back in the layout of
 `json.dump(..., sort_keys=True, indent=1)` straight from those indices.
 `cellset_to_dict` with `dump_json` writes the same bytes through the
-JSON encoder.
+JSON encoder.  `write_cellset` is the one function here that uses numpy,
+and it imports it when called, so loading the other file formats does
+not.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ import json
 import math
 from fractions import Fraction
 from typing import Any
-
-import numpy as np
 
 from .chain_geometry import MonotonePolyline
 from .errors import DomainError
@@ -80,6 +80,8 @@ def write_cellset(path: str, a: CellSet) -> None:
     cell, in the layout of indent=1, repeated and filled by a single `%`
     from the coordinates of the sorted flat indices.
     """
+    import numpy as np
+
     cell = "  [\n" + ",\n".join(["   %d"] * a.n) + "\n  ]"
     coords = np.stack(a.coordinates(), axis=1).ravel().tolist()
     cells = "[]"

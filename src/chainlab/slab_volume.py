@@ -11,7 +11,8 @@ measure zero).  Its Lebesgue measure has the closed form
                  (-1)^j * C(n,j) * ((n-kappa)/2 - j)^n
 
 which this module evaluates in exact rational arithmetic.  A seeded
-Monte Carlo estimator serves as an independent stochastic oracle.
+Monte Carlo estimator serves as an independent stochastic oracle; it
+alone uses numpy, and imports it when called.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
-import numpy as np
-
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .rational import is_rational
 
 Scalar = Union[int, float, Fraction]
+
+#: Most sample coordinates (samples * n) one Monte Carlo run may draw;
+#: each costs a few nanoseconds, so the cap bounds a run to seconds.
+MAX_SAMPLE_COORDINATES = 10**9
 
 
 @dataclass(frozen=True)
@@ -122,11 +125,22 @@ def slab_volume_montecarlo(
 ) -> MonteCarloResult:
     """Fraction of uniform samples falling in the slab, with a 99% half-width.
 
-    Deterministic for a fixed seed.  The half-width is the normal
-    approximation 2.576 * sqrt(p(1-p)/samples).
+    Deterministic for a fixed seed, a non-negative integer.  The
+    half-width is the normal approximation 2.576 * sqrt(p(1-p)/samples).
+    More than MAX_SAMPLE_COORDINATES draws (samples * n) is refused with
+    `ResourceLimitError` before any is made.
     """
+    import numpy as np
+
     if samples < 1000:
         raise DomainError(f"need at least 1000 samples, got {samples}")
+    if type(seed) is not int or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    if samples * spec.n > MAX_SAMPLE_COORDINATES:
+        raise ResourceLimitError(
+            f"{samples} samples in dimension {spec.n} exceed the cap of "
+            f"{MAX_SAMPLE_COORDINATES} sample coordinates"
+        )
     rng = np.random.default_rng(seed)
     lo = float(spec.lower_sum)
     hi = float(spec.upper_sum)

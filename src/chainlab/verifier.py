@@ -33,7 +33,10 @@ of an integer range of coordinate sums, the coarse counts are an
 `np.unique` of floor-divided coordinates (only touched coarse cubes, and
 computed once per `end_to_end_verify`), and the edge gains of a box are
 one `np.searchsorted` membership test.  Counts leave numpy as Python
-ints, so every `Fraction` has int numerator and denominator.
+ints, so every `Fraction` has int numerator and denominator.  numpy is
+imported inside the `CellSet` methods and array kernels that use it, so
+importing this module does not load it: only code that builds or reads
+a `CellSet` pays for that import.
 """
 
 from __future__ import annotations
@@ -43,9 +46,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, Mapping
 
 from .chain_geometry import MonotonePolyline
 from .config import Config
@@ -60,6 +61,9 @@ from .gridposet import (
 from .rational import as_rational, RationalLike
 from .slab_volume import SlabSpec, slab_volume_exact
 from .whitney import whitney_sum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 #: Flat cell indices are numpy int64, so M**n must stay below 2**63.
@@ -91,6 +95,8 @@ class CellSet:
     cells: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         for name, value in (("n", self.n), ("M", self.M)):
             if type(value) is not int:
                 raise DomainError(f"{name} must be an integer, got {value!r}")
@@ -110,6 +116,8 @@ class CellSet:
         object.__setattr__(self, "cells", flat)
 
     def _flat_from_indices(self, flat: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         if flat.ndim != 1 or flat.dtype.kind not in "iu":
             raise DomainError(
                 f"cell index arrays must be one-dimensional integer arrays, got {flat.dtype} "
@@ -120,6 +128,8 @@ class CellSet:
         return flat.astype(np.int64)
 
     def _flat_from_coordinates(self, cells: object) -> np.ndarray:
+        import numpy as np
+
         # A list of lists or tuples (a loaded cell file) is read in place;
         # anything else is first copied into a list of tuples.
         rows = cells
@@ -164,6 +174,8 @@ class CellSet:
 
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """The cells' coordinates, one array per axis, in sorted cell order."""
+        import numpy as np
+
         return np.unravel_index(self.cells, (self.M,) * self.n)
 
     def points(self) -> list[GridPoint]:
@@ -176,6 +188,8 @@ class CellSet:
         Coordinates must be integers (bools count as 0 and 1); a cell with
         any other coordinate, such as 1.0 or 0.5, is never a member.
         """
+        import numpy as np
+
         try:
             cell = [operator.index(c) for c in cell]
         except TypeError:
@@ -189,6 +203,8 @@ class CellSet:
         return i < len(self.cells) and int(self.cells[i]) == flat
 
     def __eq__(self, other: object) -> bool:
+        import numpy as np
+
         if not isinstance(other, CellSet):
             return NotImplemented
         return (self.n, self.M) == (other.n, other.M) and np.array_equal(
@@ -225,6 +241,8 @@ def discretize_slab(
     built by broadcasting, in flat-index order, and the kept cells are
     their flat indices.
     """
+    import numpy as np
+
     if mode not in ("inner", "outer"):
         raise DomainError(f"mode must be 'inner' or 'outer', got {mode!r}")
     spec = SlabSpec(n=n, kappa=as_rational(kappa))
@@ -352,6 +370,8 @@ class CoverSets:
 
 
 def _coarse_counts(a: CellSet, m: int) -> dict[GridPoint, int]:
+    import numpy as np
+
     if type(m) is not int or m < 1:
         raise DomainError(f"coarse resolution must be a positive integer, got {m!r}")
     if a.M % m != 0:
@@ -485,6 +505,8 @@ def _edge_gains(
     and gains 0.  The flat indices of all edge cells are built by
     broadcasting and looked up in `a.cells` by one `np.searchsorted`.
     """
+    import numpy as np
+
     n, M = a.n, a.M
     shape = [hi - lo + 1 for lo, hi in zip(lo_corner, hi_corner)]
     across = [

@@ -9,14 +9,19 @@ imports only the standard library, so it is loaded straight from its path.
 
 import importlib
 import importlib.util
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 from chainlab import ChainOfPoints, discretize_slab
 from conftest import random_cellset
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def load_tracing():
@@ -36,6 +41,22 @@ def test_every_traced_layer_resolves():
             owner = getattr(owner, attr)
         assert callable(owner), name
         assert hook is None or callable(hook), name
+
+
+def test_cli_import_loads_every_traced_module():
+    # `tracing.installed` imports chainlab.cli and then looks each traced
+    # module up in sys.modules, so no traced module may load lazily.
+    modules = sorted({module for module, _, _ in load_tracing().LAYERS.values()})
+    probe = "import json, sys; import chainlab.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(modules) <= set(json.loads(proc.stdout))
 
 
 def test_cell_counters_count_cells():

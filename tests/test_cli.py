@@ -10,6 +10,7 @@ import jsonschema
 import polyline_oracle as oracle
 from chainlab import format_rational
 from chainlab.cli import run
+from chainlab.slab_volume import MAX_SAMPLE_COORDINATES
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -57,6 +58,28 @@ class TestVolume:
     def test_determinism(self):
         argv = ["volume", "--n", "3", "--kappa", "2/3", "--mc", "5000", "--seed", "1"]
         assert invoke(argv) == invoke(argv)
+
+    def test_negative_seed_exit_two(self):
+        code, out, err = invoke(
+            ["volume", "--n", "2", "--kappa", "1", "--mc", "1000", "--seed", "-3"]
+        )
+        assert (code, out) == (2, "")
+        payload = check_schema("error", err)
+        assert payload["error"]["message"] == "seed must be a non-negative integer, got -3"
+
+    def test_monte_carlo_cap_exit_three(self):
+        # Refused before any sample is drawn: at a few ns a coordinate,
+        # 2 * 10**14 draws would run for days.
+        code, out, err = invoke(
+            ["volume", "--n", "2", "--kappa", "1", "--mc", "100000000000000"]
+        )
+        assert (code, out) == (3, "")
+        assert check_schema("error", err)["error"]["code"] == "resource"
+        # The cap counts coordinates: samples * n, here one past it.
+        samples = MAX_SAMPLE_COORDINATES // 3 + 1
+        code, _, err = invoke(["volume", "--n", "3", "--kappa", "1", "--mc", str(samples)])
+        assert code == 3
+        assert str(MAX_SAMPLE_COORDINATES) in json.loads(err)["error"]["message"]
 
 
 class TestWhitney:
@@ -414,6 +437,28 @@ class TestDispatch:
         config.write_text(json.dumps({"bogus": 1}))
         code, _, _ = invoke(["volume", "--n", "2", "--kappa", "1/2", "--config", str(config)])
         assert code == 2
+
+    def test_bad_config_values(self, tmp_path):
+        config = tmp_path / "config.json"
+        argv = ["volume", "--n", "2", "--kappa", "1", "--mc", "1000", "--config", str(config)]
+        for data, message in (
+            ({"default_seed": "x"}, "default_seed must be a non-negative integer, got 'x'"),
+            ({"default_seed": -1}, "default_seed must be a non-negative integer, got -1"),
+            ({"default_seed": True}, "default_seed must be a non-negative integer, got True"),
+            ({"max_grid_states": True}, "resource caps must be positive integers, got True"),
+        ):
+            config.write_text(json.dumps(data))
+            code, out, err = invoke(argv)
+            assert (code, out) == (2, ""), data
+            assert check_schema("error", err)["error"]["message"] == message
+
+    def test_config_default_seed(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"default_seed": 9}))
+        argv = ["volume", "--n", "2", "--kappa", "1", "--mc", "1000"]
+        code, out, _ = invoke(argv + ["--config", str(config)])
+        assert code == 0
+        assert (code, out, "") == invoke(argv + ["--seed", "9"])
 
     def test_bad_config_format(self, tmp_path):
         config = tmp_path / "config.json"

@@ -148,6 +148,11 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             slab_volume_montecarlo(SlabSpec(2, Fraction(1)), 999, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "0", None])
+    def test_seed_must_be_non_negative_int(self, seed):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            slab_volume_montecarlo(SlabSpec(2, Fraction(1)), 1000, seed=seed)
+
     def test_coverage_over_seed_list(self):
         # the 99% interval should cover the exact value in >= 95 of 100 runs
         spec = SlabSpec(2, Fraction(1))
