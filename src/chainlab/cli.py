@@ -71,11 +71,13 @@ def _emit(payload: dict, stdout: TextIO) -> None:
     stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _check_dimension(n: int, config: Config) -> None:
+    if n > config.max_dimension:
+        raise ResourceLimitError(f"dimension {n} exceeds the CLI cap {config.max_dimension}")
+
+
 def _cmd_volume(args: argparse.Namespace, config: Config) -> dict:
-    if args.n > config.max_dimension:
-        raise ResourceLimitError(
-            f"dimension {args.n} exceeds the CLI cap {config.max_dimension}"
-        )
+    _check_dimension(args.n, config)
     spec = SlabSpec(n=args.n, kappa=args.kappa)
     result = slab_volume_exact(spec)
     payload = {
@@ -102,7 +104,9 @@ def _cmd_whitney(args: argparse.Namespace, config: Config) -> dict:
         raise DomainError(f"whitney CLI accepts 1 <= n <= 16, got {args.n}")
     if not 2 <= args.m <= 10**4:
         raise DomainError(f"whitney CLI accepts 2 <= m <= 10000, got {args.m}")
-    table = whitney_numbers(args.n, args.m, max_bytes=config.max_table_bytes)
+    if args.k is not None and args.kappa is not None:
+        raise DomainError("--k and --kappa are mutually exclusive")
+    table = whitney_numbers(args.n, args.m, config)
     payload = {
         "n": args.n,
         "m": args.m,
@@ -111,8 +115,6 @@ def _cmd_whitney(args: argparse.Namespace, config: Config) -> dict:
         "kappa": None,
         "sum": None,
     }
-    if args.k is not None and args.kappa is not None:
-        raise DomainError("--k and --kappa are mutually exclusive")
     if args.kappa is not None:
         k = k_for_kappa(args.n, args.m, args.kappa)
         payload["kappa"] = format_rational(args.kappa)
@@ -125,9 +127,8 @@ def _cmd_whitney(args: argparse.Namespace, config: Config) -> dict:
 
 
 def _cmd_converge(args: argparse.Namespace, config: Config) -> dict:
-    rows = convergence_table(
-        args.n, args.kappa, args.m_list, max_bytes=config.max_table_bytes
-    )
+    _check_dimension(args.n, config)
+    rows = convergence_table(args.n, args.kappa, args.m_list, config)
     payload_rows = []
     for row in rows:
         payload_rows.append(
@@ -160,7 +161,7 @@ def _cmd_converge(args: argparse.Namespace, config: Config) -> dict:
 
 def _cmd_maxchain(args: argparse.Namespace, config: Config) -> dict:
     grid = chainlab_io.weighted_grid_from_dict(chainlab_io.load_json(args.weights))
-    result = max_weight_chain(grid, max_states=config.max_grid_states)
+    result = max_weight_chain(grid, config)
     return {
         "n": grid.n,
         "m": grid.m,
@@ -241,9 +242,7 @@ def _cmd_chain(args: argparse.Namespace, config: Config) -> dict:
 
 
 def _cmd_raster_slab(args: argparse.Namespace, config: Config) -> dict:
-    cells = discretize_slab(
-        args.n, args.M, args.kappa, args.mode, max_cells=config.max_grid_states
-    )
+    cells = discretize_slab(args.n, args.M, args.kappa, args.mode, config)
     chainlab_io.write_cellset(args.output, cells)
     vol = measure(cells)
     return {
@@ -274,15 +273,7 @@ def _claim_payload(report) -> dict:
 
 def _cmd_verify(args: argparse.Namespace, config: Config) -> dict:
     cells = chainlab_io.cellset_from_dict(chainlab_io.load_json(args.set))
-    report = end_to_end_verify(
-        cells,
-        args.kappa,
-        args.m,
-        epsilon=args.epsilon,
-        max_grid_states=config.max_grid_states,
-        max_corners=config.max_fine_states,
-        epsilon_denominator_cap=config.epsilon_denominator_cap,
-    )
+    report = end_to_end_verify(cells, args.kappa, args.m, args.epsilon, config)
     return {
         "n": report.n,
         "m": report.m,
@@ -312,9 +303,7 @@ def _cmd_verify(args: argparse.Namespace, config: Config) -> dict:
 def _cmd_chainbuild(args: argparse.Namespace, config: Config) -> dict:
     cells = chainlab_io.cellset_from_dict(chainlab_io.load_json(args.set))
     cubes, m = chainlab_io.cube_chain_from_dict(chainlab_io.load_json(args.cubes))
-    cert = build_chain_through_cubes(
-        cubes, cells, m, args.epsilon, max_corners=config.max_fine_states
-    )
+    cert = build_chain_through_cubes(cubes, cells, m, args.epsilon, config)
     return {
         "n": cells.n,
         "m": m,

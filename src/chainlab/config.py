@@ -48,7 +48,8 @@ class Config:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # Bad JSON, bad UTF-8, an int past the digit limit, or nesting too deep.
                 raise DomainError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise DomainError(f"config file {path} must hold a JSON object")

@@ -127,14 +127,6 @@ class SymmetricChainDecomposition:
     chains: tuple[ChainOfPoints, ...]
 
 
-def _unflatten(i: int, n: int, m: int) -> GridPoint:
-    digits = []
-    for _ in range(n):
-        i, d = divmod(i, m)
-        digits.append(d)
-    return tuple(reversed(digits))
-
-
 def monotone_path_dp(extent: Sequence[int], gains: Sequence[Sequence[int]]) -> list[int]:
     """Best gain of a monotone lattice path from the origin to every point.
 
@@ -174,9 +166,7 @@ def monotone_path_dp(extent: Sequence[int], gains: Sequence[Sequence[int]]) -> l
     return best
 
 
-def max_weight_chain(
-    grid: WeightedGrid, max_states: int = Config.max_grid_states
-) -> MaxChainResult:
+def max_weight_chain(grid: WeightedGrid, config: Config = Config()) -> MaxChainResult:
     """Maximum total weight of a chain, with a deterministic witness.
 
     The weights are scaled to integers by the lcm of their denominators.
@@ -189,11 +179,12 @@ def max_weight_chain(
     never change the total and are not reported).  Any strict dominator
     of a point is lexicographically larger than it, so each step of the
     walk scans on from the point chosen before: one pass over the points.
+    The DP runs over m**n states, at most `config.max_grid_states`.
     """
     n, m = grid.n, grid.m
     size = m**n
-    if size > max_states:
-        raise ResourceLimitError(f"grid has {size} states, cap is {max_states}")
+    if size > config.max_grid_states:
+        raise ResourceLimitError(f"grid has {size} states, cap is {config.max_grid_states}")
     scale = math.lcm(*(w.denominator for w in grid.weights.values()))
     strides = [m ** (n - 1 - j) for j in range(n)]
 
@@ -316,7 +307,7 @@ def ksperner_max_bruteforce(n: int, m: int, k: int, prune: bool = True) -> int:
         raise ResourceLimitError(
             f"family space 2^{size} too large; cap is 2^{BRUTEFORCE_MAX_POINTS}"
         )
-    points = sorted(_unflatten(i, n, m) for i in range(size))
+    points = list(itertools.product(range(m), repeat=n))
     points.sort(key=lambda p: (sum(p), p))
     preds = [
         [j for j in range(i) if dominates(points[i], points[j])]

@@ -10,10 +10,18 @@ so that no output ever depends on float formatting.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
+from .errors import ResourceLimitError
+
 RationalLike = Union[int, str, Fraction]
+
+# Python prints an int of at most sys.get_int_max_str_digits() decimal
+# digits (0: no limit; there is none before Python 3.10.7).  The limit is
+# never below 640, and an int below 2**1920 has fewer than 580 digits.
+_PRINTABLE_BITS = 1920
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -44,9 +52,20 @@ def format_rational(value: Fraction) -> str:
 
 
 def format_quotient(numerator: int, denominator: int) -> str:
-    """Serialise numerator/denominator (denominator > 0) as "P/Q" in lowest terms."""
+    """Serialise numerator/denominator (denominator > 0) as "P/Q" in lowest terms.
+
+    A term with more decimal digits than Python prints raises
+    `ResourceLimitError` before any conversion.
+    """
     g = math.gcd(numerator, denominator)
-    return f"{numerator // g}/{denominator // g}"
+    p, q = numerator // g, denominator // g
+    if p.bit_length() > _PRINTABLE_BITS or q.bit_length() > _PRINTABLE_BITS:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and max(abs(p), q) >= 10**limit:
+            raise ResourceLimitError(
+                f"a rational with more than {limit} decimal digits is too long to print"
+            )
+    return f"{p}/{q}"
 
 
 def is_rational(value: object) -> bool:

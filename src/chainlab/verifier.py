@@ -225,9 +225,11 @@ def discretize_slab(
     M: int,
     kappa: RationalLike,
     mode: Literal["inner", "outer"],
-    max_cells: int = Config.max_grid_states,
+    config: Config = Config(),
 ) -> CellSet:
     """Rasterise the diagonal slab at resolution M.
+
+    M**n may not exceed `config.max_grid_states`.
 
     inner: cells whose closure lies inside the closed slab, so the inner
     measure never exceeds the slab volume.  outer: cells whose overlap
@@ -246,8 +248,8 @@ def discretize_slab(
     if mode not in ("inner", "outer"):
         raise DomainError(f"mode must be 'inner' or 'outer', got {mode!r}")
     spec = SlabSpec(n=n, kappa=as_rational(kappa))
-    if M**n > max_cells:
-        raise ResourceLimitError(f"{M}^{n} cells exceed the cap {max_cells}")
+    if M**n > config.max_grid_states:
+        raise ResourceLimitError(f"{M}^{n} cells exceed the cap {config.max_grid_states}")
     _check_flat_range(n, M)
     lo_times_m = spec.lower_sum * M
     hi_times_m = spec.upper_sum * M
@@ -328,27 +330,24 @@ class EpsilonParams:
 
     @classmethod
     def auto(
-        cls,
-        n: int,
-        m: int,
-        kappa: RationalLike,
-        denominator_cap: int = Config.epsilon_denominator_cap,
+        cls, n: int, m: int, kappa: RationalLike, config: Config = Config()
     ) -> "EpsilonParams":
         """Largest epsilon of the form 1/t satisfying both conditions.
 
         The shrink factor grows with t, so the t that satisfy the
-        smallness condition form a tail of [2n+3, denominator_cap]; its
-        first element is found by bisection.
+        smallness condition form a tail of [2n+3, cap], with cap
+        `config.epsilon_denominator_cap`; its first element is found by
+        bisection.
         """
         kappa = as_rational(kappa)
 
         def fits(t: int) -> bool:
             return kappa < n * _shrink_factor(n, Fraction(1, t))
 
-        lo, hi = 2 * n + 3, denominator_cap
+        lo, hi = 2 * n + 3, config.epsilon_denominator_cap
         if lo > hi or not fits(hi):
             raise DomainError(
-                f"no epsilon of the form 1/t with t <= {denominator_cap} fits "
+                f"no epsilon of the form 1/t with t <= {hi} fits "
                 f"kappa={kappa}; kappa must be strictly below n"
             )
         while lo < hi:
@@ -451,10 +450,7 @@ def claim_check(
 
 
 def max_cell_chain_mass_upper(
-    a: CellSet,
-    m: int,
-    max_states: int = Config.max_grid_states,
-    cover: CoverSets | None = None,
+    a: CellSet, m: int, cover: CoverSets | None = None, config: Config = Config()
 ) -> Fraction:
     """Sound upper bound on sup over chains C of H^1(A intersect C).
 
@@ -462,13 +458,14 @@ def max_cell_chain_mass_upper(
     the cubes it meets form a chain, so the maximum number of touched
     cubes on a cube chain, times n/m, dominates the supremum.  Loose by
     up to a factor n.  The touched cubes are read from `cover` when
-    given, which must be `cover_sets` of the same `a` and `m`.
+    given, which must be `cover_sets` of the same `a` and `m`.  The cube
+    chain DP runs over m**n states, at most `config.max_grid_states`.
     """
     touched = _coarse_counts(a, m).keys() if cover is None else cover.touched
     if not touched:
         return Fraction(0)
     grid = WeightedGrid(n=a.n, m=m, weights={d: Fraction(1) for d in touched})
-    return Fraction(a.n, m) * max_weight_chain(grid, max_states=max_states).total
+    return Fraction(a.n, m) * max_weight_chain(grid, config).total
 
 
 @dataclass(frozen=True)
@@ -532,7 +529,7 @@ def _staircase_dp(
     a: CellSet,
     lo_corner: GridPoint,
     hi_corner: GridPoint,
-    max_corners: int,
+    corner_cap: int,
 ) -> tuple[int, list[GridPoint]]:
     """Best monotone edge path from lo_corner to hi_corner.
 
@@ -544,8 +541,8 @@ def _staircase_dp(
     n = a.n
     extent = [hi - lo + 1 for lo, hi in zip(lo_corner, hi_corner)]
     size = math.prod(extent)
-    if size > max_corners:
-        raise ResourceLimitError(f"staircase DP over {size} corners, cap {max_corners}")
+    if size > corner_cap:
+        raise ResourceLimitError(f"staircase DP over {size} corners, cap {corner_cap}")
     strides = [math.prod(extent[j + 1 :]) for j in range(n)]
     gains = _edge_gains(a, lo_corner, hi_corner)
     best = monotone_path_dp(extent, gains)
@@ -566,18 +563,15 @@ def _staircase_dp(
     return best[-1], path
 
 
-def adversarial_chain_search(
-    a: CellSet, max_corners: int = Config.max_fine_states
-) -> AdversarialResult:
+def adversarial_chain_search(a: CellSet, config: Config = Config()) -> AdversarialResult:
     """Best monotone staircase mass through the box union.
 
     The returned value is an exact lower bound on the supremum of chain
-    mass: the witness is itself a chain realising it.
+    mass: the witness is itself a chain realising it.  The DP runs over
+    (M+1)**n corners, at most `config.max_fine_states`.
     """
     n, M = a.n, a.M
-    count, corners = _staircase_dp(
-        a, lo_corner=(0,) * n, hi_corner=(M,) * n, max_corners=max_corners
-    )
+    count, corners = _staircase_dp(a, (0,) * n, (M,) * n, config.max_fine_states)
     return AdversarialResult(
         lower=Fraction(count, M),
         witness=_corners_to_polyline(corners, n, M),
@@ -638,7 +632,7 @@ def build_chain_through_cubes(
     a: CellSet,
     m: int,
     epsilon: RationalLike,
-    max_corners: int = Config.max_fine_states,
+    config: Config = Config(),
 ) -> ChainCertificate:
     """Explicit staircase through a chain of dense coarse cubes.
 
@@ -650,7 +644,8 @@ def build_chain_through_cubes(
         (1 - (2n+2)*epsilon) * (1 - epsilon)^n * (len(q) - 1) / m
 
     which the constructive argument guarantees for some chain, and which
-    the staircase optimum meets with large slack on box unions.
+    the staircase optimum meets with large slack on box unions.  The DP
+    box may hold at most `config.max_fine_states` corners.
     """
     n = a.n
     epsilon = as_rational(epsilon)
@@ -676,7 +671,7 @@ def build_chain_through_cubes(
         )
     lo_corner = tuple(c * w for c in q.points[0])
     hi_corner = tuple((c + 1) * w for c in q.points[-1])
-    count, corners = _staircase_dp(a, lo_corner, hi_corner, max_corners)
+    count, corners = _staircase_dp(a, lo_corner, hi_corner, config.max_fine_states)
     mass = Fraction(count, a.M)
     if mass < guarantee:
         raise DomainError(
@@ -720,29 +715,28 @@ def end_to_end_verify(
     kappa: RationalLike,
     m: int,
     epsilon: RationalLike | None = None,
-    max_grid_states: int = Config.max_grid_states,
-    max_corners: int = Config.max_fine_states,
-    epsilon_denominator_cap: int = Config.epsilon_denominator_cap,
+    config: Config = Config(),
 ) -> VerifyReport:
     """Run the whole proof-chain instrumentation on one box-union set.
 
     Feasibility (chain mass at most kappa for every chain) is bracketed:
     certified feasible when the coarse upper bound is at most kappa,
     certified infeasible when the adversarial staircase already exceeds
-    kappa, indeterminate in between.
+    kappa, indeterminate in between.  `config` supplies the caps of
+    the stages: `max_grid_states` for the coarse upper bound,
+    `max_fine_states` for the staircase search, `epsilon_denominator_cap`
+    for the automatic epsilon and `max_table_bytes` for the Whitney cap.
     """
     kappa = as_rational(kappa)
     if epsilon is None:
-        params = EpsilonParams.auto(
-            a.n, m, kappa, denominator_cap=epsilon_denominator_cap
-        )
+        params = EpsilonParams.auto(a.n, m, kappa, config)
     else:
         params = EpsilonParams(n=a.n, m=m, epsilon=as_rational(epsilon), kappa=kappa)
     cover = cover_sets(a, m, params)
     claim = claim_check(a, m, params, cover=cover)
-    upper = max_cell_chain_mass_upper(a, m, max_states=max_grid_states, cover=cover)
-    adversarial = adversarial_chain_search(a, max_corners=max_corners)
-    cap = whitney_sum(a.n, m, params.kappa_prime).value
+    upper = max_cell_chain_mass_upper(a, m, cover, config)
+    adversarial = adversarial_chain_search(a, config)
+    cap = whitney_sum(a.n, m, params.kappa_prime, config).value
     volume = slab_volume_exact(SlabSpec(n=a.n, kappa=kappa)).exact
     if adversarial.lower > kappa:
         feasibility = "infeasible"

@@ -38,14 +38,6 @@ class CoefficientTable:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def total(self) -> int:
-        return self.m**self.n
-
-    @property
-    def max_rank(self) -> int:
-        return self.n * (self.m - 1)
-
 
 @dataclass(frozen=True)
 class WhitneySum:
@@ -85,18 +77,24 @@ def _estimate_table_bytes(n: int, m: int) -> int:
     return entries * (bits_per_entry // 8 + 32)
 
 
-def whitney_numbers(
-    n: int, m: int, max_bytes: int = Config.max_table_bytes
-) -> CoefficientTable:
-    """Exact Whitney numbers, by n-fold convolution of the length-m window."""
+def _check_table(n: int, m: int, config: Config) -> None:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
-    if _estimate_table_bytes(n, m) > max_bytes:
+    if _estimate_table_bytes(n, m) > config.max_table_bytes:
         raise ResourceLimitError(
-            f"coefficient table for n={n}, m={m} exceeds the {max_bytes}-byte budget"
+            f"coefficient table for n={n}, m={m} exceeds the "
+            f"{config.max_table_bytes}-byte budget"
         )
+
+
+def whitney_numbers(n: int, m: int, config: Config = Config()) -> CoefficientTable:
+    """Exact Whitney numbers, by n-fold convolution of the length-m window.
+
+    The table's estimated size may not exceed `config.max_table_bytes`.
+    """
+    _check_table(n, m, config)
     coeffs = [1] * m
     for _ in range(n - 1):
         coeffs = _convolve_ones(coeffs, m)
@@ -137,29 +135,32 @@ def k_for_kappa(n: int, m: int, kappa: RationalLike) -> int:
     return math.ceil(kappa * m + n)
 
 
-def whitney_sum(
-    n: int, m: int, kappa: RationalLike, max_bytes: int = Config.max_table_bytes
-) -> WhitneySum:
-    """Sum of the ceil(kappa*m + n) largest Whitney numbers of {0..m-1}^n."""
+def whitney_sum(n: int, m: int, kappa: RationalLike, config: Config = Config()) -> WhitneySum:
+    """Sum of the ceil(kappa*m + n) largest Whitney numbers of {0..m-1}^n.
+
+    The table is capped by `config.max_table_bytes`.
+    """
     k = k_for_kappa(n, m, kappa)
-    return sum_k_largest(whitney_numbers(n, m, max_bytes=max_bytes), k)
+    return sum_k_largest(whitney_numbers(n, m, config), k)
 
 
 def convergence_table(
-    n: int,
-    kappa: RationalLike,
-    m_list: Iterable[int],
-    max_bytes: int = Config.max_table_bytes,
+    n: int, kappa: RationalLike, m_list: Iterable[int], config: Config = Config()
 ) -> list[ConvergenceRow]:
     """One row per m, witnessing whitney_sum / m^n -> slab volume.
 
-    The gap column is exact; CLI/CSV emission converts to floats.
+    Every m is checked against `config.max_table_bytes` before the volume
+    or any table is computed.  The gap column is exact; CLI/CSV emission
+    converts to floats.
     """
     kappa = as_rational(kappa)
+    m_list = list(m_list)
+    for m in m_list:
+        _check_table(n, m, config)
     volume = slab_volume_exact(SlabSpec(n=n, kappa=kappa)).exact
     rows = []
     for m in m_list:
-        value = whitney_sum(n, m, kappa, max_bytes=max_bytes).value
+        value = whitney_sum(n, m, kappa, config).value
         rows.append(
             ConvergenceRow(m=m, value=value, ratio=Fraction(value, m**n), volume=volume)
         )

@@ -1,5 +1,6 @@
 """Flat-index cell sets: array kernels against tuple oracles, file bytes,
-representation limits, exact types and a cell-file fuzzer."""
+representation limits, exact types, and fuzzers for cell files and for
+every other input file kind."""
 
 import argparse
 import dataclasses
@@ -157,7 +158,7 @@ class TestRepresentation:
             with pytest.raises(ResourceLimitError):
                 CellSet(n, M, [])
         with pytest.raises(ResourceLimitError):
-            discretize_slab(2, 2**32, Fraction(1), "inner", max_cells=2**70)
+            discretize_slab(2, 2**32, Fraction(1), "inner", Config(max_grid_states=2**70))
 
     def test_int64_limit_exit_three(self, tmp_path):
         path = tmp_path / "cells.json"
@@ -327,6 +328,109 @@ def test_random_cell_files_exit_cleanly(data):
             out, err = io.StringIO(), io.StringIO()
             code = run(argv, stdout=out, stderr=err)
             assert code in (0, 2, 3)
+            if code:
+                assert out.getvalue() == ""
+                jsonschema.validate(json.loads(err.getvalue()), ERROR_SCHEMA)
+            else:
+                assert err.getvalue() == ""
+                json.loads(out.getvalue())
+
+
+# --- fuzzing every input file kind --------------------------------------------
+
+_LONG_INT = "@@long-int@@"  # replaced in the text by a literal past the digit limit
+_odd_value = st.one_of(
+    _coordinate,
+    st.sampled_from(["1/0", "-1/2", "3/2", "x", {}, 10**30, 10**4000, _LONG_INT]),
+)
+
+
+def _slots(node):
+    """Every (container, key) slot of a JSON tree, depth first."""
+    keys = node.keys() if type(node) is dict else range(len(node)) if type(node) is list else ()
+    for key in keys:
+        yield node, key
+        yield from _slots(node[key])
+
+
+@st.composite
+def input_files(draw):
+    """(kind, n, bytes): a valid input file with faults put in.
+
+    Up to three faults in the tree each replace a value anywhere, drop a
+    top-level key or plant an integer literal of more than 4300 digits;
+    then the bytes may be spoiled by a UTF-16 byte-order mark, a stray
+    byte that is not UTF-8, or a cut.
+    """
+    kind = draw(st.sampled_from(["cells", "weights", "polyline", "cubes", "config"]))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 4))
+    point = st.lists(st.integers(0, m - 1), min_size=n, max_size=n)
+    if kind == "cells":
+        data = {"n": n, "M": 2 * m, "cells": draw(st.lists(point, max_size=6))}
+    elif kind == "weights":
+        entry = st.fixed_dictionaries({"point": point, "w": st.sampled_from(["0/1", "1/2", "3"])})
+        data = {"n": n, "m": m, "weights": draw(st.lists(entry, max_size=6))}
+    elif kind == "polyline":
+        steps = sorted(draw(st.lists(st.integers(0, 3 * n), max_size=5)))
+        vertices = [[f"{min(max(s - 3 * j, 0), 3)}/3" for j in range(n)] for s in steps]
+        data = {"n": n, "vertices": vertices}
+    elif kind == "cubes":
+        data = {"m": m, "cubes": [[t] * n for t in range(draw(st.integers(0, m)))]}
+    else:
+        names = [f.name for f in dataclasses.fields(Config)]
+        data = draw(st.dictionaries(st.sampled_from(names), st.integers(1, 10**7), max_size=3))
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["value", "drop", "long-int"]))
+        slots = list(_slots(data))
+        if fault == "drop" and data:
+            data.pop(draw(st.sampled_from(sorted(data))))
+        elif fault != "drop" and slots:
+            node, key = draw(st.sampled_from(slots))
+            node[key] = _LONG_INT if fault == "long-int" else draw(_odd_value)
+    digits = "-" * draw(st.booleans()) + "9" * draw(st.integers(4301, 6000))
+    raw = json.dumps(data).replace(json.dumps(_LONG_INT), digits).encode()
+    spoil = draw(st.sampled_from([None, None, None, "bom", "byte", "cut"]))
+    at = draw(st.integers(0, len(raw)))
+    if spoil == "bom":
+        raw = b"\xff\xfe" + raw
+    elif spoil == "byte":
+        raw = raw[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + raw[at:]
+    elif spoil == "cut":
+        raw = raw[:at]
+    return kind, n, raw
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=input_files())
+def test_random_input_files_exit_cleanly(case):
+    kind, n, raw = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, cells = str(Path(tmp) / "in"), str(Path(tmp) / "cells")
+        Path(path).write_bytes(raw)
+        # The whole grid, so that every coarse cube a cube chain names is dense.
+        full = [list(c) for c in itertools.product(range(12), repeat=n)]
+        Path(cells).write_text(json.dumps({"n": n, "M": 12, "cells": full}))
+        argvs = {
+            "cells": [["verify", "--set", path, "--kappa", "1/2", "--m", "2"]],
+            "weights": [["maxchain", "--weights", path]],
+            "polyline": [["chain", action, "--file", path] for action in ("length", "decompose")],
+            "cubes": [["chainbuild", "--cubes", path, "--set", cells, "--epsilon", "1/50"]],
+            "config": [
+                ["whitney", "--n", "2", "--m", "3", "--kappa", "1", "--config", path],
+                ["verify", "--set", cells, "--kappa", "1/2", "--m", "2", "--config", path],
+            ],
+        }[kind]
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            code = run(argv, stdout=out, stderr=err)
+            assert code in (0, 2, 3, 64)
             if code:
                 assert out.getvalue() == ""
                 jsonschema.validate(json.loads(err.getvalue()), ERROR_SCHEMA)

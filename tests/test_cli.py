@@ -3,13 +3,16 @@
 import io
 import json
 import random
+import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 import polyline_oracle as oracle
-from chainlab import format_rational
+from chainlab import ResourceLimitError, format_rational
 from chainlab.cli import run
+from chainlab.rational import format_quotient
 from chainlab.slab_volume import MAX_SAMPLE_COORDINATES
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -54,6 +57,19 @@ class TestVolume:
         code, _, err = invoke(["volume", "--n", "100", "--kappa", "1/2"])
         assert code == 3
         assert json.loads(err)["error"]["code"] == "resource"
+
+    def test_output_past_digit_limit_exit_three(self):
+        # The volume is computed; its 3000-digit denominator cubed is not printable.
+        code, out, err = invoke(["volume", "--n", "2", "--kappa", "1/1" + "0" * 3000])
+        assert (code, out) == (3, "")
+        assert check_schema("error", err)["error"]["code"] == "resource"
+
+    def test_format_quotient_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert format_quotient(10**limit - 1, 2) == f"{10**limit - 1}/2"
+        for numerator, denominator in ((10**limit, 3), (-(10**limit), 3), (1, 10**limit)):
+            with pytest.raises(ResourceLimitError):
+                format_quotient(numerator, denominator)
 
     def test_determinism(self):
         argv = ["volume", "--n", "3", "--kappa", "2/3", "--mc", "5000", "--seed", "1"]
@@ -102,6 +118,15 @@ class TestWhitney:
         assert code == 2
         check_schema("error", err)
 
+    def test_k_and_kappa_conflict_before_table(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_table_bytes": 1000}))
+        code, _, err = invoke(
+            ["whitney", "--n", "2", "--m", "3000", "--k", "2", "--kappa", "1", "--config", str(config)]
+        )
+        assert code == 2
+        assert check_schema("error", err)["error"]["message"] == "--k and --kappa are mutually exclusive"
+
     def test_cli_caps(self):
         code, _, _ = invoke(["whitney", "--n", "17", "--m", "3"])
         assert code == 2
@@ -136,6 +161,14 @@ class TestConverge:
         code, _, err = invoke(["converge", "--kappa", "1", "--m-list", "3000"] + argv)
         assert code == 3
         assert json.loads(err)["error"]["code"] == "resource"
+
+    def test_dimension_cap_as_volume(self):
+        for n in ("65", "1500"):
+            code, out, err = invoke(["converge", "--n", n, "--kappa", "1", "--m-list", "2"])
+            assert (code, out) == (3, "")
+            _, _, volume_err = invoke(["volume", "--n", n, "--kappa", "1"])
+            assert check_schema("error", err) == json.loads(volume_err)
+            assert json.loads(err)["error"]["message"] == f"dimension {n} exceeds the CLI cap 64"
 
 
 class TestMaxchain:
@@ -406,6 +439,31 @@ class TestVerifyPipeline:
         code, _, err = invoke(["maxchain", "--weights", str(path)])
         assert code == 2
         check_schema("error", err)
+
+
+class TestUnreadableFiles:
+    """Files json cannot read: not UTF-8, an int past the digit limit, nesting too deep."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b'{"n": ' + b"7" * 5000 + b"}", b"[" * 100000 + b"]" * 100000],
+        ids=["utf16-bom", "long-int", "deep-nesting"],
+    )
+    def test_every_file_option_exits_two(self, tmp_path, content):
+        cells = tmp_path / "cells.json"
+        cells.write_text(json.dumps({"n": 2, "M": 4, "cells": [[0, 0]]}))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        for argv in (
+            ["verify", "--set", str(bad), "--kappa", "1", "--m", "2"],
+            ["maxchain", "--weights", str(bad)],
+            ["chain", "length", "--file", str(bad)],
+            ["chainbuild", "--cubes", str(bad), "--set", str(cells), "--epsilon", "1/10"],
+            ["volume", "--n", "2", "--kappa", "1", "--config", str(bad)],
+        ):
+            code, out, err = invoke(argv)
+            assert (code, out) == (2, ""), argv
+            assert check_schema("error", err)["error"]["code"] == "domain", argv
 
 
 class TestDispatch:

@@ -8,6 +8,7 @@ import pytest
 
 from chainlab import (
     ChainOfPoints,
+    Config,
     DomainError,
     ResourceLimitError,
     WeightedGrid,
@@ -200,7 +201,7 @@ class TestMaxWeightChain:
     def test_state_cap(self):
         grid = WeightedGrid(2, 11, {})
         with pytest.raises(ResourceLimitError):
-            max_weight_chain(grid, max_states=100)
+            max_weight_chain(grid, Config(max_grid_states=100))
 
 
 class TestSymmetricChainDecomposition:

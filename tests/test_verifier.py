@@ -10,6 +10,7 @@ import pytest
 from chainlab import (
     CellSet,
     ChainOfPoints,
+    Config,
     DomainError,
     EpsilonParams,
     ResourceLimitError,
@@ -135,7 +136,7 @@ class TestEpsilonParams:
 
     def test_auto_rejects_kappa_equal_n(self):
         with pytest.raises(DomainError):
-            EpsilonParams.auto(2, 10, Fraction(2), denominator_cap=1000)
+            EpsilonParams.auto(2, 10, Fraction(2), Config(epsilon_denominator_cap=1000))
 
     def test_auto_against_linear_scan(self):
         rng = random.Random(5)
@@ -146,9 +147,9 @@ class TestEpsilonParams:
             expected = linear_scan_epsilon(n, kappa, cap)
             if expected is None:
                 with pytest.raises(DomainError):
-                    EpsilonParams.auto(n, 10, kappa, denominator_cap=cap)
+                    EpsilonParams.auto(n, 10, kappa, Config(epsilon_denominator_cap=cap))
             else:
-                params = EpsilonParams.auto(n, 10, kappa, denominator_cap=cap)
+                params = EpsilonParams.auto(n, 10, kappa, Config(epsilon_denominator_cap=cap))
                 assert params.epsilon == expected
 
     def test_auto_fails_fast_near_n(self):
@@ -257,7 +258,7 @@ class TestChainMassBounds:
 
     def test_adversarial_corner_cap(self):
         with pytest.raises(ResourceLimitError):
-            adversarial_chain_search(full_cube(2, 50), max_corners=100)
+            adversarial_chain_search(full_cube(2, 50), Config(max_fine_states=100))
 
     def test_sandwich_on_random_sets(self):
         rng = random.Random(4391)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from chainlab import (
+    Config,
     DomainError,
     ResourceLimitError,
     convergence_table,
@@ -14,6 +15,7 @@ from chainlab import (
     whitney_numbers,
     whitney_sum,
 )
+from chainlab import whitney
 
 
 def count_by_rank(n: int, m: int) -> list[int]:
@@ -74,7 +76,7 @@ class TestWhitneyNumbers:
 
     def test_memory_budget(self):
         with pytest.raises(ResourceLimitError):
-            whitney_numbers(8, 10**4, max_bytes=1024)
+            whitney_numbers(8, 10**4, Config(max_table_bytes=1024))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -161,3 +163,13 @@ class TestConvergence:
         for n, kappa in ((1, Fraction(1, 2)), (2, Fraction(1)), (3, Fraction(1))):
             for row in convergence_table(n, kappa, [10, 20, 50, 100]):
                 assert row.gap <= Fraction(n * (n + 1), row.m)
+
+    def test_every_m_checked_before_any_work(self, monkeypatch):
+        def no_volume(spec):
+            raise AssertionError("slab volume computed before the table checks")
+
+        monkeypatch.setattr(whitney, "slab_volume_exact", no_volume)
+        with pytest.raises(ResourceLimitError):
+            convergence_table(2, Fraction(1), [10, 10**6], Config(max_table_bytes=10**4))
+        with pytest.raises(DomainError):
+            convergence_table(2, Fraction(1), [10, 1])
