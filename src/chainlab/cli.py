@@ -302,7 +302,9 @@ def _cmd_verify(args: argparse.Namespace, config: Config) -> dict:
 
 def _cmd_chainbuild(args: argparse.Namespace, config: Config) -> dict:
     cells = chainlab_io.cellset_from_dict(chainlab_io.load_json(args.set))
-    cubes, m = chainlab_io.cube_chain_from_dict(chainlab_io.load_json(args.cubes))
+    cubes, n, m = chainlab_io.cube_chain_from_dict(chainlab_io.load_json(args.cubes))
+    if n != cells.n:
+        raise DomainError(f"the cube chain has n={n}, the cell set n={cells.n}")
     cert = build_chain_through_cubes(cubes, cells, m, args.epsilon, config)
     return {
         "n": cells.n,

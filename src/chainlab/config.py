@@ -1,8 +1,11 @@
-"""Resource caps and CLI defaults.
+"""Resource caps and CLI defaults, and the reader of JSON-object files.
 
 Configuration is explicit: the CLI reads a config file only when given
 --config, never from environment variables, so identical invocations
 behave identically everywhere.
+
+`read_json_object` reads config and input files alike (`io` imports
+`config`, so it cannot live in `io`).
 """
 
 from __future__ import annotations
@@ -45,16 +48,22 @@ class Config:
 
     @classmethod
     def from_file(cls, path: str) -> "Config":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except (ValueError, RecursionError) as exc:
-                # Bad JSON, bad UTF-8, an int past the digit limit, or nesting too deep.
-                raise DomainError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise DomainError(f"config file {path} must hold a JSON object")
+        data = read_json_object(path, "config file")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
+
+
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the UTF-8 file at `path`, which the messages call `what`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # Bad JSON, bad UTF-8, an int past the digit limit, or nesting too deep.
+            raise DomainError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DomainError(f"{what} {path} does not hold a JSON object")
+    return data

@@ -1,4 +1,8 @@
-"""Exception types shared by all chainlab modules."""
+"""Exception types shared by all chainlab modules, and the one check of a
+grid {0..m-1}^n and of its points, which every module that checks input
+can import from here."""
+
+import itertools
 
 
 class ChainlabError(Exception):
@@ -15,3 +19,52 @@ class DomainError(ChainlabError):
 
 class ResourceLimitError(ChainlabError):
     """The requested computation exceeds a configured resource cap."""
+
+
+def check_grid(n: object, m: object, name: str = "m") -> None:
+    """Check that {0..m-1}^n is a grid: n, m ints (not bools), n >= 1, m >= 2; m is `name`."""
+    for label, value in (("n", n), (name, m)):
+        if type(value) is not int:
+            raise DomainError(f"{label} must be an integer, got {value!r}")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if m < 2:
+        raise DomainError(f"{name} must be >= 2, got {m}")
+
+
+def check_grid_points(points: object, n: int, m: int, what: str) -> list[int]:
+    """Check that each point has n int coordinates in [0, m-1]; return the coordinates, flat.
+
+    The checks run on the whole set: an unhashable coordinate (a nested
+    list), then dimension, type (bools are not coordinates) and range.
+    Only on a failure is the first bad point, in input order, looked up
+    to word the error, which calls it `what`.
+    """
+    rows = points
+    if type(rows) is not list or set(map(type, rows)) - {list, tuple}:
+        try:
+            rows = list(map(tuple, rows))
+        except TypeError as exc:
+            raise DomainError(f"{what}s must be lists of integer coordinates: {exc}") from exc
+    coords = list(itertools.chain.from_iterable(rows))
+    types = set(map(type, coords))
+    if any(t.__hash__ is None for t in types):
+        bad = next(type(c) for c in coords if type(c).__hash__ is None)
+        raise DomainError(
+            f"{what}s must be lists of integer coordinates: unhashable type: {bad.__name__!r}"
+        )
+    if set(map(len, rows)) - {n}:
+        p = next(p for p in rows if len(p) != n)
+        raise DomainError(
+            f"{what} {tuple(p)} has wrong dimension: {len(p)} coordinates, expected {n}"
+        )
+    if types - {int}:
+        p = next(p for p in rows if set(map(type, p)) - {int})
+        raise DomainError(f"{what} {tuple(p)} has a coordinate that is not an integer")
+    if coords and not 0 <= min(coords) <= max(coords) < m:
+        p, c = next((p, c) for p in rows for c in p if not 0 <= c < m)
+        raise DomainError(
+            f"{what} {tuple(p)} outside the resolution-{m} grid: "
+            f"coordinate {c} outside [0, {m - 1}]"
+        )
+    return coords

@@ -20,7 +20,7 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .config import Config
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, check_grid, check_grid_points
 from .rational import as_rational
 from .whitney import sum_k_largest, whitney_numbers
 
@@ -32,16 +32,6 @@ BRUTEFORCE_MAX_POINTS = 16
 SCD_MAX_POINTS = 12**6
 
 _ZERO = Fraction(0)
-
-
-def _check_point(p: GridPoint, n: int, m: int) -> None:
-    if len(p) != n:
-        raise DomainError(f"point {p} has {len(p)} coordinates, expected {n}")
-    for c in p:
-        if type(c) is not int:
-            raise DomainError(f"coordinate {c!r} of {p} is not an integer")
-        if not 0 <= c <= m - 1:
-            raise DomainError(f"coordinate {c!r} of {p} outside [0, {m - 1}]")
 
 
 def dominates(a: GridPoint, b: GridPoint) -> bool:
@@ -87,22 +77,8 @@ class WeightedGrid:
     weights: Mapping[GridPoint, Fraction]
 
     def __post_init__(self) -> None:
-        for name, value in (("n", self.n), ("m", self.m)):
-            if type(value) is not int:
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1 or self.m < 2:
-            raise DomainError(f"need n >= 1 and m >= 2, got n={self.n}, m={self.m}")
-        # Whole-set checks; the offending point is looked up only to word
-        # the error.  Bools are not coordinates.
-        points = list(self.weights)
-        coords = list(itertools.chain.from_iterable(points))
-        if (
-            set(map(len, points)) - {self.n}
-            or set(map(type, coords)) - {int}
-            or (coords and not 0 <= min(coords) <= max(coords) < self.m)
-        ):
-            for p in points:
-                _check_point(p, self.n, self.m)
+        check_grid(self.n, self.m)
+        check_grid_points(list(self.weights), self.n, self.m, "point")
         clean = {}
         for p, w in self.weights.items():
             w = as_rational(w)
@@ -220,8 +196,7 @@ def max_weight_chain(grid: WeightedGrid, config: Config = Config()) -> MaxChainR
 
 
 def _check_scd_size(n: int, m: int) -> None:
-    if n < 1 or m < 2:
-        raise DomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
+    check_grid(n, m)
     if m**n > SCD_MAX_POINTS:
         raise ResourceLimitError(
             f"decomposition of {m}^{n} points exceeds the cap {SCD_MAX_POINTS}"
@@ -300,6 +275,7 @@ def ksperner_max_bruteforce(n: int, m: int, k: int, prune: bool = True) -> int:
     extendability bound (chosen + remaining <= incumbent) and never
     changes the result.
     """
+    check_grid(n, m)
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     size = m**n

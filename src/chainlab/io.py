@@ -8,6 +8,10 @@ depends on float formatting.
 * weights file:   {"n": 2, "m": 2, "weights": [{"point": [0, 1], "w": "5/1"}, ...]}
 * cube chain:     {"n": 2, "m": 10, "cubes": [[0, 0], [1, 1], ...]}
 
+Every file is read by `config.read_json_object`.  Cell, weights and
+cube-chain files pass the grid checks of `errors`, so a fault is worded
+alike in the three; a weights file lists each point once.
+
 Polyline coordinates load straight into the integer-numerator form of
 `MonotonePolyline`.  A coordinate that is a string "P/Q" of ASCII digits
 with Q > 0 is split with `str.partition` and read with `int`; any other
@@ -33,7 +37,8 @@ from fractions import Fraction
 from typing import Any
 
 from .chain_geometry import MonotonePolyline
-from .errors import DomainError
+from .config import read_json_object
+from .errors import DomainError, check_grid, check_grid_points
 from .gridposet import ChainOfPoints, WeightedGrid
 from .rational import as_rational, format_quotient
 from .verifier import CellSet
@@ -46,15 +51,7 @@ def _require(data: dict, key: str, context: str) -> Any:
 
 
 def load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            # Bad JSON, bad UTF-8, an int past the digit limit, or nesting too deep.
-            raise DomainError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise DomainError(f"{path} does not contain a JSON object")
-    return data
+    return read_json_object(path, "input file")
 
 
 def _rational_field(value: object, context: str) -> Fraction:
@@ -146,26 +143,31 @@ def polyline_from_dict(data: dict) -> MonotonePolyline:
 
 
 def weighted_grid_from_dict(data: dict) -> WeightedGrid:
+    n = _require(data, "n", "weights")
+    m = _require(data, "m", "weights")
     entries = _require(data, "weights", "weights")
     _check_entries(entries, dict, "weights")
     points = [_require(entry, "point", "weights entry") for entry in entries]
     _check_entries(points, list, "weights points")
+    # Also checked by WeightedGrid, but the points key a dict first.
+    check_grid(n, m)
+    check_grid_points(points, n, m, "point")
     weights: dict[tuple[int, ...], Fraction] = {}
-    try:
-        for entry, point in zip(entries, map(tuple, points)):
-            weights[point] = _rational_field(
-                _require(entry, "w", "weights entry"), f"weight at {point}"
-            )
-    except TypeError as exc:  # a coordinate that cannot be hashed
-        raise DomainError(f"weights points must hold integer coordinates: {exc}") from exc
-    return WeightedGrid(
-        n=_require(data, "n", "weights"),
-        m=_require(data, "m", "weights"),
-        weights=weights,
-    )
+    for entry, point in zip(entries, map(tuple, points)):
+        if point in weights:
+            raise DomainError(f"weights file lists point {point} twice")
+        weights[point] = _rational_field(
+            _require(entry, "w", "weights entry"), f"weight at {point}"
+        )
+    return WeightedGrid(n=n, m=m, weights=weights)
 
 
-def cube_chain_from_dict(data: dict) -> tuple[ChainOfPoints, int]:
+def cube_chain_from_dict(data: dict) -> tuple[ChainOfPoints, int, int]:
+    """The chain of coarse cubes with its grid's n and m."""
+    n = _require(data, "n", "cube chain")
+    m = _require(data, "m", "cube chain")
     cubes = _require(data, "cubes", "cube chain")
     _check_entries(cubes, list, "cube chain cubes")
-    return ChainOfPoints(points=tuple(map(tuple, cubes))), _require(data, "m", "cube chain")
+    check_grid(n, m)
+    check_grid_points(cubes, n, m, "cube")
+    return ChainOfPoints(points=tuple(map(tuple, cubes))), n, m

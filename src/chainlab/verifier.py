@@ -41,7 +41,6 @@ a `CellSet` pays for that import.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -50,7 +49,7 @@ from typing import TYPE_CHECKING, Literal, Mapping
 
 from .chain_geometry import MonotonePolyline
 from .config import Config
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, check_grid, check_grid_points
 from .gridposet import (
     ChainOfPoints,
     GridPoint,
@@ -97,11 +96,7 @@ class CellSet:
     def __post_init__(self) -> None:
         import numpy as np
 
-        for name, value in (("n", self.n), ("M", self.M)):
-            if type(value) is not int:
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1 or self.M < 2:
-            raise DomainError(f"need n >= 1 and M >= 2, got n={self.n}, M={self.M}")
+        check_grid(self.n, self.M, "M")
         _check_flat_range(self.n, self.M)
         if isinstance(self.cells, np.ndarray):
             flat = self._flat_from_indices(self.cells)
@@ -130,42 +125,8 @@ class CellSet:
     def _flat_from_coordinates(self, cells: object) -> np.ndarray:
         import numpy as np
 
-        # A list of lists or tuples (a loaded cell file) is read in place;
-        # anything else is first copied into a list of tuples.
-        rows = cells
-        if type(rows) is not list or set(map(type, rows)) - {list, tuple}:
-            try:
-                rows = list(map(tuple, rows))
-            except TypeError as exc:
-                raise DomainError(f"cells must be lists of integer coordinates: {exc}") from exc
-        types = set(map(type, itertools.chain.from_iterable(rows)))
-        # A nested list or object as a coordinate is reported as such,
-        # ahead of the whole-set checks.
-        if any(t.__hash__ is None for t in types):
-            bad = next(
-                type(x) for x in itertools.chain.from_iterable(rows) if type(x).__hash__ is None
-            )
-            raise DomainError(
-                "cells must be lists of integer coordinates: "
-                f"unhashable type: {bad.__name__!r}"
-            )
-        # Whole-set checks first; the offending cell, in input order, is
-        # looked up only to word the error.  Bools are not coordinates.
-        if set(map(len, rows)) - {self.n}:
-            bad = next(c for c in rows if len(c) != self.n)
-            raise DomainError(f"cell {tuple(bad)} has wrong dimension")
-        if types - {int}:
-            bad = next(c for c in rows if any(type(x) is not int for x in c))
-            raise DomainError(f"cell {tuple(bad)} has a coordinate that is not an integer")
-        try:
-            values = np.fromiter(
-                itertools.chain.from_iterable(rows), dtype=np.int64, count=len(rows) * self.n
-            )
-        except OverflowError:  # beyond int64, so beyond the grid
-            values = None
-        if values is None or (values.size and not 0 <= values.min() <= values.max() < self.M):
-            bad = next(c for c in rows if not all(0 <= x < self.M for x in c))
-            raise DomainError(f"cell {tuple(bad)} outside the resolution-{self.M} grid")
+        # In [0, M-1], and M**n < 2**63: every coordinate fits in int64.
+        values = np.fromiter(check_grid_points(cells, self.n, self.M, "cell"), dtype=np.int64)
         columns = values.reshape(-1, self.n).T
         flat = columns[0]
         for column in columns[1:]:
@@ -295,8 +256,7 @@ class EpsilonParams:
     kappa: Fraction
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 2:
-            raise DomainError(f"need n >= 1 and m >= 2, got n={self.n}, m={self.m}")
+        check_grid(self.n, self.m)
         eps = as_rational(self.epsilon)
         kappa = as_rational(self.kappa)
         object.__setattr__(self, "epsilon", eps)
@@ -650,12 +610,11 @@ def build_chain_through_cubes(
     n = a.n
     epsilon = as_rational(epsilon)
     _check_epsilon(n, epsilon)
+    check_grid_points(q.points, n, m, "cube")
     counts = _coarse_counts(a, m)
     w = a.M // m
     threshold = _density_threshold(n, epsilon)
     for cube in q.points:
-        if len(cube) != n or any(not 0 <= c < m for c in cube):
-            raise DomainError(f"cube {cube} outside the resolution-{m} grid")
         density = Fraction(counts.get(cube, 0), w**n)
         if not density > threshold:
             raise DomainError(

@@ -22,7 +22,7 @@ from operator import sub
 from typing import Iterable, Sequence
 
 from .config import Config
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, check_grid
 from .rational import as_rational, RationalLike
 from .slab_volume import SlabSpec, slab_volume_exact
 
@@ -73,15 +73,12 @@ def _convolve_ones(coeffs: Sequence[int], m: int) -> list[int]:
 def _estimate_table_bytes(n: int, m: int) -> int:
     # n(m-1)+1 entries, each at most m^n, stored as Python ints.
     entries = n * (m - 1) + 1
-    bits_per_entry = max(1, int(n * math.log2(m))) if m > 1 else 1
+    bits_per_entry = int(n * math.log2(m))  # >= 1, as n >= 1 and m >= 2
     return entries * (bits_per_entry // 8 + 32)
 
 
 def _check_table(n: int, m: int, config: Config) -> None:
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if m < 2:
-        raise DomainError(f"m must be >= 2, got {m}")
+    check_grid(n, m)
     if _estimate_table_bytes(n, m) > config.max_table_bytes:
         raise ResourceLimitError(
             f"coefficient table for n={n}, m={m} exceeds the "

@@ -191,6 +191,15 @@ class TestMaxchain:
         assert payload["total"] == "9/1"
         assert payload["witness"] == [[0, 0], [0, 1], [1, 1]]
 
+    @pytest.mark.parametrize("weights", [["5/1", "1/1"], ["1/1", "5/1"]])
+    def test_repeated_point_rejected(self, tmp_path, weights):
+        path = tmp_path / "weights.json"
+        entries = [{"point": [0], "w": w} for w in weights]
+        path.write_text(json.dumps({"n": 1, "m": 2, "weights": entries}))
+        code, out, err = invoke(["maxchain", "--weights", str(path)])
+        assert (code, out) == (2, "")
+        assert "point (0,) twice" in check_schema("error", err)["error"]["message"]
+
 
 class TestScd:
     def test_counts(self):
@@ -414,6 +423,27 @@ class TestVerifyPipeline:
             )
             assert (code, out) == (2, ""), data
             check_schema("error", err)
+
+    @pytest.mark.parametrize(
+        "cubes",
+        [
+            {"n": 7, "m": 2, "cubes": [[0], [1]]},
+            {"m": 2, "cubes": [[0], [1]]},
+            {"n": "x", "m": 2, "cubes": [[0], [1]]},
+            {"n": 2, "m": 2, "cubes": []},
+        ],
+        ids=["n-not-the-cubes", "n-missing", "n-not-an-integer", "n-not-the-cell-set"],
+    )
+    def test_cube_chain_n_checked(self, tmp_path, cubes):
+        cells_path = tmp_path / "cells.json"
+        cells_path.write_text(json.dumps({"n": 1, "M": 4, "cells": [[j] for j in range(4)]}))
+        path = tmp_path / "cubes.json"
+        path.write_text(json.dumps(cubes))
+        code, out, err = invoke(
+            ["chainbuild", "--cubes", str(path), "--set", str(cells_path), "--epsilon", "1/10"]
+        )
+        assert (code, out) == (2, "")
+        assert check_schema("error", err)["error"]["code"] == "domain"
 
     def test_malformed_weights_files(self, tmp_path):
         path = tmp_path / "weights.json"
