@@ -21,24 +21,30 @@ class ResourceLimitError(ChainlabError):
     """The requested computation exceeds a configured resource cap."""
 
 
-def check_grid(n: object, m: object, name: str = "m") -> None:
-    """Check that {0..m-1}^n is a grid: n, m ints (not bools), n >= 1, m >= 2; m is `name`."""
-    for label, value in (("n", n), (name, m)):
-        if type(value) is not int:
-            raise DomainError(f"{label} must be an integer, got {value!r}")
+def check_dimension(n: object) -> None:
+    """Check that n is a dimension: an int (not a bool), n >= 1."""
+    if type(n) is not int:
+        raise DomainError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+
+
+def check_grid(n: object, m: object, name: str = "m") -> None:
+    """Check that {0..m-1}^n is a grid: n, m ints (not bools), n >= 1, m >= 2; m is `name`."""
+    check_dimension(n)
+    if type(m) is not int:
+        raise DomainError(f"{name} must be an integer, got {m!r}")
     if m < 2:
         raise DomainError(f"{name} must be >= 2, got {m}")
 
 
-def check_grid_points(points: object, n: int, m: int, what: str) -> list[int]:
-    """Check that each point has n int coordinates in [0, m-1]; return the coordinates, flat.
+def check_points(points: object, n: int, what: str) -> list[int]:
+    """Check that each point has n int coordinates; return the coordinates, flat.
 
     The checks run on the whole set: an unhashable coordinate (a nested
-    list), then dimension, type (bools are not coordinates) and range.
-    Only on a failure is the first bad point, in input order, looked up
-    to word the error, which calls it `what`.
+    list), then dimension and type (bools are not coordinates).  Only on
+    a failure is the first bad point, in input order, looked up to word
+    the error, which calls it `what`.
     """
     rows = points
     if type(rows) is not list or set(map(type, rows)) - {list, tuple}:
@@ -61,10 +67,17 @@ def check_grid_points(points: object, n: int, m: int, what: str) -> list[int]:
     if types - {int}:
         p = next(p for p in rows if set(map(type, p)) - {int})
         raise DomainError(f"{what} {tuple(p)} has a coordinate that is not an integer")
+    return coords
+
+
+def check_grid_points(points: object, n: int, m: int, what: str) -> list[int]:
+    """`check_points`, and every coordinate in [0, m-1]; return the coordinates, flat."""
+    coords = check_points(points, n, what)
     if coords and not 0 <= min(coords) <= max(coords) < m:
-        p, c = next((p, c) for p in rows for c in p if not 0 <= c < m)
+        i = next(i for i, c in enumerate(coords) if not 0 <= c < m)
+        start = i - i % n
         raise DomainError(
-            f"{what} {tuple(p)} outside the resolution-{m} grid: "
-            f"coordinate {c} outside [0, {m - 1}]"
+            f"{what} {tuple(coords[start:start + n])} outside the resolution-{m} grid: "
+            f"coordinate {coords[i]} outside [0, {m - 1}]"
         )
     return coords

@@ -20,7 +20,7 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .config import Config
-from .errors import DomainError, ResourceLimitError, check_grid, check_grid_points
+from .errors import DomainError, ResourceLimitError, check_grid, check_grid_points, check_points
 from .rational import as_rational
 from .whitney import sum_k_largest, whitney_numbers
 
@@ -42,8 +42,8 @@ def dominates(a: GridPoint, b: GridPoint) -> bool:
 def is_chain(points: Iterable[GridPoint]) -> bool:
     """Whether every pair of points is comparable componentwise."""
     pts = list(points)
-    if pts and any(len(p) != len(pts[0]) for p in pts):
-        raise DomainError("points of mixed dimension")
+    if pts:
+        check_points(pts, len(pts[0]), "point")
     pts.sort(key=lambda p: (sum(p), p))
     return all(dominates(pts[i + 1], pts[i]) for i in range(len(pts) - 1))
 
@@ -55,11 +55,8 @@ class ChainOfPoints:
     points: tuple[GridPoint, ...]
 
     def __post_init__(self) -> None:
-        if any(len(p) != len(self.points[0]) for p in self.points):
-            raise DomainError("points of mixed dimension")
-        if set(map(type, itertools.chain.from_iterable(self.points))) - {int}:
-            bad = next(p for p in self.points if any(type(c) is not int for c in p))
-            raise DomainError(f"point {bad} has a coordinate that is not an integer")
+        if self.points:
+            check_points(self.points, len(self.points[0]), "point")
         for a, b in zip(self.points, self.points[1:]):
             if a == b or not dominates(b, a):
                 raise DomainError(f"{a} -> {b} is not a strict componentwise step")

@@ -9,8 +9,9 @@ depends on float formatting.
 * cube chain:     {"n": 2, "m": 10, "cubes": [[0, 0], [1, 1], ...]}
 
 Every file is read by `config.read_json_object`.  Cell, weights and
-cube-chain files pass the grid checks of `errors`, so a fault is worded
-alike in the three; a weights file lists each point once.
+cube-chain files pass the point checks of `errors`, so a fault is worded
+alike in the three; a weights file lists each point once, and a cube
+chain gives n.
 
 Polyline coordinates load straight into the integer-numerator form of
 `MonotonePolyline`.  A coordinate that is a string "P/Q" of ASCII digits
@@ -38,7 +39,7 @@ from typing import Any
 
 from .chain_geometry import MonotonePolyline
 from .config import read_json_object
-from .errors import DomainError, check_grid, check_grid_points
+from .errors import DomainError, check_dimension, check_grid, check_grid_points, check_points
 from .gridposet import ChainOfPoints, WeightedGrid
 from .rational import as_rational, format_quotient
 from .verifier import CellSet
@@ -163,11 +164,12 @@ def weighted_grid_from_dict(data: dict) -> WeightedGrid:
 
 
 def cube_chain_from_dict(data: dict) -> tuple[ChainOfPoints, int, int]:
-    """The chain of coarse cubes with its grid's n and m."""
+    """The chain of coarse cubes with its grid's n and m (m and the cubes'
+    range are checked by `build_chain_through_cubes`, where m = 1 is legal)."""
     n = _require(data, "n", "cube chain")
     m = _require(data, "m", "cube chain")
     cubes = _require(data, "cubes", "cube chain")
     _check_entries(cubes, list, "cube chain cubes")
-    check_grid(n, m)
-    check_grid_points(cubes, n, m, "cube")
+    check_dimension(n)
+    check_points(cubes, n, "cube")
     return ChainOfPoints(points=tuple(map(tuple, cubes))), n, m

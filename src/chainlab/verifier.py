@@ -610,8 +610,8 @@ def build_chain_through_cubes(
     n = a.n
     epsilon = as_rational(epsilon)
     _check_epsilon(n, epsilon)
-    check_grid_points(q.points, n, m, "cube")
     counts = _coarse_counts(a, m)
+    check_grid_points(q.points, n, m, "cube")
     w = a.M // m
     threshold = _density_threshold(n, epsilon)
     for cube in q.points:

@@ -320,7 +320,7 @@ def test_random_cell_files_exit_cleanly(data):
         cells.write_text(json.dumps(data))
         n = data.get("n") if type(data.get("n")) is int and 1 <= data.get("n") <= 3 else 2
         cubes = Path(tmp) / "cubes.json"
-        cubes.write_text(json.dumps({"m": 2, "cubes": [[0] * n, [1] * n]}))
+        cubes.write_text(json.dumps({"n": n, "m": 2, "cubes": [[0] * n, [1] * n]}))
         for argv in (
             ["verify", "--set", str(cells), "--kappa", "1/2", "--m", "2"],
             ["chainbuild", "--cubes", str(cubes), "--set", str(cells), "--epsilon", "1/50"],
@@ -376,7 +376,7 @@ def input_files(draw):
         vertices = [[f"{min(max(s - 3 * j, 0), 3)}/3" for j in range(n)] for s in steps]
         data = {"n": n, "vertices": vertices}
     elif kind == "cubes":
-        data = {"m": m, "cubes": [[t] * n for t in range(draw(st.integers(0, m)))]}
+        data = {"n": n, "m": m, "cubes": [[t] * n for t in range(draw(st.integers(0, m)))]}
     else:
         names = [f.name for f in dataclasses.fields(Config)]
         data = draw(st.dictionaries(st.sampled_from(names), st.integers(1, 10**7), max_size=3))

@@ -445,6 +445,17 @@ class TestVerifyPipeline:
         assert (code, out) == (2, "")
         assert check_schema("error", err)["error"]["code"] == "domain"
 
+    def test_cube_chain_coarse_resolution_one(self, tmp_path):
+        cells_path = tmp_path / "cells.json"
+        cells_path.write_text(json.dumps({"n": 1, "M": 4, "cells": [[j] for j in range(4)]}))
+        path = tmp_path / "cubes.json"
+        path.write_text(json.dumps({"n": 1, "m": 1, "cubes": [[0]]}))
+        code, out, err = invoke(
+            ["chainbuild", "--cubes", str(path), "--set", str(cells_path), "--epsilon", "1/10"]
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["m"] == 1
+
     def test_malformed_weights_files(self, tmp_path):
         path = tmp_path / "weights.json"
         for data, message in (

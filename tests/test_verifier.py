@@ -409,6 +409,12 @@ class TestBuildChain:
                 ChainOfPoints(((0,), (1,))), a, 2, Fraction(1, 10)
             )
 
+    @pytest.mark.parametrize("m", ["2", 0, 2.0, True])
+    def test_bad_coarse_resolution(self, m):
+        a = full_cube(1, 10)
+        with pytest.raises(DomainError, match="coarse resolution must be a positive integer"):
+            build_chain_through_cubes(ChainOfPoints(((0,), (1,))), a, m, Fraction(1, 10))
+
     def test_epsilon_precondition(self):
         a = full_cube(1, 10)
         with pytest.raises(DomainError):
