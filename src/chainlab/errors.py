@@ -70,9 +70,8 @@ def check_points(points: object, n: int, what: str) -> list[int]:
     return coords
 
 
-def check_grid_points(points: object, n: int, m: int, what: str) -> list[int]:
-    """`check_points`, and every coordinate in [0, m-1]; return the coordinates, flat."""
-    coords = check_points(points, n, what)
+def check_in_grid(coords: list[int], n: int, m: int, what: str) -> None:
+    """Check that the flat coordinates of points of dimension n all lie in [0, m-1]."""
     if coords and not 0 <= min(coords) <= max(coords) < m:
         i = next(i for i, c in enumerate(coords) if not 0 <= c < m)
         start = i - i % n
@@ -80,4 +79,10 @@ def check_grid_points(points: object, n: int, m: int, what: str) -> list[int]:
             f"{what} {tuple(coords[start:start + n])} outside the resolution-{m} grid: "
             f"coordinate {coords[i]} outside [0, {m - 1}]"
         )
+
+
+def check_grid_points(points: object, n: int, m: int, what: str) -> list[int]:
+    """`check_points`, then `check_in_grid`; return the coordinates, flat."""
+    coords = check_points(points, n, what)
+    check_in_grid(coords, n, m, what)
     return coords

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -50,12 +50,17 @@ def is_chain(points: Iterable[GridPoint]) -> bool:
 
 @dataclass(frozen=True)
 class ChainOfPoints:
-    """A nondecreasing sequence of distinct grid points."""
+    """A nondecreasing sequence of distinct grid points.
+
+    The points must be integer tuples of one dimension; pass
+    `points_checked=True` only when the caller has checked that already.
+    """
 
     points: tuple[GridPoint, ...]
+    points_checked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
-        if self.points:
+    def __post_init__(self, points_checked: bool) -> None:
+        if self.points and not points_checked:
             check_points(self.points, len(self.points[0]), "point")
         for a, b in zip(self.points, self.points[1:]):
             if a == b or not dominates(b, a):
@@ -67,15 +72,21 @@ class ChainOfPoints:
 
 @dataclass(frozen=True)
 class WeightedGrid:
-    """Nonnegative rational weights on {0..m-1}^n; absent points weigh 0."""
+    """Nonnegative rational weights on {0..m-1}^n; absent points weigh 0.
+
+    The points must be integer tuples in the grid; pass
+    `points_checked=True` only when the caller has checked that already.
+    """
 
     n: int
     m: int
     weights: Mapping[GridPoint, Fraction]
+    points_checked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, points_checked: bool) -> None:
         check_grid(self.n, self.m)
-        check_grid_points(list(self.weights), self.n, self.m, "point")
+        if not points_checked:
+            check_grid_points(list(self.weights), self.n, self.m, "point")
         clean = {}
         for p, w in self.weights.items():
             w = as_rational(w)
@@ -188,7 +199,8 @@ def max_weight_chain(grid: WeightedGrid, config: Config = Config()) -> MaxChainR
         else:
             raise AssertionError("witness reconstruction failed; DP bug")
     return MaxChainResult(
-        total=Fraction(optimum, scale), witness=ChainOfPoints(tuple(witness))
+        total=Fraction(optimum, scale),
+        witness=ChainOfPoints(tuple(witness), points_checked=True),  # points of the grid
     )
 
 

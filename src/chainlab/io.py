@@ -11,7 +11,9 @@ depends on float formatting.
 Every file is read by `config.read_json_object`.  Cell, weights and
 cube-chain files pass the point checks of `errors`, so a fault is worded
 alike in the three; a weights file lists each point once, and a cube
-chain gives n.
+chain gives n.  Each point is checked once: the weights and the cube
+chain are handed on with `points_checked=True`, and the cubes' range is
+checked by `build_chain_through_cubes`.
 
 Polyline coordinates load straight into the integer-numerator form of
 `MonotonePolyline`.  A coordinate that is a string "P/Q" of ASCII digits
@@ -22,12 +24,10 @@ accepted coordinates and the error messages are those of
 `Fraction(str)`.  The common denominator is the lcm of the denominators.
 
 Cell set files are read through `CellSet`, which stores the cells as
-sorted flat indices; `write_cellset` writes them back in the layout of
-`json.dump(..., sort_keys=True, indent=1)` straight from those indices.
+row runs; `write_cellset` writes them back in the layout of
+`json.dump(..., sort_keys=True, indent=1)` straight from the runs.
 `cellset_to_dict` with `dump_json` writes the same bytes through the
-JSON encoder.  `write_cellset` is the one function here that uses numpy,
-and it imports it when called, so loading the other file formats does
-not.
+JSON encoder.
 """
 
 from __future__ import annotations
@@ -75,17 +75,18 @@ def cellset_to_dict(a: CellSet) -> dict:
 def write_cellset(path: str, a: CellSet) -> None:
     """Write a cell set file: the bytes of dump_json(path, cellset_to_dict(a)).
 
-    The text is built without the JSON encoder: one "%d" template per
-    cell, in the layout of indent=1, repeated and filled by a single `%`
-    from the coordinates of the sorted flat indices.
+    The text is built without the JSON encoder, in the layout of
+    indent=1: the cells of a run share every line but the one of their
+    last coordinate, so each run is one join of those coordinates.
     """
-    import numpy as np
-
-    cell = "  [\n" + ",\n".join(["   %d"] * a.n) + "\n  ]"
-    coords = np.stack(a.coordinates(), axis=1).ravel().tolist()
-    cells = "[]"
-    if coords:
-        cells = "[\n" + ",\n".join([cell] * len(a.cells)) % tuple(coords) + "\n ]"
+    runs = []
+    last_prefix = None
+    for prefix, lo, hi in a.cells.runs():
+        if prefix is not last_prefix:
+            last_prefix = prefix
+            head = "  [\n" + "".join(f"   {c},\n" for c in prefix) + "   "
+        runs.append(head + f"\n  ],\n{head}".join(map(str, range(lo, hi))) + "\n  ]")
+    cells = "[\n" + ",\n".join(runs) + "\n ]" if runs else "[]"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{\n "M": {a.M},\n "cells": {cells},\n "n": {a.n}\n}}\n')
 
@@ -150,7 +151,7 @@ def weighted_grid_from_dict(data: dict) -> WeightedGrid:
     _check_entries(entries, dict, "weights")
     points = [_require(entry, "point", "weights entry") for entry in entries]
     _check_entries(points, list, "weights points")
-    # Also checked by WeightedGrid, but the points key a dict first.
+    # Checked here, not by WeightedGrid: the points key a dict first.
     check_grid(n, m)
     check_grid_points(points, n, m, "point")
     weights: dict[tuple[int, ...], Fraction] = {}
@@ -160,7 +161,7 @@ def weighted_grid_from_dict(data: dict) -> WeightedGrid:
         weights[point] = _rational_field(
             _require(entry, "w", "weights entry"), f"weight at {point}"
         )
-    return WeightedGrid(n=n, m=m, weights=weights)
+    return WeightedGrid(n=n, m=m, weights=weights, points_checked=True)
 
 
 def cube_chain_from_dict(data: dict) -> tuple[ChainOfPoints, int, int]:
@@ -172,4 +173,4 @@ def cube_chain_from_dict(data: dict) -> tuple[ChainOfPoints, int, int]:
     _check_entries(cubes, list, "cube chain cubes")
     check_dimension(n)
     check_points(cubes, n, "cube")
-    return ChainOfPoints(points=tuple(map(tuple, cubes))), n, m
+    return ChainOfPoints(points=tuple(map(tuple, cubes)), points_checked=True), n, m

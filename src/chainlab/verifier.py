@@ -25,31 +25,39 @@ Both staircase searches run on `gridposet.monotone_path_dp`, with each
 fine lattice edge scored once, as a 0/1 gain that the forward pass and
 the backtrack both read.
 
-Storage.  A `CellSet` keeps its cells as one sorted, duplicate-free numpy
-int64 array of row-major flat indices, in the order of sorted coordinate
-tuples; M**n must stay below 2**63 (`ResourceLimitError` otherwise).
-Every stage works on that array: the slab raster keeps the flat indices
-of an integer range of coordinate sums, the coarse counts are an
-`np.unique` of floor-divided coordinates (only touched coarse cubes, and
-computed once per `end_to_end_verify`), and the edge gains of a box are
-one `np.searchsorted` membership test.  Counts leave numpy as Python
-ints, so every `Fraction` has int numerator and denominator.  numpy is
-imported inside the `CellSet` methods and array kernels that use it, so
-importing this module does not load it: only code that builds or reads
-a `CellSet` pays for that import.
+Storage.  A `CellSet` keeps its cells as row runs (`CellRuns`): one
+sorted tuple of flat-index bounds of the runs of consecutive cells
+along the last axis, each run inside one row (one value of the first
+n-1 coordinates).  M**n must stay below 2**63 (`ResourceLimitError`
+otherwise).  Every stage works on the runs in pure Python: the slab
+raster is one run per row, the coarse counts cut each run at the coarse
+columns it crosses (only touched coarse cubes, computed once per
+`end_to_end_verify`), membership is one bisection of the bounds, and
+the edge gains of a box are slices of the bytes of the rows it meets.
+No part of this module imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Literal, Mapping
+from itertools import chain, compress, cycle, islice, repeat
+from typing import Iterable, Iterator, Literal, Mapping
 
 from .chain_geometry import MonotonePolyline
 from .config import Config
-from .errors import DomainError, ResourceLimitError, check_grid, check_grid_points
+from .errors import (
+    DomainError,
+    ResourceLimitError,
+    check_grid,
+    check_grid_points,
+    check_in_grid,
+    check_points,
+)
 from .gridposet import (
     ChainOfPoints,
     GridPoint,
@@ -61,11 +69,8 @@ from .rational import as_rational, RationalLike
 from .slab_volume import SlabSpec, slab_volume_exact
 from .whitney import whitney_sum
 
-if TYPE_CHECKING:
-    import numpy as np
 
-
-#: Flat cell indices are numpy int64, so M**n must stay below 2**63.
+#: Flat cell indices stay in the int64 range, so M**n must stay below 2**63.
 _FLAT_LIMIT = 2**63
 
 
@@ -77,71 +82,157 @@ def _check_flat_range(n: int, M: int) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class CellSet:
-    """A union of grid cubes with side 1/M, identified by their index vectors.
+def _unravel(index: int, base: int, length: int) -> GridPoint:
+    """The `length` digits of `index` in base `base`, most significant first."""
+    digits = [0] * length
+    for j in range(length - 1, -1, -1):
+        index, digits[j] = divmod(index, base)
+    return tuple(digits)
 
-    Storage: `cells` is one sorted, duplicate-free, read-only numpy int64
-    array of row-major flat cell indices; cell (c_1, ..., c_n) has index
-    sum c_j * M**(n-j).  Sorted flat indices are in the order of sorted
-    coordinate tuples.  `cells` may be given as any iterable of integer
-    coordinate sequences or as a one-dimensional integer ndarray of flat
-    indices; duplicates collapse.
+
+def _run_keys(coords: list[int], n: int, M: int) -> list[int]:
+    """The key row * (M+1) + c of each cell, from the cells' flat coordinates:
+    the first n-1 coordinates in base M, then the last in base M + 1."""
+    # Lazy columns and maps: only the keys themselves are ever held.
+    keys: Iterator[int] = islice(coords, 0, None, n)
+    for j in range(1, n):
+        base = repeat(M + 1 if j == n - 1 else M)
+        keys = map(operator.add, map(operator.mul, keys, base), islice(coords, j, None, n))
+    return list(keys)
+
+
+@dataclass(frozen=True, repr=False)
+class CellRuns:
+    """The cells of a `CellSet` as row runs; a read-only view of their
+    sorted flat indices.
+
+    A row is one value of the first n-1 coordinates.  `bounds` is one
+    sorted tuple (s_0, e_0, s_1, e_1, ...) of flat indices: the cells
+    with flat indices in [s_i, e_i) are a run, consecutive along the last
+    axis inside one row.  The runs of a row are disjoint and never touch,
+    so a cell set has exactly one such tuple.  `len` is the number of
+    cells, and iterating yields their flat indices in increasing order;
+    neither builds a list of cells.  The constructor takes the bounds as
+    they are; `from_keys` builds them from cells in any order.
     """
 
     n: int
     M: int
-    cells: np.ndarray
+    bounds: tuple[int, ...]
+    count: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        import numpy as np
+        object.__setattr__(self, "bounds", tuple(self.bounds))
+        object.__setattr__(
+            self, "count", sum(map(operator.sub, self.bounds[1::2], self.bounds[0::2]))
+        )
 
-        check_grid(self.n, self.M, "M")
-        _check_flat_range(self.n, self.M)
-        if isinstance(self.cells, np.ndarray):
-            flat = self._flat_from_indices(self.cells)
-        else:
-            flat = self._flat_from_coordinates(self.cells)
-        # Sort, then drop repeats: np.unique gives the same array, but
-        # numpy 2 runs it through a hash table, about 20 times slower here.
-        flat = np.sort(flat)
-        if len(flat) > 1:
-            flat = flat[np.append(True, flat[1:] != flat[:-1])]
-        flat.flags.writeable = False
-        object.__setattr__(self, "cells", flat)
+    @classmethod
+    def from_keys(cls, n: int, M: int, keys: list[int]) -> "CellRuns":
+        """The runs of the cells with keys row * (M+1) + c, in any order,
+        repeats allowed; `keys` is sorted in place.
 
-    def _flat_from_indices(self, flat: np.ndarray) -> np.ndarray:
-        import numpy as np
+        Keys of consecutive cells of one row differ by 1, and rows are a
+        key apart, so the runs are the stretches of consecutive keys.
+        """
+        keys.sort()
+        steps = map(operator.sub, islice(keys, 1, None), keys)
+        # Positions of the first key of every run but the first.
+        cuts = list(compress(range(1, len(keys)), map(operator.ne, steps, repeat(1))))
+        firsts = [*keys[:1], *map(keys.__getitem__, cuts)]
+        lasts = [*map(keys.__getitem__, map(operator.sub, cuts, repeat(1))), *keys[-1:]]
+        if any(map(operator.le, islice(firsts, 1, None), lasts)):
+            # A repeated key starts a run at the last key of the one before.
+            return cls.from_keys(n, M, sorted(set(keys)))
+        del keys, cuts  # for big sets, free them before the bounds are built
+        # Key row * (M+1) + c is flat index row * M + c.
+        width = repeat(M + 1)
+        starts = map(operator.sub, firsts, map(operator.floordiv, firsts, width))
+        stops = map(
+            operator.sub, map(operator.add, lasts, repeat(1)), map(operator.floordiv, lasts, width)
+        )
+        return cls(n, M, tuple(chain.from_iterable(zip(starts, stops))))
 
-        if flat.ndim != 1 or flat.dtype.kind not in "iu":
-            raise DomainError(
-                f"cell index arrays must be one-dimensional integer arrays, got {flat.dtype} "
-                f"of shape {flat.shape}"
-            )
-        if flat.size and not 0 <= flat.min() <= flat.max() < self.M**self.n:
-            raise DomainError(f"flat cell index outside the resolution-{self.M} grid")
-        return flat.astype(np.int64)
+    def runs(self) -> Iterator[tuple[GridPoint, int, int]]:
+        """(prefix, lo, hi) per run, in order: the cells prefix + (c,) for c in [lo, hi).
 
-    def _flat_from_coordinates(self, cells: object) -> np.ndarray:
-        import numpy as np
+        The runs of one row share one prefix tuple, the row's first n-1
+        coordinates.
+        """
+        M = self.M
+        pairs = iter(self.bounds)
+        last_row, prefix = -1, ()
+        for start, stop in zip(pairs, pairs):
+            row, lo = divmod(start, M)
+            if row != last_row:
+                last_row, prefix = row, _unravel(row, M, self.n - 1)
+            yield prefix, lo, lo + stop - start
 
-        # In [0, M-1], and M**n < 2**63: every coordinate fits in int64.
-        values = np.fromiter(check_grid_points(cells, self.n, self.M, "cell"), dtype=np.int64)
-        columns = values.reshape(-1, self.n).T
-        flat = columns[0]
-        for column in columns[1:]:
-            flat = flat * self.M + column
-        return flat
+    def __len__(self) -> int:
+        return self.count
 
-    def coordinates(self) -> tuple[np.ndarray, ...]:
-        """The cells' coordinates, one array per axis, in sorted cell order."""
-        import numpy as np
+    def __iter__(self) -> Iterator[int]:
+        b = self.bounds
+        return chain.from_iterable(map(range, islice(b, 0, None, 2), islice(b, 1, None, 2)))
 
-        return np.unravel_index(self.cells, (self.M,) * self.n)
+    def __repr__(self) -> str:
+        return f"CellRuns(n={self.n}, M={self.M}, cells={self.count}, runs={len(self.bounds) // 2})"
+
+
+@dataclass(frozen=True, eq=False)
+class CellSet:
+    """A union of grid cubes with side 1/M, identified by their index vectors.
+
+    `cells` may be given as any iterable of integer coordinate sequences
+    (duplicates collapse) or as a `CellRuns` of the same n and M; it is
+    kept as the `CellRuns` view of the sorted flat indices.  Cell
+    (c_1, ..., c_n) has flat index sum c_j * M**(n-j), and sorted flat
+    indices are in the order of sorted coordinate tuples.  `from_flat`
+    builds a set from flat indices.
+    """
+
+    n: int
+    M: int
+    cells: CellRuns
+
+    def __post_init__(self) -> None:
+        n, M = self.n, self.M
+        check_grid(n, M, "M")
+        _check_flat_range(n, M)
+        if isinstance(self.cells, CellRuns):
+            if (self.cells.n, self.cells.M) != (n, M):
+                raise DomainError(
+                    f"cell runs of n={self.cells.n}, M={self.cells.M} "
+                    f"given for n={n}, M={M}"
+                )
+            return
+        # The coordinates and keys are passed on unnamed, so that each
+        # list can be freed as soon as the next is made.
+        runs = CellRuns.from_keys(
+            n, M, _run_keys(check_grid_points(self.cells, n, M, "cell"), n, M)
+        )
+        object.__setattr__(self, "cells", runs)
+
+    @classmethod
+    def from_flat(cls, n: int, M: int, flat: Iterable[int]) -> "CellSet":
+        """The cells with the given flat indices, in any order; duplicates collapse."""
+        check_grid(n, M, "M")
+        _check_flat_range(n, M)
+        flat = list(flat)
+        if set(map(type, flat)) - {int}:
+            bad = next(f for f in flat if type(f) is not int)
+            raise DomainError(f"flat cell indices must be integers, got {bad!r}")
+        if flat and not 0 <= min(flat) <= max(flat) < M**n:
+            raise DomainError(f"flat cell index outside the resolution-{M} grid")
+        keys = map(operator.add, flat, map(operator.floordiv, flat, repeat(M)))
+        return cls(n, M, CellRuns.from_keys(n, M, list(keys)))
 
     def points(self) -> list[GridPoint]:
         """The cells as coordinate tuples of Python ints, sorted."""
-        return list(zip(*(axis.tolist() for axis in self.coordinates())))
+        points: list[GridPoint] = []
+        for prefix, lo, hi in self.cells.runs():
+            points += zip(*map(repeat, prefix), range(lo, hi))
+        return points
 
     def __contains__(self, cell: object) -> bool:
         """Whether the coordinate sequence `cell` is a cell of the set.
@@ -149,8 +240,6 @@ class CellSet:
         Coordinates must be integers (bools count as 0 and 1); a cell with
         any other coordinate, such as 1.0 or 0.5, is never a member.
         """
-        import numpy as np
-
         try:
             cell = [operator.index(c) for c in cell]
         except TypeError:
@@ -160,20 +249,16 @@ class CellSet:
         flat = 0
         for c in cell:
             flat = flat * self.M + c
-        i = int(np.searchsorted(self.cells, flat))
-        return i < len(self.cells) and int(self.cells[i]) == flat
+        # Inside a run exactly when an odd number of bounds are <= flat.
+        return bisect_right(self.cells.bounds, flat) % 2 == 1
 
     def __eq__(self, other: object) -> bool:
-        import numpy as np
-
         if not isinstance(other, CellSet):
             return NotImplemented
-        return (self.n, self.M) == (other.n, other.M) and np.array_equal(
-            self.cells, other.cells
-        )
+        return self.cells == other.cells
 
     def __hash__(self) -> int:
-        return hash((self.n, self.M, self.cells.tobytes()))
+        return hash(self.cells)
 
 
 def measure(a: CellSet) -> Fraction:
@@ -200,12 +285,9 @@ def discretize_slab(
     anything of positive measure.
 
     A cell with index sum s has closure sums in [s/M, (s+n)/M], so each
-    mode keeps an integer range of s.  The sums of all M^n cells are
-    built by broadcasting, in flat-index order, and the kept cells are
-    their flat indices.
+    mode keeps an integer range of s.  In a row whose first n-1
+    coordinates sum to t, that is one run of the last coordinate.
     """
-    import numpy as np
-
     if mode not in ("inner", "outer"):
         raise DomainError(f"mode must be 'inner' or 'outer', got {mode!r}")
     spec = SlabSpec(n=n, kappa=as_rational(kappa))
@@ -220,12 +302,15 @@ def discretize_slab(
     else:
         # s < hi*M and s + n > lo*M
         s_lo, s_hi = math.floor(lo_times_m) - n + 1, math.ceil(hi_times_m) - 1
-    axis = np.arange(max(M, 0), dtype=np.int64)
-    sums = axis
+    row_sums = [0]
     for _ in range(n - 1):
-        sums = (sums[:, None] + axis).ravel()
-    cells = np.flatnonzero((sums >= s_lo) & (sums <= s_hi))
-    return CellSet(n=n, M=M, cells=cells)
+        row_sums = [t + c for t in row_sums for c in range(M)]
+    bounds: list[int] = []
+    for start, t in zip(range(0, M**n, M), row_sums):
+        lo, hi = max(s_lo - t, 0), min(s_hi - t + 1, M)
+        if lo < hi:
+            bounds += (start + lo, start + hi)
+    return CellSet(n=n, M=M, cells=CellRuns(n, M, bounds))
 
 
 def _check_epsilon(n: int, epsilon: Fraction) -> None:
@@ -329,21 +414,48 @@ class CoverSets:
 
 
 def _coarse_counts(a: CellSet, m: int) -> dict[GridPoint, int]:
-    import numpy as np
+    """Cells per touched coarse cube, in sorted cube order.
 
+    The cells of a run fall in the coarse cubes of one coarse row (the
+    cubes' first n-1 coordinates).  Each run gives its two end columns
+    their share and marks the whole columns between them +1/-1, and
+    one sweep per coarse row adds those up.  Only touched cubes are
+    ever held, never all m^n.
+    """
     if type(m) is not int or m < 1:
         raise DomainError(f"coarse resolution must be a positive integer, got {m!r}")
     if a.M % m != 0:
         raise DomainError(f"coarse resolution {m} does not divide M={a.M}")
     w = a.M // m
-    # Flat coarse index of every cell; only the touched coarse cubes are
-    # ever materialised, never all m^n of them.
-    coarse = np.zeros(len(a.cells), dtype=np.int64)
-    for axis in a.coordinates():
-        coarse = coarse * m + axis // w
-    cubes, counts = np.unique(coarse, return_counts=True)
-    points = zip(*(axis.tolist() for axis in np.unravel_index(cubes, (m,) * a.n)))
-    return dict(zip(points, counts.tolist()))
+    rows: dict[GridPoint, tuple[defaultdict[int, int], defaultdict[int, int]]] = {}
+    last_prefix = None
+    for prefix, lo, hi in a.cells.runs():
+        if prefix is not last_prefix:
+            last_prefix = prefix
+            key = tuple(c // w for c in prefix)
+            counts, marks = rows.setdefault(key, (defaultdict(int), defaultdict(int)))
+        k0, k1 = lo // w, (hi - 1) // w
+        if k0 == k1:
+            counts[k0] += hi - lo
+            continue
+        counts[k0] += (k0 + 1) * w - lo
+        counts[k1] += hi - k1 * w
+        if k1 - k0 > 1:
+            marks[k0 + 1] += 1
+            marks[k1] -= 1
+    cubes: dict[GridPoint, int] = {}
+    for key in sorted(rows):
+        counts, marks = rows[key]
+        depth = previous = 0
+        for k in sorted(marks):
+            if depth:
+                for column in range(previous, k):
+                    counts[column] += depth * w
+            depth += marks[k]
+            previous = k
+        columns = sorted(counts)
+        cubes.update(zip(zip(*map(repeat, key), columns), map(counts.__getitem__, columns)))
+    return cubes
 
 
 def cover_sets(a: CellSet, m: int, params: EpsilonParams) -> CoverSets:
@@ -459,29 +571,57 @@ def _edge_gains(
     index of the box) along axis j lies in a cell of `a`: in x's absolute
     coordinates, the cell with index x_j - 1 along j and min(x_t, M-1)
     along every other axis t.  The first corner along j has no such edge
-    and gains 0.  The flat indices of all edge cells are built by
-    broadcasting and looked up in `a.cells` by one `np.searchsorted`.
-    """
-    import numpy as np
+    and gains 0.
 
+    The corners of the box with fixed first n-1 coordinates meet one row
+    of cells, so each row the box meets is read from the runs once, as
+    the bytes of its cells lo-1 .. hi along the last axis (clipped to
+    M-1).  Every axis's gains are slices of those bytes, row after row.
+    """
     n, M = a.n, a.M
+    bounds = a.cells.bounds
     shape = [hi - lo + 1 for lo, hi in zip(lo_corner, hi_corner)]
-    across = [
-        np.minimum(np.arange(lo, hi + 1), M - 1) for lo, hi in zip(lo_corner, hi_corner)
+    size = math.prod(shape)
+    lo, hi = lo_corner[-1], hi_corner[-1]
+    first, last = max(lo - 1, 0), min(hi, M - 1)
+    masks: dict[int, bytes] = {}
+
+    def mask(row: int) -> bytes:
+        # Cells lo-1 .. hi of the row (none at -1, cell M-1 past M-1):
+        # between the run bounds inside [start, stop), stretches of zeros
+        # and ones alternate, starting with ones if start is in a run.
+        start, stop = row * M + first, row * M + last + 1
+        i, j = bisect_right(bounds, start), bisect_left(bounds, stop)
+        edges = [start, *bounds[i:j], stop]
+        fill = cycle((b"\x01", b"\x00") if i % 2 else (b"\x00", b"\x01"))
+        bits = b"".join(map(operator.mul, fill, map(operator.sub, edges[1:], edges)))
+        return b"\x00" * (lo == 0) + bits + bits[-1:] * (hi - last)
+
+    # Cell coordinates of the box's rows along the first n-1 axes.
+    clipped = [
+        [min(x, M - 1) for x in range(l, h + 1)] for l, h in zip(lo_corner[:-1], hi_corner[:-1])
     ]
     gains = []
     for j in range(n):
-        flat = 0
-        for t in range(n):
-            coord = np.arange(lo_corner[t] - 1, hi_corner[t]) if t == j else across[t]
-            flat = flat * M + coord.reshape([-1 if s == t else 1 for s in range(n)])
-        flat = flat.ravel()
-        if len(a.cells):
-            hit = np.take(a.cells, np.searchsorted(a.cells, flat), mode="clip") == flat
-        else:
-            hit = np.zeros(len(flat), dtype=bool)
-        hit.reshape(shape)[(slice(None),) * j + (0,)] = False
-        gains.append(bytearray(hit))
+        axes = list(clipped)
+        if j < n - 1:
+            # Cell x_j - 1; the first corner reads any row, zeroed below.
+            axes[j] = [max(lo_corner[j] - 1, 0), *range(lo_corner[j], hi_corner[j])]
+        rows = [0]
+        for axis in axes:
+            rows = [r * M + c for r in rows for c in axis]
+        for row in rows:
+            if row not in masks:
+                masks[row] = mask(row)
+        # Along the last axis the cells are x - 1, along the others min(x, M-1).
+        part = slice(1, None) if j < n - 1 else slice(0, -1)
+        line = bytearray(b"".join([masks[row][part] for row in rows]))
+        # The first corner along j has no edge along j.
+        stride = math.prod(shape[j + 1 :])
+        zeros = bytes(stride)
+        for start in range(0, size, stride * shape[j]):
+            line[start : start + stride] = zeros
+        gains.append(line)
     return gains
 
 
@@ -611,7 +751,12 @@ def build_chain_through_cubes(
     epsilon = as_rational(epsilon)
     _check_epsilon(n, epsilon)
     counts = _coarse_counts(a, m)
-    check_grid_points(q.points, n, m, "cube")
+    # The points of q are integer tuples of one dimension (ChainOfPoints
+    # checks them): left are their dimension against n and their range.
+    coords = list(chain.from_iterable(q.points))
+    if len(coords) != n * len(q.points):
+        check_points(q.points, n, "cube")
+    check_in_grid(coords, n, m, "cube")
     w = a.M // m
     threshold = _density_threshold(n, epsilon)
     for cube in q.points:

@@ -1,4 +1,5 @@
-"""Flat-index cell sets: array kernels against tuple oracles, file bytes,
+"""Row-run cell sets: run kernels against tuple oracles (on random and on
+fragmented sets, whose runs are single cells), file bytes,
 representation limits, exact types, and fuzzers for cell files and for
 every other input file kind."""
 
@@ -39,6 +40,27 @@ ERROR_SCHEMA = json.loads(
 )
 
 
+def flat_index(cell, M):
+    flat = 0
+    for c in cell:
+        flat = flat * M + c
+    return flat
+
+
+def assert_canonical_runs(a):
+    """Runs are nonempty, sorted, inside one row, and never touch within a row."""
+    bounds = a.cells.bounds
+    assert type(bounds) is tuple and len(bounds) % 2 == 0
+    assert all(type(b) is int for b in bounds)
+    assert list(bounds) == sorted(bounds)
+    for i in range(0, len(bounds), 2):
+        start, stop = bounds[i], bounds[i + 1]
+        assert start < stop
+        assert start // a.M == (stop - 1) // a.M
+        if i:
+            assert bounds[i - 1] < start or start % a.M == 0
+
+
 def random_box(rng, n, M):
     lo, hi = [], []
     for _ in range(n):
@@ -60,7 +82,8 @@ class TestAgainstTupleOracles:
             expected = oracle.discretize_slab_cells(n, M, kappa, mode)
             assert a.points() == sorted(expected)
             assert len(a.cells) == len(expected)
-            assert a.cells.dtype == np.int64
+            assert list(a.cells) == sorted(flat_index(c, M) for c in expected)
+            assert_canonical_runs(a)
 
     def test_coarse_counts(self):
         rng = random.Random(8102)
@@ -110,23 +133,76 @@ class TestAgainstTupleOracles:
         assert (np.int64(0), np.int64(2)) in a
 
 
+def checkerboard(n, M):
+    return CellSet(n, M, [c for c in itertools.product(range(M), repeat=n) if sum(c) % 2 == 0])
+
+
+class TestFragmentedSets:
+    """Sets whose runs are single cells: every kernel meets one run per cell."""
+
+    CASES = [(1, 9), (2, 11), (2, 12), (3, 6), (4, 4)]
+
+    @pytest.mark.parametrize("n, M", CASES)
+    def test_checkerboard_kernels(self, tmp_path, n, M):
+        a = checkerboard(n, M)
+        members = frozenset(a.points())
+        assert len(a.cells.bounds) == 2 * len(a.cells) == 2 * len(members)
+        assert_canonical_runs(a)
+        for m in range(1, M + 1):
+            if M % m == 0:
+                assert _coarse_counts(a, m) == oracle.coarse_counts(a.points(), M, m)
+        rng = random.Random(8107 + n * M)
+        for lo, hi in [((0,) * n, (M,) * n)] + [random_box(rng, n, M) for _ in range(10)]:
+            assert _edge_gains(a, lo, hi) == oracle.edge_gains(members, M, lo, hi)
+        for cell in itertools.product(range(-1, M + 1), repeat=n):
+            assert (cell in a) == (cell in members)
+        path, oracle_path = tmp_path / "cells.json", tmp_path / "oracle.json"
+        chainlab_io.write_cellset(str(path), a)
+        chainlab_io.dump_json(str(oracle_path), chainlab_io.cellset_to_dict(a))
+        assert path.read_bytes() == oracle_path.read_bytes()
+        assert chainlab_io.cellset_from_dict(chainlab_io.load_json(str(path))) == a
+
+    @pytest.mark.parametrize("n, M", [(2, 20), (2, 21), (3, 9), (4, 6)])
+    def test_one_cell_per_row_rasters(self, tmp_path, n, M):
+        # kappa = n/M leaves one coordinate sum, so one cell per row.
+        a = discretize_slab(n, M, Fraction(n, M), "inner")
+        expected = oracle.discretize_slab_cells(n, M, Fraction(n, M), "inner")
+        assert a.points() == sorted(expected)
+        assert len(a.cells.bounds) == 2 * len(a.cells) == 2 * len(expected) > 0
+        assert_canonical_runs(a)
+        path = tmp_path / "cells.json"
+        chainlab_io.write_cellset(str(path), a)
+        assert path.read_text(encoding="utf-8") == expected_cell_file(n, M, expected)
+
+
 class TestRepresentation:
     def test_flat_index_storage(self):
-        a = CellSet(2, 4, [[3, 1], [0, 2], [3, 1]])
-        assert a.cells.tolist() == [2, 13]
-        assert not a.cells.flags.writeable
-        assert a.points() == [(0, 2), (3, 1)]
-        assert CellSet(2, 4, np.array([13, 2, 13])) == a
+        a = CellSet(2, 4, [[3, 1], [0, 2], [3, 1], [1, 0], [0, 3]])
+        assert a.cells.bounds == (2, 4, 4, 5, 13, 14)
+        assert list(a.cells) == [2, 3, 4, 13]
+        assert len(a.cells) == 4
+        with pytest.raises(TypeError):
+            a.cells[0] = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.cells = []
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.cells.bounds = ()
+        assert a.points() == [(0, 2), (0, 3), (1, 0), (3, 1)]
+        assert CellSet.from_flat(2, 4, [13, 2, 4, 13, 3]) == a
+        assert CellSet(2, 4, a.cells) == a == dataclasses.replace(a)
+        assert_canonical_runs(a)
+        with pytest.raises(DomainError):
+            CellSet(2, 5, a.cells)
 
     def test_flat_index_input_checked(self):
         with pytest.raises(DomainError):
-            CellSet(2, 4, np.array([16]))
+            CellSet.from_flat(2, 4, [16])
         with pytest.raises(DomainError):
-            CellSet(2, 4, np.array([-1]))
+            CellSet.from_flat(2, 4, [-1])
         with pytest.raises(DomainError):
-            CellSet(2, 4, np.array([[0, 1]]))
+            CellSet.from_flat(2, 4, [[0, 1]])
         with pytest.raises(DomainError):
-            CellSet(2, 4, np.array([0.0]))
+            CellSet.from_flat(2, 4, [0.0])
 
     def test_equality_and_hash(self):
         a = CellSet(2, 4, [(0, 1), (1, 1)])
