@@ -286,10 +286,11 @@ def _cmd_verify(args: argparse.Namespace, config: Config) -> dict:
         "measure_float": float(report.measure_a),
         "slab_volume": format_rational(report.slab_volume),
         "slab_volume_float": float(report.slab_volume),
-        "adversarial_lower": format_rational(report.adversarial_lower),
-        "adversarial_lower_float": float(report.adversarial_lower),
-        "dp_upper": format_rational(report.dp_upper),
-        "dp_upper_float": float(report.dp_upper),
+        # Both keys hold the exact supremum; the names predate it.
+        "adversarial_lower": format_rational(report.chain_mass_sup),
+        "adversarial_lower_float": float(report.chain_mass_sup),
+        "dp_upper": format_rational(report.chain_mass_sup),
+        "dp_upper_float": float(report.chain_mass_sup),
         "touched_count": report.touched_count,
         "dense_count": report.dense_count,
         "whitney_cap": report.whitney_cap,

@@ -20,7 +20,8 @@ from .errors import DomainError
 class Config:
     #: Cap on m**n for the coarse chain DP and cell enumerations.
     max_grid_states: int = 10**7
-    #: Cap on the number of fine lattice corners in the staircase DP.
+    #: Cap on the fine lattice corners of the staircase DP and on the
+    #: row-element updates of the chain-mass DP.
     max_fine_states: int = 10**7
     #: Memory budget for Whitney coefficient tables, in bytes.
     max_table_bytes: int = 1 << 28

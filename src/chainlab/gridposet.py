@@ -232,8 +232,9 @@ def symmetric_chain_decomposition(n: int, m: int) -> SymmetricChainDecomposition
                 hook += [chain[i] + (q - t,) for i in range(t + 1, p + 1)]
                 spliced.append(hook)
         chains = spliced
+    # The splice builds integer tuples of one dimension.
     return SymmetricChainDecomposition(
-        n=n, m=m, chains=tuple(ChainOfPoints(tuple(c)) for c in chains)
+        n=n, m=m, chains=tuple(ChainOfPoints(tuple(c), points_checked=True) for c in chains)
     )
 
 

@@ -1,18 +1,30 @@
 """Discretization harness for box-union sets in the unit cube.
 
 A measurable set is represented as a union of half-open grid cubes at a
-fine resolution M (the last cube along each axis is closed, so the cubes
-partition [0,1]^n).  On such sets every quantity of the discretization
-machinery is an exact rational: measures, per-cell densities, chain
-masses along staircases, and the covering and Whitney-sum inequalities
-of the proof chain.
+fine resolution M: cell (c_1, ..., c_n) is the product of the intervals
+[c_j/M, (c_j+1)/M), except that the last interval along each axis is
+closed at 1, so the cells partition [0,1]^n.  On such sets every
+quantity of the discretization machinery is an exact rational:
+measures, per-cell densities, chain masses along staircases, and the
+covering and Whitney-sum inequalities of the proof chain.
 
-The two chain-mass oracles bracket the unknowable supremum of chain mass
-over a box union:
+The supremum of chain mass over a box union A has a closed form,
 
-* `adversarial_chain_search` is a lower bound: the best monotone
-  staircase along fine lattice edges, found by dynamic programming.
-* `max_cell_chain_mass_upper` is a sound upper bound: a chain meets the
+    M * sup_C H^1(A intersect C) = max over chains P of cells of A of
+                                   sum_j #{distinct values of c_j on P}
+
+A chain advances at most 1/M along axis j while x_j stays in one level
+[k/M, (k+1)/M), and the cells it meets form a chain; conversely a
+staircase that hugs the upper faces of the cells of P, offset inward by
+1/(K*M), comes within O(1/K) of the right-hand side over M.  With closed
+cells the value could be larger: a staircase along the shared face of
+two incomparable cells would count in both.  `chain_mass_sup` computes the value exactly by a
+DP over the fine corners, and `end_to_end_verify` decides feasibility
+(sup <= kappa) with it alone.  Two coarser chain-mass oracles bracket it:
+
+* `adversarial_chain_search`, the best monotone staircase along fine
+  lattice edges, is a lower bound with a witness.
+* `max_cell_chain_mass_upper` is an upper bound: a chain meets the
   coarse cubes in a chain of cubes, contributes at most n/m inside each,
   and only cubes meeting the set contribute.  It can be loose by up to a
   factor n.
@@ -33,7 +45,8 @@ otherwise).  Every stage works on the runs in pure Python: the slab
 raster is one run per row, the coarse counts cut each run at the coarse
 columns it crosses (only touched coarse cubes, computed once per
 `end_to_end_verify`), membership is one bisection of the bounds, and
-the edge gains of a box are slices of the bytes of the rows it meets.
+the chain-mass DP and the edge gains of a box read the rows they meet
+as bytes, one per cell (`_run_bytes`).
 No part of this module imports numpy.
 """
 
@@ -45,7 +58,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, cycle, islice, repeat
+from itertools import accumulate, chain, compress, cycle, islice, product, repeat
 from typing import Iterable, Iterator, Literal, Mapping
 
 from .chain_geometry import MonotonePolyline
@@ -521,19 +534,113 @@ def claim_check(
     )
 
 
-def max_cell_chain_mass_upper(
-    a: CellSet, m: int, cover: CoverSets | None = None, config: Config = Config()
-) -> Fraction:
+def _run_bytes(bounds: tuple[int, ...], start: int, stop: int) -> bytes:
+    """One byte per flat index in [start, stop): 1 inside a run of `bounds`, else 0.
+
+    Between the run bounds inside [start, stop), stretches of zeros and
+    ones alternate, starting with ones if start is in a run.
+    """
+    i, j = bisect_right(bounds, start), bisect_left(bounds, stop)
+    edges = [start, *bounds[i:j], stop]
+    fill = cycle((b"\x01", b"\x00") if i % 2 else (b"\x00", b"\x01"))
+    return b"".join(map(operator.mul, fill, map(operator.sub, edges[1:], edges)))
+
+
+def _max_rows(rows: list[Iterator[int]]) -> Iterator[int]:
+    """The pointwise maximum of equally long rows."""
+    best = rows[0]
+    for row in rows[1:]:
+        best = iter([x if x > y else y for x, y in zip(best, row)])
+    return best
+
+
+def chain_mass_sup(a: CellSet, config: Config = Config()) -> Fraction:
+    """The supremum over chains C of H^1(A intersect C), exactly.
+
+    M times the supremum is g(M, ..., M), where g runs over the corners
+    {0..M}^n of the fine cells:
+
+        g(0) = 0,
+        g(y) = max over s in {0,1}^n \\ {0} with s <= y of
+               g(y - s) + |s| * [cell y - s is in A]
+
+    A move y - s -> y crosses cell y - s and advances 1/M along each axis
+    of s; a corner with a coordinate equal to M has no cell.
+
+    The corners are filled one row (a run along the last axis) at a
+    time.  Each earlier row y' - s', for s' in {0,1}^(n-1) \\ {0}, gives
+    the moves s = (s', 0), read at the same last coordinate i, and
+    s = (s', 1), read at i - 1; one scan along the row then adds the
+    moves along the last axis alone.  Only the rows still to be read are
+    kept.  The work, (M+1)**n * max(1, 2**(n-1) - 1) row-element updates,
+    may not exceed `config.max_fine_states`; it is checked first.
+    """
+    n, M = a.n, a.M
+    width = M + 1
+    work = width**n * max(1, 2 ** (n - 1) - 1)
+    if work > config.max_fine_states:
+        raise ResourceLimitError(
+            f"chain-mass DP of {work} row-element updates, cap {config.max_fine_states}"
+        )
+    # The nonzero s' with their row offsets in base M + 1 and weights |s'|;
+    # s' = (1, ..., 1), the farthest back, is last.
+    moves = [
+        (sum(c * width ** (n - 2 - j) for j, c in enumerate(s)), sum(s), s)
+        for s in product((0, 1), repeat=n - 1)
+    ][1:]
+    # scale[w] maps a cell byte 1 to w, for bytes.translate.
+    scale = [bytes((0, w)) + bytes(254) for w in range(n + 1)]
+    span = moves[-1][0] if moves else 0
+    bounds = a.cells.bounds
+    rows: dict[int, tuple[list[int], bytes]] = {}
+    for k, y in enumerate(product(range(width), repeat=n - 1)):
+        if M in y:
+            bits = bytes(width)
+        else:
+            row = 0
+            for c in y:
+                row = row * M + c
+            # The cells of the row, and none at corner M.
+            bits = _run_bytes(bounds, row * M, row * M + M) + b"\x00"
+        # The moves (s', 0) and (s', 1) from each earlier row y' - s'.
+        stays: list[Iterator[int]] = []
+        steps: list[Iterator[int]] = []
+        for offset, w, s in moves:
+            if any(map(operator.lt, y, s)):
+                continue
+            earlier, earlier_bits = rows[k - offset]
+            stays.append(map(operator.add, earlier, earlier_bits.translate(scale[w])))
+            steps.append(map(operator.add, earlier, earlier_bits.translate(scale[w + 1])))
+        if stays:
+            stay, step = _max_rows(stays), _max_rows(steps)
+            value = next(stay)
+            g = [value]
+            # Corner i: the last-axis move from i - 1, stay[i] and step[i - 1].
+            for x, here, back in zip(bits, stay, step):
+                value += x
+                if here > value:
+                    value = here
+                if back > value:
+                    value = back
+                g.append(value)
+        else:
+            g = list(accumulate(bits[:M], initial=0))
+        # Row k - span was last read by row k.
+        rows.pop(k - span, None)
+        rows[k] = g, bits
+    return Fraction(g[-1], M)
+
+
+def max_cell_chain_mass_upper(a: CellSet, m: int, config: Config = Config()) -> Fraction:
     """Sound upper bound on sup over chains C of H^1(A intersect C).
 
     Any chain meets at most n/m of length inside one coarse cube, and
     the cubes it meets form a chain, so the maximum number of touched
     cubes on a cube chain, times n/m, dominates the supremum.  Loose by
-    up to a factor n.  The touched cubes are read from `cover` when
-    given, which must be `cover_sets` of the same `a` and `m`.  The cube
-    chain DP runs over m**n states, at most `config.max_grid_states`.
+    up to a factor n.  The cube chain DP runs over m**n states, at most
+    `config.max_grid_states`.
     """
-    touched = _coarse_counts(a, m).keys() if cover is None else cover.touched
+    touched = _coarse_counts(a, m).keys()
     if not touched:
         return Fraction(0)
     grid = WeightedGrid(n=a.n, m=m, weights={d: Fraction(1) for d in touched})
@@ -587,14 +694,8 @@ def _edge_gains(
     masks: dict[int, bytes] = {}
 
     def mask(row: int) -> bytes:
-        # Cells lo-1 .. hi of the row (none at -1, cell M-1 past M-1):
-        # between the run bounds inside [start, stop), stretches of zeros
-        # and ones alternate, starting with ones if start is in a run.
-        start, stop = row * M + first, row * M + last + 1
-        i, j = bisect_right(bounds, start), bisect_left(bounds, stop)
-        edges = [start, *bounds[i:j], stop]
-        fill = cycle((b"\x01", b"\x00") if i % 2 else (b"\x00", b"\x01"))
-        bits = b"".join(map(operator.mul, fill, map(operator.sub, edges[1:], edges)))
+        # Cells lo-1 .. hi of the row (none at -1, cell M-1 past M-1).
+        bits = _run_bytes(bounds, row * M + first, row * M + last + 1)
         return b"\x00" * (lo == 0) + bits + bits[-1:] * (hi - last)
 
     # Cell coordinates of the box's rows along the first n-1 axes.
@@ -797,8 +898,8 @@ class VerifyReport:
     params: EpsilonParams
     measure_a: Fraction
     slab_volume: Fraction
-    adversarial_lower: Fraction
-    dp_upper: Fraction
+    #: sup over chains C of H^1(A intersect C), exactly (`chain_mass_sup`).
+    chain_mass_sup: Fraction
     touched_count: int
     dense_count: int
     whitney_cap: int
@@ -807,7 +908,8 @@ class VerifyReport:
     whitney_ok: bool
     #: measure(A) <= v_n(kappa): what the slab theorem asserts for feasible sets.
     measure_within_volume: bool
-    feasibility: Literal["feasible", "infeasible", "indeterminate"]
+    #: infeasible exactly when chain_mass_sup > kappa.
+    feasibility: Literal["feasible", "infeasible"]
 
     @property
     def constraint_violated(self) -> bool:
@@ -823,12 +925,10 @@ def end_to_end_verify(
 ) -> VerifyReport:
     """Run the whole proof-chain instrumentation on one box-union set.
 
-    Feasibility (chain mass at most kappa for every chain) is bracketed:
-    certified feasible when the coarse upper bound is at most kappa,
-    certified infeasible when the adversarial staircase already exceeds
-    kappa, indeterminate in between.  `config` supplies the caps of
-    the stages: `max_grid_states` for the coarse upper bound,
-    `max_fine_states` for the staircase search, `epsilon_denominator_cap`
+    Feasibility (chain mass at most kappa for every chain) is decided
+    exactly: the set is infeasible when `chain_mass_sup` exceeds kappa,
+    and feasible otherwise.  `config` supplies the caps of the stages:
+    `max_fine_states` for the chain-mass DP, `epsilon_denominator_cap`
     for the automatic epsilon and `max_table_bytes` for the Whitney cap.
     """
     kappa = as_rational(kappa)
@@ -838,16 +938,9 @@ def end_to_end_verify(
         params = EpsilonParams(n=a.n, m=m, epsilon=as_rational(epsilon), kappa=kappa)
     cover = cover_sets(a, m, params)
     claim = claim_check(a, m, params, cover=cover)
-    upper = max_cell_chain_mass_upper(a, m, cover, config)
-    adversarial = adversarial_chain_search(a, config)
+    sup = chain_mass_sup(a, config)
     cap = whitney_sum(a.n, m, params.kappa_prime, config).value
     volume = slab_volume_exact(SlabSpec(n=a.n, kappa=kappa)).exact
-    if adversarial.lower > kappa:
-        feasibility = "infeasible"
-    elif upper <= kappa:
-        feasibility = "feasible"
-    else:
-        feasibility = "indeterminate"
     return VerifyReport(
         n=a.n,
         m=m,
@@ -855,13 +948,12 @@ def end_to_end_verify(
         params=params,
         measure_a=claim.measure_a,
         slab_volume=volume,
-        adversarial_lower=adversarial.lower,
-        dp_upper=upper,
+        chain_mass_sup=sup,
         touched_count=len(cover.touched),
         dense_count=len(cover.dense),
         whitney_cap=cap,
         claim=claim,
         whitney_ok=len(cover.dense) <= cap,
         measure_within_volume=claim.measure_a <= volume,
-        feasibility=feasibility,
+        feasibility="infeasible" if sup > kappa else "feasible",
     )

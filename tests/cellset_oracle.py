@@ -51,3 +51,23 @@ def edge_gains(cells: frozenset, M: int, lo_corner, hi_corner) -> list[bytearray
         axes = across[:j] + [[-1, *range(lo_corner[j], hi_corner[j])]] + across[j + 1 :]
         gains.append(bytearray(map(cells.__contains__, itertools.product(*axes))))
     return gains
+
+
+def chain_formula_max(cells, n: int) -> int:
+    """M times the chain-mass supremum, by the chain formula.
+
+    The maximum over chains P of cells of the sum over axes j of the
+    number of distinct values of c_j on P, by a DP over the sorted cells:
+    sorted tuples are a linear extension of the componentwise order, and
+    a cell added on top of a chain brings one new value on each axis
+    where it differs from the chain's top cell.
+    """
+    order = sorted(cells)
+    best: list[int] = []
+    for i, c in enumerate(order):
+        value = n
+        for p, b in zip(order[:i], best):
+            if all(x <= y for x, y in zip(p, c)):
+                value = max(value, b + sum(x != y for x, y in zip(p, c)))
+        best.append(value)
+    return max(best, default=0)

@@ -173,12 +173,13 @@ def test_criterion_7_end_to_end_slab_verification():
     assert rep.claim.passed, "covering claim inequality"
     assert rep.dense_count <= rep.whitney_cap, "Whitney bound on dense cover"
     assert rep.measure_a <= Fraction(rep.dense_count, 20**2) + rep.params.delta
-    assert Fraction(96, 100) <= rep.adversarial_lower <= 1
+    assert rep.chain_mass_sup == 1
+    assert rep.feasibility == "feasible"
     assert abs(rep.measure_a - Fraction(3, 4)) <= Fraction(4, 100)
 
     full = CellSet(2, 100, frozenset(itertools.product(range(100), repeat=2)))
     rep_full = end_to_end_verify(full, Fraction(1), 20, epsilon=Fraction(1, 100))
-    assert rep_full.adversarial_lower == 2
+    assert rep_full.chain_mass_sup == 2
     assert rep_full.feasibility == "infeasible"
     report(7, "end-to-end slab verification", started, 120.0)
 

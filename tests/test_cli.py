@@ -359,6 +359,42 @@ class TestVerifyPipeline:
         argv = ["verify", "--set", str(cells_path), "--kappa", "1/1", "--m", "10"]
         assert invoke(argv) == invoke(argv)
 
+    def test_inner_slab_is_feasible(self, tmp_path):
+        # its chains carry mass at most 1, and the verdict is exact
+        cells_path = tmp_path / "cells.json"
+        code, _, _ = invoke(
+            ["raster-slab", "--n", "2", "--M", "400", "--kappa", "1",
+             "--mode", "inner", "-o", str(cells_path)]
+        )
+        assert code == 0
+        code, out, _ = invoke(["verify", "--set", str(cells_path), "--kappa", "1", "--m", "40"])
+        assert code == 0
+        check_schema("verify", out)
+        assert '"adversarial_lower": "1/1"' in out
+        assert '"dp_upper": "1/1"' in out
+        assert '"feasibility": "feasible"' in out
+
+    def test_set_at_kappa_is_feasible(self, tmp_path):
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps({"n": 1, "M": 4, "cells": [[0], [2]]}))
+        code, out, _ = invoke(["verify", "--set", str(path), "--kappa", "1/2", "--m", "2"])
+        assert code == 0
+        payload = check_schema("verify", out)
+        assert (payload["adversarial_lower"], payload["dp_upper"]) == ("1/2", "1/2")
+        assert payload["feasibility"] == "feasible"
+
+    def test_chain_mass_cap_exit_three(self, tmp_path):
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps({"n": 2, "M": 10, "cells": [[0, 0]]}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_fine_states": 120}))
+        argv = ["verify", "--set", str(path), "--kappa", "1/2", "--m", "2"]
+        code, out, err = invoke(argv + ["--config", str(config)])
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["code"] == "resource"
+        config.write_text(json.dumps({"max_fine_states": 121}))
+        assert invoke(argv + ["--config", str(config)])[0] == 0
+
     def test_missing_file(self):
         code, _, err = invoke(["verify", "--set", "/nonexistent.json", "--kappa", "1/1", "--m", "4"])
         assert code == 2

@@ -1,6 +1,7 @@
 """Discretization harness: rasterisation, covers, claim, chain oracles."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -16,17 +17,20 @@ from chainlab import (
     ResourceLimitError,
     adversarial_chain_search,
     build_chain_through_cubes,
+    chain_mass_sup,
     claim_check,
     cover_sets,
     discretize_slab,
     end_to_end_verify,
     max_cell_chain_mass_upper,
     measure,
+    MonotonePolyline,
     polyline,
     slab_volume_exact,
     SlabSpec,
     staircase_mass,
 )
+from cellset_oracle import chain_formula_max
 from conftest import random_cellset, random_covered_cellset, random_dense_cube_chain
 
 
@@ -261,22 +265,16 @@ class TestChainMassBounds:
             adversarial_chain_search(full_cube(2, 50), Config(max_fine_states=100))
 
     def test_sandwich_on_random_sets(self):
+        # the two oracles bracket the exact supremum, at every coarse m
         rng = random.Random(4391)
-        for _ in range(30):
-            a = random_cellset(rng, 2, 24, density=rng.uniform(0.05, 0.9))
+        for n, M in [(2, 24)] * 30 + [(3, 12)] * 10 + [(1, 36)] * 10:
+            a = random_cellset(rng, n, M, density=rng.uniform(0.05, 0.9))
             lower = adversarial_chain_search(a).lower
-            upper = max_cell_chain_mass_upper(a, 8)
-            assert lower <= upper
-
-    def test_upper_reads_touched_cubes_from_cover(self):
-        rng = random.Random(5120)
-        for _ in range(20):
-            n = rng.randint(1, 3)
-            a = random_cellset(rng, n, 12, density=rng.uniform(0, 0.6))
-            params = EpsilonParams(n=n, m=4, epsilon=Fraction(1, 40), kappa=Fraction(1, 2))
-            cover = cover_sets(a, 4, params)
-            upper = max_cell_chain_mass_upper(a, 4, cover=cover)
-            assert upper == max_cell_chain_mass_upper(a, 4)
+            sup = chain_mass_sup(a)
+            assert lower <= sup
+            for m in range(2, M + 1):
+                if M % m == 0:
+                    assert sup <= max_cell_chain_mass_upper(a, m)
 
     def test_witness_mass_matches_oracle(self):
         rng = random.Random(97)
@@ -308,6 +306,66 @@ class TestChainMassBounds:
                     corner[axis] += 1
                 best = max(best, score)
             assert adversarial_chain_search(a).lower == Fraction(best, M)
+
+
+def random_staircase(rng: random.Random, n: int, D: int) -> MonotonePolyline:
+    """A random axis-parallel monotone staircase from the origin on the 1/D lattice."""
+    corner = [0] * n
+    vertices = [tuple(corner)]
+    while rng.random() < 0.95:
+        axes = [j for j in range(n) if corner[j] < D]
+        if not axes:
+            break
+        axis = rng.choice(axes)
+        corner[axis] += rng.randint(1, D - corner[axis])
+        vertices.append(tuple(corner))
+    return MonotonePolyline(n, numerators=vertices, denominator=D)
+
+
+class TestChainMassSup:
+    def test_against_chain_formula(self):
+        # oracle: max over chains of cells of the distinct values per axis
+        rng = random.Random(8123)
+        largest_M = {1: 12, 2: 8, 3: 5, 4: 3}
+        for _ in range(320):
+            n = rng.randint(1, 4)
+            M = rng.randint(2, largest_M[n])
+            a = random_cellset(rng, n, M, density=rng.uniform(0, 1))
+            assert chain_mass_sup(a) == Fraction(chain_formula_max(a.points(), n), M)
+
+    def test_staircases_never_exceed_it(self):
+        # staircase_mass reads cells half-open; so does the supremum
+        rng = random.Random(3307)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            M = rng.randint(2, 6)
+            a = random_cellset(rng, n, M, density=rng.uniform(0.2, 1))
+            sup = chain_mass_sup(a)
+            for K in (1, 2, 4, 8):
+                for _ in range(5):
+                    assert staircase_mass(a, random_staircase(rng, n, K * M)) <= sup
+
+    def test_hand_values(self):
+        assert chain_mass_sup(CellSet(2, 10, [(i, i) for i in range(10)])) == 2
+        for n, M in ((1, 8), (2, 10), (3, 6), (4, 3)):
+            assert chain_mass_sup(full_cube(n, M)) == n
+            assert chain_mass_sup(CellSet(n, M, [])) == 0
+        assert chain_mass_sup(CellSet(1, 4, [(0,), (2,)])) == Fraction(1, 2)
+
+    def test_cap_is_checked_before_any_work(self):
+        # (M+1)^n * max(1, 2^(n-1) - 1) row-element updates
+        for n, M in ((1, 9), (2, 6), (3, 4), (4, 2)):
+            work = (M + 1) ** n * max(1, 2 ** (n - 1) - 1)
+            a = full_cube(n, M)
+            assert chain_mass_sup(a, Config(max_fine_states=work)) == n
+            with pytest.raises(ResourceLimitError):
+                chain_mass_sup(a, Config(max_fine_states=work - 1))
+        # 10^18 corners, or 2^39 moves per corner: refused at once
+        start = time.perf_counter()
+        for n, M in ((3, 10**6), (40, 2)):
+            with pytest.raises(ResourceLimitError):
+                chain_mass_sup(CellSet(n, M, []))
+        assert time.perf_counter() - start < 0.1
 
 
 class TestStaircaseMass:
@@ -443,12 +501,13 @@ class TestEndToEnd:
         assert report.whitney_ok
         assert report.dense_count <= report.whitney_cap
         assert abs(report.measure_a - Fraction(3, 4)) <= Fraction(4, 100)
-        assert Fraction(96, 100) <= report.adversarial_lower <= 1
+        assert report.chain_mass_sup == 1
+        assert report.feasibility == "feasible"
         assert report.measure_a <= Fraction(report.dense_count, 400) + report.params.delta
 
     def test_full_cube_flagged_infeasible(self):
         report = end_to_end_verify(full_cube(2, 100), Fraction(1), 20, epsilon=Fraction(1, 100))
-        assert report.adversarial_lower == 2
+        assert report.chain_mass_sup == 2
         assert report.feasibility == "infeasible"
         assert report.constraint_violated
 
@@ -461,13 +520,13 @@ class TestEndToEnd:
         inner = discretize_slab(3, 12, Fraction(1), "inner")
         report = end_to_end_verify(inner, Fraction(1), 4)
         assert report.params.epsilon == Fraction(1, 14)
-        assert report.adversarial_lower <= report.dp_upper
+        assert report.chain_mass_sup == 1
+        assert report.feasibility == "feasible"
         assert report.measure_a <= report.slab_volume
         assert report.claim.measure_a == measure(inner)
 
     def test_whitney_bound_on_certified_feasible_sets(self, rng):
-        # sets whose coarse chain bound certifies feasibility never break
-        # the Whitney inequality
+        # sets certified feasible never break the Whitney inequality
         hits = 0
         for _ in range(30):
             band_lo = rng.randint(0, 20)
@@ -481,3 +540,28 @@ class TestEndToEnd:
                 hits += 1
                 assert report.whitney_ok
         assert hits >= 25
+
+
+def test_feasible_sets_respect_the_slab_volume():
+    # the paper's theorem at finite resolution: a union of cells whose
+    # chains all carry mass at most kappa measures at most v_n(kappa)
+    rng = random.Random(7741)
+    feasible = 0
+    for _ in range(600):
+        n = rng.choice([2, 3])
+        M = rng.randint(2, 12 if n == 2 else 6)
+        kappa = Fraction(rng.randint(1, n * M - 1), M)
+        # a diagonal band of about the extremal width, thinned at random
+        width = max(1, math.floor(kappa * M) - n + 1 + rng.randint(-1, 2))
+        lo = (n * (M - 1) - width + 1) // 2 + rng.randint(-2, 2)
+        density = rng.uniform(0.5, 1)
+        cells = [
+            c
+            for c in itertools.product(range(M), repeat=n)
+            if lo <= sum(c) < lo + width and rng.random() < density
+        ]
+        a = CellSet(n, M, cells)
+        if chain_mass_sup(a) <= kappa:
+            feasible += 1
+            assert measure(a) <= slab_volume_exact(SlabSpec(n, kappa)).exact
+    assert feasible >= 100
