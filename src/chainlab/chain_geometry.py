@@ -36,7 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import sub, truediv
 from typing import Optional, Sequence
 
 from .errors import DomainError
@@ -185,26 +186,37 @@ def segment_length(a: Sequence[RationalLike], b: Sequence[RationalLike]) -> Frac
 def h1_length(p: MonotonePolyline) -> Fraction | float:
     """Arc length of the polyline: exact Fraction for staircases, else float.
 
-    The axis-parallel segments add up as integer numerators over the
-    polyline's denominator D, turned into one Fraction at the end.  A
-    skew segment's length is the square root of the fsum of the squared
-    float differences y/D - x/D of its moving coordinates, and the parts
-    are combined with fsum.  The int division y/D is correctly rounded,
-    as float(Fraction(y, D)) is, so every float is bit-identical to that
-    of the same computation in Fraction arithmetic.
+    The work runs in C-level passes over the flattened numerators, where
+    entry i*n + j is coordinate j of vertex i: one subtraction of the
+    list from itself shifted by n gives every segment's advance along
+    every axis, and regrouping n at a time (`zip(*[it] * n)`) gives each
+    segment's entries.  Summing a segment's truth values counts the axes
+    it moves.  A segment moving at most one axis has the exact length of
+    its advance, so the exact part, over the polyline's denominator D, is
+    the total advance less that of the skew segments.  A skew segment's
+    length is the square root of the fsum of its squared float
+    differences y/D - x/D over all n coordinates; a coordinate that does
+    not move adds 0.0, which leaves an fsum unchanged.  The parts are
+    combined with one fsum.  The int division y/D is correctly rounded,
+    as float(Fraction(y, D)) is, and fsum rounds only its exact sum once,
+    so every float is bit-identical to that of the same computation in
+    Fraction arithmetic, segment by segment.  The passes make a few C
+    calls per segment and none per axis, so a polyline of many axes and
+    few vertices is no slower per coordinate than the other way round.
     """
-    den = p.denominator
-    nums = p.numerators
-    exact = 0
-    float_parts: list[float] = []
-    for a, b in zip(nums, nums[1:]):
-        length = _segment(a, b, den)
-        if type(length) is int:
-            exact += length
-        else:
-            float_parts.append(length)
-    if not float_parts:
+    den, n, nums = p.denominator, p.n, p.numerators
+    if len(nums) < 2:
+        return Fraction(0)
+    flat = list(chain.from_iterable(nums))
+    deltas = list(map(sub, flat[n:], flat[:-n]))
+    skew = list(map((1).__lt__, map(sum, zip(*[map(bool, deltas)] * n))))
+    exact = sum(flat[-n:]) - sum(flat[:n])
+    if not any(skew):
         return Fraction(exact, den)
+    exact -= sum(compress(map(sum, zip(*[iter(deltas)] * n)), skew))
+    y = list(map(truediv, flat, repeat(den)))
+    squares = map(pow, map(sub, y[n:], y[:-n]), repeat(2))
+    float_parts = list(map(math.sqrt, map(math.fsum, compress(zip(*[squares] * n), skew))))
     if exact:
         float_parts.append(exact / den)
     return math.fsum(float_parts)

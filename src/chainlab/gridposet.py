@@ -16,7 +16,7 @@ import math
 from collections import defaultdict
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .config import Config
@@ -87,6 +87,13 @@ class WeightedGrid:
         check_grid(self.n, self.m)
         if not points_checked:
             check_grid_points(list(self.weights), self.n, self.m, "point")
+        # Whole-set check first; the loop words the first fault and coerces.
+        values = self.weights.values()
+        if set(map(type, values)) <= {Fraction} and (
+            min(map(attrgetter("numerator"), values), default=0) >= 0
+        ):
+            object.__setattr__(self, "weights", dict(self.weights))
+            return
         clean = {}
         for p, w in self.weights.items():
             w = as_rational(w)
@@ -138,7 +145,7 @@ def monotone_path_dp(extent: Sequence[int], gains: Sequence[Sequence[int]]) -> l
             if start // strides[j] % extent[j]:
                 back = start - strides[j]
                 step = list(map(add, best[back : back + row], gains[j][start:stop]))
-                arrive = list(map(max, arrive, step)) if arrive else step
+                arrive = [x if x > y else y for x, y in zip(arrive, step)] if arrive else step
         value = arrive[0]
         scan = [value]
         for a, g in zip(arrive[1:], last[start + 1 : stop]):

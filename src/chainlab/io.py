@@ -15,13 +15,18 @@ chain gives n.  Each point is checked once: the weights and the cube
 chain are handed on with `points_checked=True`, and the cubes' range is
 checked by `build_chain_through_cubes`.
 
-Polyline coordinates load straight into the integer-numerator form of
-`MonotonePolyline`.  A coordinate that is a string "P/Q" of ASCII digits
-with Q > 0 is split with `str.partition` and read with `int`; any other
-value (an int, a string with a sign, spaces or an underscore, "P/0", or
-digits past `int`'s string limit) goes through `as_rational`, so the
-accepted coordinates and the error messages are those of
-`Fraction(str)`.  The common denominator is the lcm of the denominators.
+Polyline coordinates and weights are "P/Q" strings, read as one list
+by `rational.parse_quotients`: a whole-list check that every value is a
+str of ASCII digits with one "/" and Q > 0, then one `map(int, ...)`
+over the terms.  The coordinates load straight into the
+integer-numerator form of `MonotonePolyline`, over the lcm of their
+denominators; the weights become `Fraction(P, Q)`.  A list that fails
+the check (an int, a string with a sign, spaces or an underscore, "P/0",
+digits past `int`'s string limit, a vertex of the wrong length, a
+missing "w" or a repeated point) is read one value at a time through
+`as_rational`, as before, so the accepted values, the first fault in
+file order and the error messages are those of `Fraction(str)` and of
+the per-entry checks.
 
 Cell set files are read through `CellSet`, which stores the cells as
 row runs; `write_cellset` writes them back in the layout of
@@ -35,13 +40,15 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import floordiv, mul
 from typing import Any
 
 from .chain_geometry import MonotonePolyline
 from .config import read_json_object
 from .errors import DomainError, check_dimension, check_grid, check_grid_points, check_points
 from .gridposet import ChainOfPoints, WeightedGrid
-from .rational import as_rational, format_quotient
+from .rational import as_rational, format_quotient, parse_quotients
 from .verifier import CellSet
 
 
@@ -107,21 +114,6 @@ def polyline_to_dict(p: MonotonePolyline) -> dict:
     }
 
 
-def _numerator_and_denominator(value: object) -> tuple[int, int]:
-    if type(value) is str and value.isascii():
-        p, sep, q = value.partition("/")
-        if sep and p.isdigit() and q.isdigit():
-            try:
-                num, den = int(p), int(q)
-            except ValueError:  # past int's limit on string digits
-                pass
-            else:
-                if den:
-                    return num, den
-    c = _rational_field(value, "polyline vertex")
-    return c.numerator, c.denominator
-
-
 def _check_entries(items: object, kind: type, what: str) -> None:
     # Whole-list check; the offending entry is looked up only for the message.
     if type(items) is not list:
@@ -135,13 +127,16 @@ def polyline_from_dict(data: dict) -> MonotonePolyline:
     n = _require(data, "n", "polyline")
     vertices = _require(data, "vertices", "polyline")
     _check_entries(vertices, list, "polyline vertices")
-    numerators = [[_numerator_and_denominator(c) for c in v] for v in vertices]
-    den = math.lcm(*{q for v in numerators for _, q in v})
-    # In place, so that the (P, Q) pairs of a vertex are freed as its
-    # numerators are made: the two forms never coexist whole.
-    for i, v in enumerate(numerators):
-        numerators[i] = tuple(p * (den // q) for p, q in v)
-    return MonotonePolyline(n=n, numerators=numerators, denominator=den)
+    parsed = None
+    if type(n) is int and n >= 1 and set(map(len, vertices)) <= {n}:
+        parsed = parse_quotients(list(chain.from_iterable(vertices)))
+    if parsed is None:
+        fractions = [[_rational_field(c, "polyline vertex") for c in v] for v in vertices]
+        return MonotonePolyline(n, fractions)
+    numerators, denominators = parsed
+    den = math.lcm(*set(denominators))
+    scaled = map(mul, numerators, map(floordiv, repeat(den), denominators))
+    return MonotonePolyline(n=n, numerators=list(zip(*[scaled] * n)), denominator=den)
 
 
 def weighted_grid_from_dict(data: dict) -> WeightedGrid:
@@ -154,7 +149,13 @@ def weighted_grid_from_dict(data: dict) -> WeightedGrid:
     # Checked here, not by WeightedGrid: the points key a dict first.
     check_grid(n, m)
     check_grid_points(points, n, m, "point")
-    weights: dict[tuple[int, ...], Fraction] = {}
+    parsed = parse_quotients(list(map(dict.get, entries, repeat("w"))))
+    if parsed is not None:
+        weights = dict(zip(map(tuple, points), map(Fraction, *parsed)))
+        if len(weights) == len(points):
+            return WeightedGrid(n=n, m=m, weights=weights, points_checked=True)
+    # The first fault in file order, worded per entry.
+    weights = {}
     for entry, point in zip(entries, map(tuple, points)):
         if point in weights:
             raise DomainError(f"weights file lists point {point} twice")

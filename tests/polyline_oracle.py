@@ -1,10 +1,16 @@
-"""Fraction-arithmetic reference for the polyline kernels.
+"""Fraction-arithmetic reference for the polyline kernels, and per-value
+readers of the "P/Q" values of polyline and weights files.
 
 These are the `Fraction` versions of `segment_length`, `h1_length` and
 `antidiagonal_decompose` that chainlab ran before polylines were stored
 as integer numerators over one denominator.  They work on tuples of
 `Fraction` vertices, and the tests require the integer kernels to give
 the same Fractions and the same floats, bit for bit.
+
+`numerator_and_denominator`, `polyline_from_dict` and
+`weighted_grid_from_dict` read a file's values one at a time, as
+chainlab did before it read them as one list; the tests require the
+whole-list readers to give the same objects and the same errors.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ import math
 import random
 from fractions import Fraction
 
-from chainlab import format_rational
+from chainlab import MonotonePolyline, WeightedGrid, format_rational
+from chainlab.errors import DomainError, check_grid, check_grid_points
+from chainlab.io import _check_entries, _rational_field, _require
 
 Point = tuple[Fraction, ...]
 
@@ -156,3 +164,55 @@ def random_vertices(rng: random.Random, n: int, kind: str, max_vertices: int = 3
         k = rng.randrange(len(vertices))
         vertices.insert(k, vertices[k])
     return tuple(vertices)
+
+
+def quotient(value: object) -> tuple[int, int] | None:
+    """(int(P), int(Q)) for a str "P/Q" of ASCII digits with Q > 0, else None."""
+    if type(value) is str and value.isascii():
+        p, sep, q = value.partition("/")
+        if sep and p.isdigit() and q.isdigit():
+            try:
+                num, den = int(p), int(q)
+            except ValueError:  # past int's limit on string digits
+                return None
+            if den:
+                return num, den
+    return None
+
+
+def numerator_and_denominator(value: object) -> tuple[int, int]:
+    """One polyline coordinate: `quotient`, else through `as_rational`."""
+    pair = quotient(value)
+    if pair is not None:
+        return pair
+    c = _rational_field(value, "polyline vertex")
+    return c.numerator, c.denominator
+
+
+def polyline_from_dict(data: dict) -> MonotonePolyline:
+    n = _require(data, "n", "polyline")
+    vertices = _require(data, "vertices", "polyline")
+    _check_entries(vertices, list, "polyline vertices")
+    pairs = [[numerator_and_denominator(c) for c in v] for v in vertices]
+    den = math.lcm(*{q for v in pairs for _, q in v})
+    numerators = [tuple(p * (den // q) for p, q in v) for v in pairs]
+    return MonotonePolyline(n=n, numerators=numerators, denominator=den)
+
+
+def weighted_grid_from_dict(data: dict) -> WeightedGrid:
+    n = _require(data, "n", "weights")
+    m = _require(data, "m", "weights")
+    entries = _require(data, "weights", "weights")
+    _check_entries(entries, dict, "weights")
+    points = [_require(entry, "point", "weights entry") for entry in entries]
+    _check_entries(points, list, "weights points")
+    check_grid(n, m)
+    check_grid_points(points, n, m, "point")
+    weights: dict[tuple[int, ...], Fraction] = {}
+    for entry, point in zip(entries, map(tuple, points)):
+        if point in weights:
+            raise DomainError(f"weights file lists point {point} twice")
+        weights[point] = _rational_field(
+            _require(entry, "w", "weights entry"), f"weight at {point}"
+        )
+    return WeightedGrid(n=n, m=m, weights=weights, points_checked=True)

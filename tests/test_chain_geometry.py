@@ -52,6 +52,12 @@ class TestH1Length:
                 assert isinstance(length, float)
                 assert abs(length - math.sqrt(n)) < 1e-12
 
+    def test_high_dimension(self):
+        # Many axes, two vertices: h1_length neither loops nor nests maps per axis.
+        n = 3 * 10**5
+        diag = MonotonePolyline(n, numerators=[[0] * n, [1] * n], denominator=1)
+        assert h1_length(diag) == math.sqrt(n)
+
     def test_extremal_staircase_is_exactly_n(self):
         for n in (1, 2, 3, 6):
             assert h1_length(extremal_chain(n)) == n
@@ -273,6 +279,23 @@ class TestAgainstFractionOracle:
         self.check(3, extremal_chain(3).vertices)
         # one skew segment crossing two hyperplanes
         self.check(3, ((Fraction(0),) * 3, (Fraction(1), Fraction(9, 10), Fraction(7, 10))))
+
+    def test_length_kernel_branches(self):
+        # The cases h1_length's kernel branches on.
+        zero, half, third, one = Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1)
+        self.check(1, ())
+        self.check(1, ((third,),))
+        self.check(1, ((zero,), (third,), (third,), (one,)))
+        # all axis-parallel, with repeated vertices
+        self.check(2, ((zero, zero), (third, zero), (third, zero), (third, half), (one, half)))
+        # one skew segment among staircase steps, and alone
+        steps = (zero, zero, zero), (half, zero, zero), (half, third, zero), (Fraction(3, 4), half, zero)
+        self.check(3, steps + ((Fraction(3, 4), half, Fraction(1, 4)), (one, half, Fraction(1, 4))))
+        self.check(3, steps[2:])
+        # skew segments only, one repeated; then a skew segment lost to cancellation
+        self.check(2, ((zero, zero), (third, half), (third, half), (one, one)))
+        d = 3**40
+        self.check(2, ((Fraction(d - 2, d),) * 2, (Fraction(d - 1, d),) * 2, (one, one)))
 
     def test_numerator_constructor_matches_fractions(self):
         rng = random.Random(89)
