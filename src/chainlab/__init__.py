@@ -2,131 +2,100 @@
 
 Exact rational arithmetic throughout; floats only for display and for
 the Monte Carlo oracle.
+
+`import chainlab` loads no submodule.  Each public name, and each
+submodule named in `_EXPORTS`, is resolved on first use (PEP 562
+`__getattr__`), which imports only the submodule that defines it, so a
+caller pays for the modules it uses.
 """
 
-from .chain_geometry import (
-    AntidiagonalDecomposition,
-    AntidiagonalPiece,
-    MonotonePolyline,
-    antichain_slab_membership,
-    antidiagonal_decompose,
-    coordinate_sum,
-    extremal_chain,
-    h1_length,
-    polyline,
-    segment_length,
-    validate_monotone,
-)
-from .config import Config
-from .errors import ChainlabError, DomainError, ResourceLimitError
-from .gridposet import (
-    ChainOfPoints,
-    GridPoint,
-    MaxChainResult,
-    SymmetricChainDecomposition,
-    WeightedGrid,
-    is_chain,
-    ksperner_bound_via_scd,
-    ksperner_max_bruteforce,
-    max_weight_chain,
-    symmetric_chain_decomposition,
-)
-from .rational import as_rational, format_rational
-from .slab_volume import (
-    MonteCarloResult,
-    SlabSpec,
-    VolumeResult,
-    slab_membership,
-    slab_volume_exact,
-    slab_volume_montecarlo,
-)
-from .verifier import (
-    AdversarialResult,
-    CellSet,
-    ChainCertificate,
-    ClaimCheckReport,
-    CoverSets,
-    EpsilonParams,
-    VerifyReport,
-    adversarial_chain_search,
-    build_chain_through_cubes,
-    chain_mass_sup,
-    claim_check,
-    cover_sets,
-    discretize_slab,
-    end_to_end_verify,
-    max_cell_chain_mass_upper,
-    measure,
-    staircase_mass,
-)
-from .whitney import (
-    CoefficientTable,
-    ConvergenceRow,
-    WhitneySum,
-    convergence_table,
-    sum_k_largest,
-    whitney_numbers,
-    whitney_sum,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AntidiagonalDecomposition",
-    "AntidiagonalPiece",
-    "AdversarialResult",
-    "CellSet",
-    "ChainCertificate",
-    "ChainOfPoints",
-    "ChainlabError",
-    "ClaimCheckReport",
-    "CoefficientTable",
-    "Config",
-    "ConvergenceRow",
-    "CoverSets",
-    "DomainError",
-    "EpsilonParams",
-    "GridPoint",
-    "MaxChainResult",
-    "MonotonePolyline",
-    "MonteCarloResult",
-    "ResourceLimitError",
-    "SlabSpec",
-    "SymmetricChainDecomposition",
-    "VerifyReport",
-    "VolumeResult",
-    "WeightedGrid",
-    "WhitneySum",
-    "adversarial_chain_search",
-    "antichain_slab_membership",
-    "antidiagonal_decompose",
-    "as_rational",
-    "build_chain_through_cubes",
-    "chain_mass_sup",
-    "claim_check",
-    "convergence_table",
-    "coordinate_sum",
-    "cover_sets",
-    "discretize_slab",
-    "end_to_end_verify",
-    "extremal_chain",
-    "format_rational",
-    "h1_length",
-    "is_chain",
-    "ksperner_bound_via_scd",
-    "ksperner_max_bruteforce",
-    "max_cell_chain_mass_upper",
-    "max_weight_chain",
-    "measure",
-    "polyline",
-    "segment_length",
-    "slab_membership",
-    "slab_volume_exact",
-    "slab_volume_montecarlo",
-    "staircase_mass",
-    "symmetric_chain_decomposition",
-    "validate_monotone",
-    "whitney_numbers",
-    "whitney_sum",
-    "sum_k_largest",
-]
+#: The public names, by the submodule that defines them.
+_EXPORTS = {
+    "chain_geometry": (
+        "AntidiagonalDecomposition",
+        "AntidiagonalPiece",
+        "MonotonePolyline",
+        "antichain_slab_membership",
+        "antidiagonal_decompose",
+        "coordinate_sum",
+        "extremal_chain",
+        "h1_length",
+        "polyline",
+        "segment_length",
+        "validate_monotone",
+    ),
+    "config": ("Config",),
+    "errors": ("ChainlabError", "DomainError", "ResourceLimitError"),
+    "gridposet": (
+        "ChainOfPoints",
+        "GridPoint",
+        "MaxChainResult",
+        "SymmetricChainDecomposition",
+        "WeightedGrid",
+        "is_chain",
+        "ksperner_bound_via_scd",
+        "ksperner_max_bruteforce",
+        "max_weight_chain",
+        "symmetric_chain_decomposition",
+    ),
+    "rational": ("as_rational", "format_rational"),
+    "slab_volume": (
+        "MonteCarloResult",
+        "SlabSpec",
+        "VolumeResult",
+        "slab_membership",
+        "slab_volume_exact",
+        "slab_volume_montecarlo",
+    ),
+    "verifier": (
+        "AdversarialResult",
+        "CellSet",
+        "ChainCertificate",
+        "ClaimCheckReport",
+        "CoverSets",
+        "EpsilonParams",
+        "VerifyReport",
+        "adversarial_chain_search",
+        "build_chain_through_cubes",
+        "chain_mass_sup",
+        "claim_check",
+        "cover_sets",
+        "discretize_slab",
+        "end_to_end_verify",
+        "max_cell_chain_mass_upper",
+        "measure",
+        "staircase_mass",
+    ),
+    "whitney": (
+        "CoefficientTable",
+        "ConvergenceRow",
+        "WhitneySum",
+        "convergence_table",
+        "sum_k_largest",
+        "whitney_numbers",
+        "whitney_sum",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

@@ -6,37 +6,28 @@ form when one exists, so output is byte-identical across runs for
 identical argv, seed and config.  Exit codes: 0 success, 2 domain or
 usage error (machine-readable object on stderr), 3 resource cap
 exceeded, 64 unknown subcommand.
+
+Each `_cmd_*` handler imports the functions it calls when it runs, so a
+command line started as `python -m chainlab.cli` (or `python -m
+chainlab`, or the `chainlab` script) loads only the modules of its own
+command: `whitney` never loads the verifier.  Importing this module, as
+opposed to running it, still loads every module a command can use (see
+the end of the file): an in-process caller such as a layer tracer
+replaces those modules' attributes after `import chainlab.cli`, and the
+handlers look the names up there when they run.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
 from typing import Callable, TextIO
 
-from . import io as chainlab_io
-from .chain_geometry import antidiagonal_decompose, h1_length
 from .config import Config
 from .errors import DomainError, ResourceLimitError
-from .gridposet import (
-    _scd_chain_lengths,
-    ksperner_bound_via_scd,
-    ksperner_max_bruteforce,
-    max_weight_chain,
-    symmetric_chain_decomposition,
-)
 from .rational import as_rational, format_rational
-from .slab_volume import SlabSpec, slab_volume_exact, slab_volume_montecarlo
-from .verifier import (
-    build_chain_through_cubes,
-    discretize_slab,
-    end_to_end_verify,
-    measure,
-)
-from .whitney import convergence_table, k_for_kappa, sum_k_largest, whitney_numbers
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -77,6 +68,8 @@ def _check_dimension(n: int, config: Config) -> None:
 
 
 def _cmd_volume(args: argparse.Namespace, config: Config) -> dict:
+    from .slab_volume import SlabSpec, slab_volume_exact, slab_volume_montecarlo
+
     _check_dimension(args.n, config)
     spec = SlabSpec(n=args.n, kappa=args.kappa)
     result = slab_volume_exact(spec)
@@ -100,6 +93,8 @@ def _cmd_volume(args: argparse.Namespace, config: Config) -> dict:
 
 
 def _cmd_whitney(args: argparse.Namespace, config: Config) -> dict:
+    from .whitney import k_for_kappa, sum_k_largest, whitney_numbers
+
     if not 1 <= args.n <= 16:
         raise DomainError(f"whitney CLI accepts 1 <= n <= 16, got {args.n}")
     if not 2 <= args.m <= 10**4:
@@ -127,6 +122,8 @@ def _cmd_whitney(args: argparse.Namespace, config: Config) -> dict:
 
 
 def _cmd_converge(args: argparse.Namespace, config: Config) -> dict:
+    from .whitney import convergence_table
+
     _check_dimension(args.n, config)
     rows = convergence_table(args.n, args.kappa, args.m_list, config)
     payload_rows = []
@@ -144,6 +141,8 @@ def _cmd_converge(args: argparse.Namespace, config: Config) -> dict:
             }
         )
     if args.csv:
+        import csv
+
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["m", "V", "ratio", "v_n", "gap"])
@@ -160,6 +159,9 @@ def _cmd_converge(args: argparse.Namespace, config: Config) -> dict:
 
 
 def _cmd_maxchain(args: argparse.Namespace, config: Config) -> dict:
+    from . import io as chainlab_io
+    from .gridposet import max_weight_chain
+
     grid = chainlab_io.weighted_grid_from_dict(chainlab_io.load_json(args.weights))
     result = max_weight_chain(grid, config)
     return {
@@ -172,6 +174,8 @@ def _cmd_maxchain(args: argparse.Namespace, config: Config) -> dict:
 
 
 def _cmd_scd(args: argparse.Namespace, config: Config) -> dict:
+    from .gridposet import _scd_chain_lengths, symmetric_chain_decomposition
+
     # The points of the decomposition are built only when they are printed.
     lengths = _scd_chain_lengths(args.n, args.m)
     payload = {
@@ -188,6 +192,8 @@ def _cmd_scd(args: argparse.Namespace, config: Config) -> dict:
 
 
 def _cmd_ksperner(args: argparse.Namespace, config: Config) -> dict:
+    from .gridposet import ksperner_bound_via_scd, ksperner_max_bruteforce
+
     bound = ksperner_bound_via_scd(args.n, args.m, args.k)
     payload = {
         "n": args.n,
@@ -205,6 +211,9 @@ def _cmd_ksperner(args: argparse.Namespace, config: Config) -> dict:
 
 
 def _cmd_chain(args: argparse.Namespace, config: Config) -> dict:
+    from . import io as chainlab_io
+    from .chain_geometry import antidiagonal_decompose, h1_length
+
     poly = chainlab_io.polyline_from_dict(chainlab_io.load_json(args.file))
     if args.action == "length":
         length = h1_length(poly)
@@ -242,6 +251,9 @@ def _cmd_chain(args: argparse.Namespace, config: Config) -> dict:
 
 
 def _cmd_raster_slab(args: argparse.Namespace, config: Config) -> dict:
+    from . import io as chainlab_io
+    from .verifier import discretize_slab, measure
+
     cells = discretize_slab(args.n, args.M, args.kappa, args.mode, config)
     chainlab_io.write_cellset(args.output, cells)
     vol = measure(cells)
@@ -272,6 +284,9 @@ def _claim_payload(report) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace, config: Config) -> dict:
+    from . import io as chainlab_io
+    from .verifier import end_to_end_verify
+
     cells = chainlab_io.cellset_from_dict(chainlab_io.load_json(args.set))
     report = end_to_end_verify(cells, args.kappa, args.m, args.epsilon, config)
     return {
@@ -302,6 +317,9 @@ def _cmd_verify(args: argparse.Namespace, config: Config) -> dict:
 
 
 def _cmd_chainbuild(args: argparse.Namespace, config: Config) -> dict:
+    from . import io as chainlab_io
+    from .verifier import build_chain_through_cubes
+
     cells = chainlab_io.cellset_from_dict(chainlab_io.load_json(args.set))
     cubes, n, m = chainlab_io.cube_chain_from_dict(chainlab_io.load_json(args.cubes))
     if n != cells.n:
@@ -449,3 +467,5 @@ def main() -> None:
 
 if __name__ == "__main__":
     main()
+else:
+    from . import chain_geometry, gridposet, io, slab_volume, verifier, whitney  # noqa: F401

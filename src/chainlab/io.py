@@ -28,6 +28,12 @@ missing "w" or a repeated point) is read one value at a time through
 file order and the error messages are those of `Fraction(str)` and of
 the per-entry checks.
 
+Polyline vertices are written by `rational.format_quotients`, in
+whole-list passes over the numerators and the polyline's one
+denominator.  Each loader imports the type it builds when it runs, so a
+command loads only the module of its own file kind: `maxchain` never
+loads the verifier.
+
 Cell set files are read through `CellSet`, which stores the cells as
 row runs; `write_cellset` writes them back in the layout of
 `json.dump(..., sort_keys=True, indent=1)` straight from the runs.
@@ -42,14 +48,16 @@ import math
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import floordiv, mul
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .chain_geometry import MonotonePolyline
 from .config import read_json_object
 from .errors import DomainError, check_dimension, check_grid, check_grid_points, check_points
-from .gridposet import ChainOfPoints, WeightedGrid
-from .rational import as_rational, format_quotient, parse_quotients
-from .verifier import CellSet
+from .rational import as_rational, format_quotients, parse_quotients
+
+if TYPE_CHECKING:
+    from .chain_geometry import MonotonePolyline
+    from .gridposet import ChainOfPoints, WeightedGrid
+    from .verifier import CellSet
 
 
 def _require(data: dict, key: str, context: str) -> Any:
@@ -99,6 +107,8 @@ def write_cellset(path: str, a: CellSet) -> None:
 
 
 def cellset_from_dict(data: dict) -> CellSet:
+    from .verifier import CellSet
+
     return CellSet(
         n=_require(data, "n", "cell set"),
         M=_require(data, "M", "cell set"),
@@ -107,11 +117,8 @@ def cellset_from_dict(data: dict) -> CellSet:
 
 
 def polyline_to_dict(p: MonotonePolyline) -> dict:
-    den = p.denominator
-    return {
-        "n": p.n,
-        "vertices": [[format_quotient(x, den) for x in v] for v in p.numerators],
-    }
+    text = iter(format_quotients(list(chain.from_iterable(p.numerators)), p.denominator))
+    return {"n": p.n, "vertices": list(map(list, zip(*[text] * p.n)))}
 
 
 def _check_entries(items: object, kind: type, what: str) -> None:
@@ -124,6 +131,8 @@ def _check_entries(items: object, kind: type, what: str) -> None:
 
 
 def polyline_from_dict(data: dict) -> MonotonePolyline:
+    from .chain_geometry import MonotonePolyline
+
     n = _require(data, "n", "polyline")
     vertices = _require(data, "vertices", "polyline")
     _check_entries(vertices, list, "polyline vertices")
@@ -140,6 +149,8 @@ def polyline_from_dict(data: dict) -> MonotonePolyline:
 
 
 def weighted_grid_from_dict(data: dict) -> WeightedGrid:
+    from .gridposet import WeightedGrid
+
     n = _require(data, "n", "weights")
     m = _require(data, "m", "weights")
     entries = _require(data, "weights", "weights")
@@ -168,6 +179,8 @@ def weighted_grid_from_dict(data: dict) -> WeightedGrid:
 def cube_chain_from_dict(data: dict) -> tuple[ChainOfPoints, int, int]:
     """The chain of coarse cubes with its grid's n and m (m and the cubes'
     range are checked by `build_chain_through_cubes`, where m = 1 is legal)."""
+    from .gridposet import ChainOfPoints
+
     n = _require(data, "n", "cube chain")
     m = _require(data, "m", "cube chain")
     cubes = _require(data, "cubes", "cube chain")

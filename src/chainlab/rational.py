@@ -13,6 +13,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import repeat
+from operator import floordiv
 from typing import Optional, Union
 
 from .errors import ResourceLimitError
@@ -91,12 +92,33 @@ def format_quotient(numerator: int, denominator: int) -> str:
     g = math.gcd(numerator, denominator)
     p, q = numerator // g, denominator // g
     if p.bit_length() > _PRINTABLE_BITS or q.bit_length() > _PRINTABLE_BITS:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and max(abs(p), q) >= 10**limit:
-            raise ResourceLimitError(
-                f"a rational with more than {limit} decimal digits is too long to print"
-            )
+        _check_printable(max(abs(p), q))
     return f"{p}/{q}"
+
+
+def format_quotients(numerators: list[int], denominator: int) -> list[str]:
+    """`format_quotient(x, denominator)` for each x of `numerators`, in
+    whole-list passes: one `map(gcd, ...)`, two of `floordiv`, one size
+    check of the largest term and one f-string comprehension (faster
+    than `map(str.format, ...)`)."""
+    if not numerators:
+        return []
+    gcds = list(map(math.gcd, numerators, repeat(denominator)))
+    ps = list(map(floordiv, numerators, gcds))
+    qs = list(map(floordiv, repeat(denominator), gcds))
+    largest = max(max(ps), -min(ps), max(qs))
+    if largest.bit_length() > _PRINTABLE_BITS:
+        _check_printable(largest)
+    return [f"{p}/{q}" for p, q in zip(ps, qs)]
+
+
+def _check_printable(largest: int) -> None:
+    # Raise if `largest` (>= 0) has more decimal digits than Python prints.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and largest >= 10**limit:
+        raise ResourceLimitError(
+            f"a rational with more than {limit} decimal digits is too long to print"
+        )
 
 
 def is_rational(value: object) -> bool:

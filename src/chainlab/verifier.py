@@ -88,8 +88,9 @@ _FLAT_LIMIT = 2**63
 
 
 def _check_flat_range(n: int, M: int) -> None:
-    # With M >= 2, n >= 63 is out of range; testing it first avoids a huge power.
-    if M >= 2 and (n >= 63 or M**n >= _FLAT_LIMIT):
+    # Callers check M >= 2 first, so n >= 63 is out of range; testing it
+    # first avoids a huge power.
+    if n >= 63 or M**n >= _FLAT_LIMIT:
         raise ResourceLimitError(
             f"{M}^{n} cells exceed the int64 range of flat cell indices"
         )
@@ -288,7 +289,7 @@ def discretize_slab(
 ) -> CellSet:
     """Rasterise the diagonal slab at resolution M.
 
-    M**n may not exceed `config.max_grid_states`.
+    M is an int >= 2, and M**n may not exceed `config.max_grid_states`.
 
     inner: cells whose closure lies inside the closed slab, so the inner
     measure never exceeds the slab volume.  outer: cells whose overlap
@@ -304,6 +305,7 @@ def discretize_slab(
     if mode not in ("inner", "outer"):
         raise DomainError(f"mode must be 'inner' or 'outer', got {mode!r}")
     spec = SlabSpec(n=n, kappa=as_rational(kappa))
+    check_grid(n, M, "M")
     if M**n > config.max_grid_states:
         raise ResourceLimitError(f"{M}^{n} cells exceed the cap {config.max_grid_states}")
     _check_flat_range(n, M)

@@ -11,6 +11,8 @@ the same Fractions and the same floats, bit for bit.
 `weighted_grid_from_dict` read a file's values one at a time, as
 chainlab did before it read them as one list; the tests require the
 whole-list readers to give the same objects and the same errors.
+`polyline_to_dict` writes a polyline's values one at a time, the
+reference for the whole-list writer.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from fractions import Fraction
 from chainlab import MonotonePolyline, WeightedGrid, format_rational
 from chainlab.errors import DomainError, check_grid, check_grid_points
 from chainlab.io import _check_entries, _rational_field, _require
+from chainlab.rational import format_quotient
 
 Point = tuple[Fraction, ...]
 
@@ -216,3 +219,8 @@ def weighted_grid_from_dict(data: dict) -> WeightedGrid:
             _require(entry, "w", "weights entry"), f"weight at {point}"
         )
     return WeightedGrid(n=n, m=m, weights=weights, points_checked=True)
+
+
+def polyline_to_dict(p: MonotonePolyline) -> dict:
+    den = p.denominator
+    return {"n": p.n, "vertices": [[format_quotient(x, den) for x in v] for v in p.numerators]}

@@ -350,6 +350,18 @@ class TestVerifyPipeline:
         payload = check_schema("chainbuild", out)
         assert payload["passed"] is True
 
+    @pytest.mark.parametrize("M", ["0", "1", "-3", "-100000"])
+    def test_raster_slab_resolution_below_two_exit_two(self, tmp_path, M):
+        cells_path = tmp_path / "cells.json"
+        code, out, err = invoke(
+            ["raster-slab", "--n", "2", "--M", M, "--kappa", "1",
+             "--mode", "inner", "-o", str(cells_path)]
+        )
+        assert (code, out) == (2, "")
+        error = check_schema("error", err)["error"]
+        assert error == {"code": "domain", "message": f"M must be >= 2, got {M}"}
+        assert not cells_path.exists()
+
     def test_verify_determinism(self, tmp_path):
         cells_path = tmp_path / "cells.json"
         invoke(

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyline_oracle as oracle
-from chainlab import DomainError, WeightedGrid
+from chainlab import DomainError, MonotonePolyline, ResourceLimitError, WeightedGrid
 from chainlab import io as chainlab_io
 from chainlab.rational import parse_quotients
 
@@ -50,8 +50,30 @@ def test_parse_quotients_counts_each_slash():
 def _outcome(loader, data):
     try:
         return loader(data)
-    except DomainError as exc:
-        return f"DomainError: {exc}"
+    except (DomainError, ResourceLimitError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+#: Denominators whose terms have 4301 digits, one past the default
+#: limit on printed digits: 10**4300 is printable only once reduced.
+HUGE = (3 * 10**4300, 10**4300 + 1)
+
+
+@st.composite
+def polylines(draw):
+    n = draw(st.integers(1, 3))
+    den = draw(st.sampled_from((1, 2, 12, 97, *HUGE)) | st.integers(1, 10**30))
+    coordinate = st.sampled_from((0, den, den // 2, den // 3)) | st.integers(0, den)
+    count = draw(st.integers(0, 6))
+    columns = [sorted(draw(st.lists(coordinate, min_size=count, max_size=count))) for _ in range(n)]
+    return MonotonePolyline(n=n, numerators=list(zip(*columns)), denominator=den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=polylines())
+def test_polyline_writer_matches_per_value_oracle(p):
+    # Unreduced numerators, zeros and unprintable terms: the same text or the same error.
+    assert _outcome(chainlab_io.polyline_to_dict, p) == _outcome(oracle.polyline_to_dict, p)
 
 
 def _quotient_text(c: Fraction, rng: random.Random) -> str:

@@ -1,4 +1,12 @@
-"""numpy is needed only by `volume --mc`.
+"""Each command loads only the modules it runs; numpy is needed only by
+`volume --mc`.
+
+`import chainlab` loads no submodule: its public names resolve on first
+use.  A command started as `python -m chainlab.cli` imports, in its
+handler, only what that command calls, so `whitney` never loads the
+verifier; `python -m chainlab` and the `chainlab` script take the same
+path and print the same bytes.  Importing `chainlab.cli` as a module
+still loads every module (see tests/test_bench_contract.py).
 
 Importing chainlab must not load numpy, and no command but `volume --mc`
 (the Monte Carlo estimator) may load it: cell sets are row runs in pure
@@ -10,6 +18,7 @@ print and write the same bytes.  The test modules import numpy
 themselves, so each check runs in a fresh interpreter.
 """
 
+import importlib
 import io
 import json
 import os
@@ -17,6 +26,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import chainlab
 from chainlab.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,13 +57,32 @@ def fresh_python(args, cwd, check=True):
     return proc
 
 
+# Runs `python -m chainlab.cli ARGV` in this interpreter, ARGV from
+# sys.argv[1:], and prints on a last line its exit code and the chainlab
+# modules loaded before and after it.
+_RUN_AS_MAIN = """
+import json, runpy, sys
+import chainlab
+before = sorted(m for m in sys.modules if m.startswith("chainlab"))
+sys.argv = ["chainlab", *sys.argv[1:]]
+try:
+    runpy.run_module("chainlab.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+after = sorted(m for m in sys.modules if m.startswith("chainlab"))
+print()
+print(json.dumps([code, before, after]))
+"""
+
+
 def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, stdout=out, stderr=err)
     return code, out.getvalue() + err.getvalue()
 
 
-def test_grid_and_chain_commands_leave_numpy_unloaded(tmp_path):
+def probe_files(tmp_path):
+    """A weights file and a polyline file for maxchain and chain."""
     weights = tmp_path / "weights.json"
     weights.write_text(json.dumps({
         "n": 2, "m": 2,
@@ -61,6 +92,11 @@ def test_grid_and_chain_commands_leave_numpy_unloaded(tmp_path):
     poly.write_text(json.dumps({
         "n": 2, "vertices": [["0/1", "0/1"], ["1/3", "1/2"], ["1/1", "1/1"]],
     }))
+    return weights, poly
+
+
+def test_grid_and_chain_commands_leave_numpy_unloaded(tmp_path):
+    weights, poly = probe_files(tmp_path)
     argvs = [
         ["volume", "--n", "3", "--kappa", "1/2"],
         ["whitney", "--n", "3", "--m", "4", "--kappa", "1/2"],
@@ -146,3 +182,68 @@ def test_cell_commands_run_without_site_packages(tmp_path):
             stdouts.append(proc.stdout)
         runs[tuple(flags)] = (stdouts, cells.read_bytes())
     assert runs[("-S",)] == runs[()]
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    weights, poly = probe_files(tmp_path)
+    grid = {"verifier", "io", "gridposet", "chain_geometry"}
+    argvs = [
+        (["whitney", "--n", "3", "--m", "4", "--kappa", "1/2"], grid),
+        (["converge", "--n", "2", "--kappa", "1", "--m-list", "4,8"], grid),
+        (["scd", "--n", "2", "--m", "3", "--print"], {"verifier", "chain_geometry"}),
+        (["ksperner", "--n", "2", "--m", "3", "--k", "2", "--brute"], {"verifier", "chain_geometry"}),
+        (["maxchain", "--weights", str(weights)], {"verifier", "chain_geometry"}),
+        (["chain", "length", "--file", str(poly)], {"verifier", "gridposet"}),
+        (["chain", "decompose", "--file", str(poly)], {"verifier", "gridposet"}),
+    ]
+    for argv, unloaded in argvs:
+        proc = fresh_python(["-c", _RUN_AS_MAIN, *argv], tmp_path)
+        *printed, _, last = proc.stdout.split("\n")[:-1]
+        code, before, after = json.loads(last)
+        assert (code, "\n".join(printed) + "\n") == invoke(argv)
+        assert before == ["chainlab"]
+        loaded = {name.removeprefix("chainlab.") for name in after}
+        assert "cli" not in loaded, argv
+        assert not loaded & unloaded, (argv, sorted(loaded & unloaded))
+
+
+def test_public_names_resolve_to_their_submodules():
+    names = [name for names in chainlab._EXPORTS.values() for name in names]
+    assert sorted(names) == chainlab.__all__
+    assert len(set(names)) == len(names)
+    for module, exported in chainlab._EXPORTS.items():
+        owner = importlib.import_module(f"chainlab.{module}")
+        assert getattr(chainlab, module) is owner
+        for name in exported:
+            assert getattr(chainlab, name) is getattr(owner, name), name
+    assert set(chainlab.__all__) <= set(dir(chainlab))
+    namespace = {}
+    exec("from chainlab import *", namespace)
+    assert set(chainlab.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chainlab.no_such_name
+
+
+def test_every_entry_point_prints_the_same_bytes(tmp_path):
+    # -W error::RuntimeWarning fails a run in which runpy finds chainlab.cli
+    # already imported, as it would if the package imported it.  The last
+    # entry point is what the `chainlab` script runs.
+    entry_points = (
+        ["-m", "chainlab.cli"],
+        ["-m", "chainlab"],
+        ["-c", "from chainlab.__main__ import main; main()"],
+    )
+    argvs = (
+        ["whitney", "--n", "2", "--m", "3"],
+        [],
+        ["nosuch"],
+        ["raster-slab", "--n", "2", "--M", "0", "--kappa", "1", "--mode", "inner", "-o", "x.json"],
+    )
+    for argv in argvs:
+        outcomes = set()
+        for entry in entry_points:
+            proc = fresh_python(["-W", "error::RuntimeWarning", *entry, *argv], tmp_path, check=False)
+            outcomes.add((proc.returncode, proc.stdout, proc.stderr))
+        assert len(outcomes) == 1, (argv, outcomes)
+        code, out, err = outcomes.pop()
+        assert (code, out + err) == invoke(argv), argv
