@@ -285,9 +285,13 @@ def _claim_payload(report) -> dict:
 
 def _cmd_verify(args: argparse.Namespace, config: Config) -> dict:
     from . import io as chainlab_io
-    from .verifier import end_to_end_verify
+    from .verifier import check_chain_mass_cap, end_to_end_verify
 
-    cells = chainlab_io.cellset_from_dict(chainlab_io.load_json(args.set))
+    data = chainlab_io.load_json(args.set)
+    # The cap of the chain-mass DP goes by n and M alone: refuse before the set is built.
+    check_chain_mass_cap(*chainlab_io.cellset_grid(data), config)
+    cells = chainlab_io.cellset_from_dict(data)
+    del data  # free the file's lists before the verification allocates its own
     report = end_to_end_verify(cells, args.kappa, args.m, args.epsilon, config)
     return {
         "n": report.n,

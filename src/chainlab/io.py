@@ -4,6 +4,7 @@ All rational scalars travel as "P/Q" strings so that no file ever
 depends on float formatting.
 
 * cell set file:  {"n": 2, "M": 4, "cells": [[0, 1], ...]}
+                  or {"n": 2, "M": 4, "runs": [1, 2, 4, 6, ...]}
 * polyline file:  {"n": 2, "vertices": [["0/1", "1/2"], ...]}
 * weights file:   {"n": 2, "m": 2, "weights": [{"point": [0, 1], "w": "5/1"}, ...]}
 * cube chain:     {"n": 2, "m": 10, "cubes": [[0, 0], [1, 1], ...]}
@@ -34,11 +35,15 @@ denominator.  Each loader imports the type it builds when it runs, so a
 command loads only the module of its own file kind: `maxchain` never
 loads the verifier.
 
-Cell set files are read through `CellSet`, which stores the cells as
-row runs; `write_cellset` writes them back in the layout of
-`json.dump(..., sort_keys=True, indent=1)` straight from the runs.
-`cellset_to_dict` with `dump_json` writes the same bytes through the
-JSON encoder.
+A cell set file gives n, M and exactly one of `cells`, the coordinate
+lists of its cells in any order (repeats allowed; the form people write
+by hand), and `runs`, the flat list [s_0, e_0, s_1, e_1, ...] of the
+row runs a `CellSet` stores: cells with flat index in [s_i, e_i), each
+run inside one row, in the one canonical order.  `write_cellset` writes
+`runs`, on one line, through the JSON encoder; `CellRuns.checked` reads
+it back in whole-list passes, with no list per cell.  `cellset_grid`
+checks a file's n and M alone, so that `verify` can check its caps
+before it builds the set.
 """
 
 from __future__ import annotations
@@ -78,42 +83,41 @@ def _rational_field(value: object, context: str) -> Fraction:
 
 
 def dump_json(path: str, payload: dict) -> None:
+    # One line: json's indenting encoder is pure Python, its compact one C.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def cellset_to_dict(a: CellSet) -> dict:
-    return {"n": a.n, "M": a.M, "cells": list(map(list, a.points()))}
+    return {"M": a.M, "n": a.n, "runs": list(a.cells.bounds)}
 
 
 def write_cellset(path: str, a: CellSet) -> None:
-    """Write a cell set file: the bytes of dump_json(path, cellset_to_dict(a)).
+    dump_json(path, cellset_to_dict(a))
 
-    The text is built without the JSON encoder, in the layout of
-    indent=1: the cells of a run share every line but the one of their
-    last coordinate, so each run is one join of those coordinates.
+
+def cellset_grid(data: dict) -> tuple[int, int]:
+    """The n and M of a cell set file, checked, without reading its cells.
+
+    The file must give exactly one of `cells` and `runs`.
     """
-    runs = []
-    last_prefix = None
-    for prefix, lo, hi in a.cells.runs():
-        if prefix is not last_prefix:
-            last_prefix = prefix
-            head = "  [\n" + "".join(f"   {c},\n" for c in prefix) + "   "
-        runs.append(head + f"\n  ],\n{head}".join(map(str, range(lo, hi))) + "\n  ]")
-    cells = "[\n" + ",\n".join(runs) + "\n ]" if runs else "[]"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{\n "M": {a.M},\n "cells": {cells},\n "n": {a.n}\n}}\n')
+    from .verifier import check_cell_grid
+
+    n = _require(data, "n", "cell set")
+    M = _require(data, "M", "cell set")
+    if ("cells" in data) == ("runs" in data):
+        raise DomainError("cell set file must give exactly one of 'cells' and 'runs'")
+    check_cell_grid(n, M)
+    return n, M
 
 
 def cellset_from_dict(data: dict) -> CellSet:
-    from .verifier import CellSet
+    from .verifier import CellRuns, CellSet
 
-    return CellSet(
-        n=_require(data, "n", "cell set"),
-        M=_require(data, "M", "cell set"),
-        cells=_require(data, "cells", "cell set"),
-    )
+    n, M = cellset_grid(data)
+    if "runs" in data:
+        return CellSet(n, M, CellRuns.checked(n, M, data["runs"]))
+    return CellSet(n, M, data["cells"])
 
 
 def polyline_to_dict(p: MonotonePolyline) -> dict:

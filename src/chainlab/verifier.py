@@ -46,8 +46,12 @@ raster is one run per row, the coarse counts cut each run at the coarse
 columns it crosses (only touched coarse cubes, computed once per
 `end_to_end_verify`), membership is one bisection of the bounds, and
 the chain-mass DP and the edge gains of a box read the rows they meet
-as bytes, one per cell (`_run_bytes`).
-No part of this module imports numpy.
+as bytes, one per cell (`_run_bytes`).  A cell file holds the same
+bounds as one flat list (`io.cellset_to_dict`), which `CellRuns.checked`
+reads back in whole-list passes, with no list per cell.
+No part of this module imports numpy, and `chain_geometry`, `gridposet`
+and `whitney` are imported by the stages that use them: `raster-slab`
+loads none of the three, and `verify` only `whitney`.
 """
 
 from __future__ import annotations
@@ -59,9 +63,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, compress, cycle, islice, product, repeat
-from typing import Iterable, Iterator, Literal, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Mapping
 
-from .chain_geometry import MonotonePolyline
 from .config import Config
 from .errors import (
     DomainError,
@@ -71,16 +74,12 @@ from .errors import (
     check_in_grid,
     check_points,
 )
-from .gridposet import (
-    ChainOfPoints,
-    GridPoint,
-    WeightedGrid,
-    max_weight_chain,
-    monotone_path_dp,
-)
 from .rational import as_rational, RationalLike
 from .slab_volume import SlabSpec, slab_volume_exact
-from .whitney import whitney_sum
+
+if TYPE_CHECKING:
+    from .chain_geometry import MonotonePolyline
+    from .gridposet import ChainOfPoints, GridPoint
 
 
 #: Flat cell indices stay in the int64 range, so M**n must stay below 2**63.
@@ -94,6 +93,12 @@ def _check_flat_range(n: int, M: int) -> None:
         raise ResourceLimitError(
             f"{M}^{n} cells exceed the int64 range of flat cell indices"
         )
+
+
+def check_cell_grid(n: object, M: object) -> None:
+    """Check that {0..M-1}^n is a grid of cells: `check_grid`, then M**n below 2**63."""
+    check_grid(n, M, "M")
+    _check_flat_range(n, M)
 
 
 def _unravel(index: int, base: int, length: int) -> GridPoint:
@@ -115,6 +120,34 @@ def _run_keys(coords: list[int], n: int, M: int) -> list[int]:
     return list(keys)
 
 
+def _first_bad_run(n: int, M: int, bounds: list) -> str:
+    """The first run of `bounds` that `CellRuns.checked` refuses, and why.
+
+    Run k is the pair bounds[2k : 2k + 2].  Only called on a failure.
+    """
+    size = M**n
+    end = None  # the end of the run before
+    for k, i in enumerate(range(0, len(bounds), 2)):
+        pair = tuple(bounds[i : i + 2])
+        if len(pair) < 2:
+            fault = "has no end: the list has odd length"
+        elif set(map(type, pair)) - {int}:
+            fault = "has a bound that is not an integer"
+        elif not 0 <= pair[0] < pair[1] <= size:
+            fault = f"is not 0 <= start < end <= {size}"
+        elif pair[0] // M != (pair[1] - 1) // M:
+            fault = f"crosses the end of a row of {M} cells"
+        elif end is not None and pair[0] < end:
+            fault = f"starts before run {k - 1} ends, at {end}"
+        elif end is not None and pair[0] == end and end % M:
+            fault = f"touches run {k - 1} inside a row"
+        else:
+            end = pair[1]
+            continue
+        return f"run {k} {pair!r} {fault}"
+    raise AssertionError("every run passed; the whole-list check is wrong")
+
+
 @dataclass(frozen=True, repr=False)
 class CellRuns:
     """The cells of a `CellSet` as row runs; a read-only view of their
@@ -127,7 +160,8 @@ class CellRuns:
     so a cell set has exactly one such tuple.  `len` is the number of
     cells, and iterating yields their flat indices in increasing order;
     neither builds a list of cells.  The constructor takes the bounds as
-    they are; `from_keys` builds them from cells in any order.
+    they are; `from_keys` builds them from cells in any order, and
+    `checked` checks a list read from a file.
     """
 
     n: int
@@ -166,6 +200,40 @@ class CellRuns:
             operator.sub, map(operator.add, lasts, repeat(1)), map(operator.floordiv, lasts, width)
         )
         return cls(n, M, tuple(chain.from_iterable(zip(starts, stops))))
+
+    @classmethod
+    def checked(cls, n: int, M: int, bounds: object) -> "CellRuns":
+        """The runs of a cell file's flat list of bounds, checked whole.
+
+        n and M must pass `check_cell_grid`.  `bounds` must be a list of
+        ints (bools are not) of even length whose runs satisfy
+        0 <= s_i < e_i <= M**n, each lie inside one row
+        (s_i // M == (e_i - 1) // M), and follow each other:
+        e_i <= s_{i+1}, with equality only at a row boundary.  That makes
+        it the one list of its cells.  Nothing is sorted or merged;
+        anything else raises a `DomainError` that names the first bad run.
+        """
+        check_cell_grid(n, M)
+        if type(bounds) is not list:
+            raise DomainError(f"cell runs must be a list of integers, got {bounds!r}")
+        ok = len(bounds) % 2 == 0 and not set(map(type, bounds)) - {int}
+        if ok and bounds:
+            starts, stops = bounds[0::2], bounds[1::2]
+            lasts = map(operator.sub, stops, repeat(1))
+            # e_i where run i + 1 starts: allowed only at a row boundary.
+            shared = compress(stops, map(operator.eq, stops, islice(starts, 1, None)))
+            ok = (
+                all(map(operator.lt, starts, stops))
+                and all(map(operator.le, stops, islice(starts, 1, None)))
+                and 0 <= bounds[0]
+                and bounds[-1] <= M**n
+                and list(map(operator.floordiv, starts, repeat(M)))
+                == list(map(operator.floordiv, lasts, repeat(M)))
+                and not any(map(operator.mod, shared, repeat(M)))
+            )
+        if not ok:
+            raise DomainError(f"cell runs: {_first_bad_run(n, M, bounds)}")
+        return cls(n, M, bounds)
 
     def runs(self) -> Iterator[tuple[GridPoint, int, int]]:
         """(prefix, lo, hi) per run, in order: the cells prefix + (c,) for c in [lo, hi).
@@ -211,8 +279,7 @@ class CellSet:
 
     def __post_init__(self) -> None:
         n, M = self.n, self.M
-        check_grid(n, M, "M")
-        _check_flat_range(n, M)
+        check_cell_grid(n, M)
         if isinstance(self.cells, CellRuns):
             if (self.cells.n, self.cells.M) != (n, M):
                 raise DomainError(
@@ -230,8 +297,7 @@ class CellSet:
     @classmethod
     def from_flat(cls, n: int, M: int, flat: Iterable[int]) -> "CellSet":
         """The cells with the given flat indices, in any order; duplicates collapse."""
-        check_grid(n, M, "M")
-        _check_flat_range(n, M)
+        check_cell_grid(n, M)
         flat = list(flat)
         if set(map(type, flat)) - {int}:
             bad = next(f for f in flat if type(f) is not int)
@@ -556,6 +622,18 @@ def _max_rows(rows: list[Iterator[int]]) -> Iterator[int]:
     return best
 
 
+def check_chain_mass_cap(n: int, M: int, config: Config = Config()) -> None:
+    """Refuse the chain-mass DP of a set of dimension n at resolution M
+    when its work, (M+1)**n * max(1, 2**(n-1) - 1) row-element updates,
+    exceeds `config.max_fine_states`.  n and M pass `check_cell_grid`.
+    """
+    work = (M + 1) ** n * max(1, 2 ** (n - 1) - 1)
+    if work > config.max_fine_states:
+        raise ResourceLimitError(
+            f"chain-mass DP of {work} row-element updates, cap {config.max_fine_states}"
+        )
+
+
 def chain_mass_sup(a: CellSet, config: Config = Config()) -> Fraction:
     """The supremum over chains C of H^1(A intersect C), exactly.
 
@@ -574,16 +652,11 @@ def chain_mass_sup(a: CellSet, config: Config = Config()) -> Fraction:
     the moves s = (s', 0), read at the same last coordinate i, and
     s = (s', 1), read at i - 1; one scan along the row then adds the
     moves along the last axis alone.  Only the rows still to be read are
-    kept.  The work, (M+1)**n * max(1, 2**(n-1) - 1) row-element updates,
-    may not exceed `config.max_fine_states`; it is checked first.
+    kept.  The work is checked first, by `check_chain_mass_cap`.
     """
     n, M = a.n, a.M
+    check_chain_mass_cap(n, M, config)
     width = M + 1
-    work = width**n * max(1, 2 ** (n - 1) - 1)
-    if work > config.max_fine_states:
-        raise ResourceLimitError(
-            f"chain-mass DP of {work} row-element updates, cap {config.max_fine_states}"
-        )
     # The nonzero s' with their row offsets in base M + 1 and weights |s'|;
     # s' = (1, ..., 1), the farthest back, is last.
     moves = [
@@ -642,6 +715,8 @@ def max_cell_chain_mass_upper(a: CellSet, m: int, config: Config = Config()) -> 
     up to a factor n.  The cube chain DP runs over m**n states, at most
     `config.max_grid_states`.
     """
+    from .gridposet import WeightedGrid, max_weight_chain
+
     touched = _coarse_counts(a, m).keys()
     if not touched:
         return Fraction(0)
@@ -656,6 +731,8 @@ class AdversarialResult:
 
 
 def _corners_to_polyline(corners: list[GridPoint], n: int, M: int) -> MonotonePolyline:
+    from .chain_geometry import MonotonePolyline
+
     # Compress runs of collinear steps into single segments.
     verts: list[GridPoint] = []
     for c in corners:
@@ -741,6 +818,8 @@ def _staircase_dp(
     reconstructed from the top corner with the smallest axis preferred,
     so reruns are identical.
     """
+    from .gridposet import monotone_path_dp
+
     n = a.n
     extent = [hi - lo + 1 for lo, hi in zip(lo_corner, hi_corner)]
     size = math.prod(extent)
@@ -850,6 +929,8 @@ def build_chain_through_cubes(
     the staircase optimum meets with large slack on box unions.  The DP
     box may hold at most `config.max_fine_states` corners.
     """
+    from .chain_geometry import MonotonePolyline
+
     n = a.n
     epsilon = as_rational(epsilon)
     _check_epsilon(n, epsilon)
@@ -932,7 +1013,11 @@ def end_to_end_verify(
     and feasible otherwise.  `config` supplies the caps of the stages:
     `max_fine_states` for the chain-mass DP, `epsilon_denominator_cap`
     for the automatic epsilon and `max_table_bytes` for the Whitney cap.
+    The chain-mass cap is checked before any stage runs.
     """
+    from .whitney import whitney_sum
+
+    check_chain_mass_cap(a.n, a.M, config)
     kappa = as_rational(kappa)
     if epsilon is None:
         params = EpsilonParams.auto(a.n, m, kappa, config)

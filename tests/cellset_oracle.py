@@ -4,12 +4,14 @@ These are the tuple-and-frozenset versions that the array kernels of
 `chainlab.verifier` replaced: the rasteriser walks every cell with
 `itertools.product`, the coarse counts are a dict loop, and the edge
 gains test each edge cell's tuple for membership.  The tests assert the
-array versions equal them.
+array versions equal them.  `runs_of` builds a cell file's run bounds
+from coordinate tuples, independently of `CellRuns`.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 from chainlab import SlabSpec
@@ -71,3 +73,56 @@ def chain_formula_max(cells, n: int) -> int:
                 value = max(value, b + sum(x != y for x, y in zip(p, c)))
         best.append(value)
     return max(best, default=0)
+
+
+def runs_of(cells, M: int) -> list[int]:
+    """The flat run bounds [s_0, e_0, s_1, e_1, ...] of a set of cells.
+
+    The cells are sorted as coordinate tuples; a run grows while the next
+    cell has the same first n-1 coordinates and a last coordinate one
+    higher.
+    """
+    bounds: list[int] = []
+    previous = None
+    for cell in sorted(set(map(tuple, cells))):
+        flat = 0
+        for c in cell:
+            flat = flat * M + c
+        if previous is not None and cell[:-1] == previous[:-1] and cell[-1] == previous[-1] + 1:
+            bounds[-1] = flat + 1
+        else:
+            bounds += [flat, flat + 1]
+        previous = cell
+    return bounds
+
+
+def cell_file_text(n: int, M: int, cells) -> str:
+    """The bytes of a written cell file: its runs, on one line, keys sorted."""
+    return json.dumps({"M": M, "n": n, "runs": runs_of(cells, M)}, sort_keys=True) + "\n"
+
+
+def first_bad_run(n: int, M: int, bounds: list):
+    """The index of the first run of a cell file's `runs` list that is not
+    canonical, or None.
+
+    Runs 0..k are canonical when each is a pair of ints (not bools) in
+    [0, M**n] and together they are exactly `runs_of` the cells they
+    cover.
+    """
+    size = M**n
+    cells = []
+    for k in range((len(bounds) + 1) // 2):
+        pair = bounds[2 * k : 2 * k + 2]
+        if len(pair) < 2 or any(type(b) is not int for b in pair):
+            return k
+        if not 0 <= pair[0] <= pair[1] <= size:
+            return k
+        for flat in range(pair[0], pair[1]):
+            cell = []
+            for _ in range(n):
+                flat, c = divmod(flat, M)
+                cell.append(c)
+            cells.append(tuple(reversed(cell)))
+        if bounds[: 2 * k + 2] != runs_of(cells, M):
+            return k
+    return None

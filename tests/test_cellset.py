@@ -1,6 +1,7 @@
 """Row-run cell sets: run kernels against tuple oracles (on random and on
-fragmented sets, whose runs are single cells), file bytes,
-representation limits, exact types, and fuzzers for cell files and for
+fragmented sets, whose runs are single cells), file bytes against run
+bounds built from coordinate tuples, the two file forms, representation
+limits, exact types, and fuzzers for cell files (both forms) and for
 every other input file kind."""
 
 import argparse
@@ -28,7 +29,7 @@ from chainlab import (
     end_to_end_verify,
     staircase_mass,
 )
-from chainlab import cli
+from chainlab import cli, verifier
 from chainlab import io as chainlab_io
 from chainlab.cli import run
 from chainlab.config import Config
@@ -156,10 +157,9 @@ class TestFragmentedSets:
             assert _edge_gains(a, lo, hi) == oracle.edge_gains(members, M, lo, hi)
         for cell in itertools.product(range(-1, M + 1), repeat=n):
             assert (cell in a) == (cell in members)
-        path, oracle_path = tmp_path / "cells.json", tmp_path / "oracle.json"
+        path = tmp_path / "cells.json"
         chainlab_io.write_cellset(str(path), a)
-        chainlab_io.dump_json(str(oracle_path), chainlab_io.cellset_to_dict(a))
-        assert path.read_bytes() == oracle_path.read_bytes()
+        assert path.read_text(encoding="utf-8") == oracle.cell_file_text(n, M, members)
         assert chainlab_io.cellset_from_dict(chainlab_io.load_json(str(path))) == a
 
     @pytest.mark.parametrize("n, M", [(2, 20), (2, 21), (3, 9), (4, 6)])
@@ -172,7 +172,7 @@ class TestFragmentedSets:
         assert_canonical_runs(a)
         path = tmp_path / "cells.json"
         chainlab_io.write_cellset(str(path), a)
-        assert path.read_text(encoding="utf-8") == expected_cell_file(n, M, expected)
+        assert path.read_text(encoding="utf-8") == oracle.cell_file_text(n, M, expected)
 
 
 class TestRepresentation:
@@ -257,12 +257,10 @@ class TestRepresentation:
             assert staircase_mass(a, result.witness) == result.lower
 
 
-def expected_cell_file(n, M, cells):
-    payload = {"n": n, "M": M, "cells": sorted(map(list, set(map(tuple, cells))))}
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-
-
 class TestWriteCellset:
+    """A written file is json.dumps({"M", "n", "runs"}, sort_keys=True) plus
+    a newline, its runs built from the sorted coordinate tuples."""
+
     @pytest.mark.parametrize(
         "n, M, cells",
         [
@@ -277,11 +275,9 @@ class TestWriteCellset:
         a = CellSet(n, M, cells)
         path = tmp_path / "cells.json"
         chainlab_io.write_cellset(str(path), a)
-        assert path.read_text(encoding="utf-8") == expected_cell_file(n, M, cells)
-        assert chainlab_io.cellset_to_dict(a) == json.loads(expected_cell_file(n, M, cells))
-        oracle_path = tmp_path / "oracle.json"
-        chainlab_io.dump_json(str(oracle_path), chainlab_io.cellset_to_dict(a))
-        assert path.read_bytes() == oracle_path.read_bytes()
+        text = oracle.cell_file_text(n, M, cells)
+        assert path.read_text(encoding="utf-8") == text
+        assert chainlab_io.cellset_to_dict(a) == json.loads(text)
         assert chainlab_io.cellset_from_dict(chainlab_io.load_json(str(path))) == a
 
     def test_slab_rasters(self, tmp_path):
@@ -290,7 +286,106 @@ class TestWriteCellset:
             path = tmp_path / "cells.json"
             chainlab_io.write_cellset(str(path), a)
             cells = oracle.discretize_slab_cells(n, M, kappa, mode)
-            assert path.read_text(encoding="utf-8") == expected_cell_file(n, M, cells)
+            assert path.read_text(encoding="utf-8") == oracle.cell_file_text(n, M, cells)
+
+
+def load_file(path, data):
+    path.write_text(json.dumps(data))
+    return chainlab_io.cellset_from_dict(chainlab_io.load_json(str(path)))
+
+
+def verify_file(path):
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["verify", "--set", str(path), "--kappa", "1/2", "--m", "2"], stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFileForms:
+    """A cell file gives its cells as `cells` (coordinate lists) or as
+    `runs` (flat run bounds); the two load to one set."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_cells_and_runs_forms_load_equal(self, data):
+        n = data.draw(st.integers(1, 4))
+        M = data.draw(st.integers(2, {1: 40, 2: 9, 3: 5, 4: 3}[n]))
+        cells = data.draw(st.lists(st.lists(st.integers(0, M - 1), min_size=n, max_size=n)))
+        runs = oracle.runs_of(cells, M)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cells.json"
+            from_cells = load_file(path, {"n": n, "M": M, "cells": cells})
+            from_runs = load_file(path, {"n": n, "M": M, "runs": runs})
+        assert from_cells == from_runs == CellSet(n, M, cells)
+        assert list(from_runs.cells.bounds) == runs
+        assert chainlab_io.cellset_to_dict(from_cells) == {"M": M, "n": n, "runs": runs}
+
+    def test_verify_reads_both_forms_to_one_report(self, tmp_path):
+        rng = random.Random(8108)
+        sets = [discretize_slab(2, 40, Fraction(1), "inner"), discretize_slab(3, 8, Fraction(1, 2), "outer")]
+        sets += [random_cellset(rng, n, M, density=rng.uniform(0, 1)) for n, M in [(1, 30), (2, 12), (3, 6)]]
+        cells_path, runs_path = tmp_path / "cells.json", tmp_path / "runs.json"
+        for a in sets:
+            cells_path.write_text(json.dumps({"n": a.n, "M": a.M, "cells": a.points()}))
+            chainlab_io.write_cellset(str(runs_path), a)
+            assert "runs" in json.loads(runs_path.read_text())
+            code, out, err = verify_file(cells_path)
+            assert (code, err) == (0, "")
+            assert verify_file(runs_path) == (code, out, err)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"runs": [0, 3, 4]}, "run 1 (4,) has no end"),
+            ({"runs": [0, True]}, "run 0 (0, True) has a bound that is not an integer"),
+            ({"runs": [0, 2, 4, 5.0]}, "run 1 (4, 5.0) has a bound that is not an integer"),
+            ({"runs": [0, 2, 3, 3]}, "run 1 (3, 3) is not 0 <= start < end <= 16"),
+            ({"runs": [2, 1]}, "run 0 (2, 1) is not 0 <= start < end <= 16"),
+            ({"runs": [-1, 2]}, "run 0 (-1, 2) is not 0 <= start < end <= 16"),
+            ({"runs": [15, 17]}, "run 0 (15, 17) is not 0 <= start < end <= 16"),
+            ({"runs": [0, 1, 3, 6]}, "run 1 (3, 6) crosses the end of a row of 4 cells"),
+            ({"runs": [8, 9, 0, 1]}, "run 1 (0, 1) starts before run 0 ends, at 9"),
+            ({"runs": [0, 3, 2, 4]}, "run 1 (2, 4) starts before run 0 ends, at 3"),
+            ({"runs": [0, 1, 0, 1]}, "run 1 (0, 1) starts before run 0 ends, at 1"),
+            ({"runs": [0, 2, 2, 3]}, "run 1 (2, 3) touches run 0 inside a row"),
+            ({"runs": 7}, "cell runs must be a list of integers, got 7"),
+            ({"runs": [], "cells": []}, "exactly one of 'cells' and 'runs'"),
+            ({}, "exactly one of 'cells' and 'runs'"),
+        ],
+    )
+    def test_malformed_runs_exit_two(self, tmp_path, data, message):
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps({"n": 2, "M": 4, **data}))
+        code, out, err = verify_file(path)
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert message in payload["error"]["message"]
+
+    def test_runs_touching_at_a_row_boundary(self, tmp_path):
+        a = load_file(tmp_path / "cells.json", {"n": 2, "M": 4, "runs": [2, 4, 4, 5, 15, 16]})
+        assert a.points() == [(0, 2), (0, 3), (1, 0), (3, 3)]
+
+    def test_chain_mass_cap_before_the_set_is_built(self, tmp_path, monkeypatch):
+        # (5001)^2 row-element updates exceed the default cap of 10^7.
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps({"n": 2, "M": 5000, "runs": [0, 3]}))
+
+        def refuse(*args):
+            raise AssertionError("the set was built")
+
+        monkeypatch.setattr(chainlab_io, "cellset_from_dict", refuse)
+        code, out, err = verify_file(path)
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload["error"] == {
+            "code": "resource",
+            "message": "chain-mass DP of 25010001 row-element updates, cap 10000000",
+        }
+        monkeypatch.setattr(verifier, "cover_sets", refuse)
+        monkeypatch.setattr(verifier.EpsilonParams, "auto", refuse)
+        with pytest.raises(ResourceLimitError, match="chain-mass DP of 25010001"):
+            end_to_end_verify(CellSet.from_flat(2, 5000, [0, 1, 2]), Fraction(1, 2), 2)
 
 
 def fraction_fields(obj, path="report"):
@@ -412,6 +507,94 @@ def test_random_cell_files_exit_cleanly(data):
                 json.loads(out.getvalue())
 
 
+_RUN_FAULTS = [
+    "odd", "bool", "float", "empty", "range", "cross", "unsorted", "overlap", "touch",
+    "both", "neither",
+]
+
+
+@st.composite
+def run_files(draw):
+    """(data, fault): a valid `runs` cell file with one kind of fault put in."""
+    n = draw(st.integers(1, 3))
+    M = draw(st.sampled_from([2, 4, 6]))
+    point = st.lists(st.integers(0, M - 1), min_size=n, max_size=n)
+    cells = draw(st.lists(point, min_size=1, max_size=12))
+    runs = oracle.runs_of(cells, M)
+    data = {"n": n, "M": M, "runs": runs}
+    fault = draw(st.sampled_from(_RUN_FAULTS))
+    count = len(runs) // 2
+    i = 2 * draw(st.integers(0, count - 1))
+    j = draw(st.integers(0, len(runs) - 1))
+    if fault == "odd":
+        runs.insert(draw(st.integers(0, len(runs))), draw(st.integers(0, M**n)))
+    elif fault == "bool":
+        runs[j] = draw(st.booleans())
+    elif fault == "float":
+        runs[j] += draw(st.sampled_from([0.0, 0.5]))
+    elif fault == "empty":
+        runs[i + 1] = runs[i] - draw(st.integers(0, 2))
+    elif fault == "range":
+        if draw(st.booleans()):
+            runs[0] = -draw(st.integers(1, 3))
+        else:
+            runs[-1] = M**n + draw(st.integers(1, 3))
+    elif fault == "cross":
+        runs[i + 1] = (runs[i] // M + 1) * M + draw(st.integers(1, M))
+    elif fault in ("unsorted", "overlap"):
+        if count == 1:
+            runs += runs[:2]
+        elif fault == "unsorted":
+            i, k = sorted(2 * t for t in draw(st.permutations(range(count)))[:2])
+            runs[i : i + 2], runs[k : k + 2] = runs[k : k + 2], runs[i : i + 2]
+        else:
+            i = min(i, len(runs) - 4)
+            runs[i + 2] = runs[i + 1] - 1
+    elif fault == "touch":
+        long = [t for t in range(0, len(runs), 2) if runs[t + 1] - runs[t] > 1]
+        if long:
+            t = draw(st.sampled_from(long))
+            cut = draw(st.integers(runs[t] + 1, runs[t + 1] - 1))
+            runs[t + 1 : t + 1] = [cut, cut]
+    elif fault == "both":
+        data["cells"] = cells
+    else:
+        del data["runs"]
+    return data, fault
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=run_files())
+def test_random_run_files_name_the_first_bad_run(case):
+    data, fault = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cells.json"
+        path.write_text(json.dumps(data))
+        code, out, err = verify_file(path)
+    if fault in ("both", "neither"):
+        bad, text = True, "exactly one of 'cells' and 'runs'"
+    else:
+        runs = data["runs"]
+        k = oracle.first_bad_run(data["n"], data["M"], runs)
+        bad = k is not None
+        if bad:
+            text = f"cell runs: run {k} {tuple(runs[2 * k : 2 * k + 2])!r} "
+    if not bad:
+        # A touch fault on a set of single-cell runs changes nothing.
+        assert (code, err) == (0, "")
+        return
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    jsonschema.validate(payload, ERROR_SCHEMA)
+    assert text in payload["error"]["message"]
+
+
 # --- fuzzing every input file kind --------------------------------------------
 
 _LONG_INT = "@@long-int@@"  # replaced in the text by a literal past the digit limit
@@ -438,12 +621,14 @@ def input_files(draw):
     then the bytes may be spoiled by a UTF-16 byte-order mark, a stray
     byte that is not UTF-8, or a cut.
     """
-    kind = draw(st.sampled_from(["cells", "weights", "polyline", "cubes", "config"]))
+    kind = draw(st.sampled_from(["cells", "runs", "weights", "polyline", "cubes", "config"]))
     n = draw(st.integers(1, 3))
     m = draw(st.integers(2, 4))
     point = st.lists(st.integers(0, m - 1), min_size=n, max_size=n)
     if kind == "cells":
         data = {"n": n, "M": 2 * m, "cells": draw(st.lists(point, max_size=6))}
+    elif kind == "runs":
+        data = {"n": n, "M": 2 * m, "runs": oracle.runs_of(draw(st.lists(point, max_size=6)), 2 * m)}
     elif kind == "weights":
         entry = st.fixed_dictionaries({"point": point, "w": st.sampled_from(["0/1", "1/2", "3"])})
         data = {"n": n, "m": m, "weights": draw(st.lists(entry, max_size=6))}
@@ -495,6 +680,7 @@ def test_random_input_files_exit_cleanly(case):
         Path(cells).write_text(json.dumps({"n": n, "M": 12, "cells": full}))
         argvs = {
             "cells": [["verify", "--set", path, "--kappa", "1/2", "--m", "2"]],
+            "runs": [["verify", "--set", path, "--kappa", "1/2", "--m", "2"]],
             "weights": [["maxchain", "--weights", path]],
             "polyline": [["chain", action, "--file", path] for action in ("length", "decompose")],
             "cubes": [["chainbuild", "--cubes", path, "--set", cells, "--epsilon", "1/50"]],

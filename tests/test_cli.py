@@ -530,6 +530,64 @@ class TestVerifyPipeline:
         check_schema("error", err)
 
 
+#: The well-formed cell files written by hand in this module's tests.
+WELL_FORMED_CELL_FILES = [
+    {"n": 1, "M": 10, "cells": [[j] for j in range(10)]},
+    {"n": 1, "M": 4, "cells": [[0], [2]]},
+    {"n": 2, "M": 10, "cells": [[0, 0]]},
+    {"n": 2, "M": 4, "cells": [[0, 0], [1, 1]]},
+    {"n": 2, "M": 4, "cells": [[0, 0]]},
+    {"n": 2, "M": 4, "cells": []},
+    {"n": 2, "M": 4, "runs": [0, 2, 5, 6]},
+]
+
+#: Cell files the loader rejects for their shape.  Faults that a schema
+#: cannot see are left out: a coordinate outside the grid, a run that
+#: crosses a row, and 4.0, which JSON Schema counts as an integer.
+MALFORMED_CELL_FILES = [
+    {"n": "2", "M": 4, "cells": []},
+    {"n": 2, "M": 4, "cells": [1, 2]},
+    {"n": 2, "M": 4, "cells": 7},
+    {"n": 2, "M": 4, "cells": [[[0], [1]]]},
+    {"n": 2, "M": 4, "cells": [[True, False]]},
+    {"n": 2, "M": 4, "cells": [[0, 1], [-1, 0]]},
+    {"n": 2, "M": 4, "runs": 7},
+    {"n": 2, "M": 4, "runs": [0, True]},
+    {"n": 2, "M": 4, "runs": [0, 1.5]},
+    {"n": 2, "M": 4, "runs": [-1, 2]},
+    {"n": 2, "M": 4, "cells": [], "runs": []},
+    {"n": 2, "M": 4},
+    {"M": 4, "runs": []},
+]
+
+
+class TestCellSetSchema:
+    def test_written_and_well_formed_files_validate(self, tmp_path):
+        schema = json.loads((SCHEMA_DIR / "cellset.schema.json").read_text())
+        path = tmp_path / "cells.json"
+        for argv in (
+            ["--n", "2", "--M", "40", "--kappa", "1", "--mode", "inner"],
+            ["--n", "3", "--M", "9", "--kappa", "1/2", "--mode", "outer"],
+            ["--n", "2", "--M", "4", "--kappa", "1/8", "--mode", "inner"],
+        ):
+            assert invoke(["raster-slab", *argv, "-o", str(path)])[0] == 0
+            jsonschema.validate(json.loads(path.read_text()), schema)
+        for data in WELL_FORMED_CELL_FILES:
+            jsonschema.validate(data, schema)
+            path.write_text(json.dumps(data))
+            assert invoke(["verify", "--set", str(path), "--kappa", "1/2", "--m", "2"])[0] == 0
+
+    @pytest.mark.parametrize("data", MALFORMED_CELL_FILES)
+    def test_malformed_files_do_not_validate(self, tmp_path, data):
+        schema = json.loads((SCHEMA_DIR / "cellset.schema.json").read_text())
+        assert not jsonschema.Draft202012Validator(schema).is_valid(data)
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(data))
+        code, out, err = invoke(["verify", "--set", str(path), "--kappa", "1/2", "--m", "2"])
+        assert (code, out) == (2, "")
+        check_schema("error", err)
+
+
 class TestUnreadableFiles:
     """Files json cannot read: not UTF-8, an int past the digit limit, nesting too deep."""
 

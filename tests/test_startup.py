@@ -207,6 +207,19 @@ def test_each_command_loads_only_its_modules(tmp_path):
         assert not loaded & unloaded, (argv, sorted(loaded & unloaded))
 
 
+def test_cell_commands_load_only_their_modules(tmp_path):
+    cells = tmp_path / "cells.json"
+    base = {"config", "errors", "rational", "io", "verifier", "slab_volume"}
+    expected = [base, base | {"whitney"}, base | {"whitney", "gridposet", "chain_geometry"}]
+    for argv, modules in zip(cell_command_argvs(tmp_path, cells), expected):
+        proc = fresh_python(["-c", _RUN_AS_MAIN, *argv], tmp_path)
+        *printed, _, last = proc.stdout.split("\n")[:-1]
+        code, before, after = json.loads(last)
+        assert (code, "\n".join(printed) + "\n") == invoke(argv)
+        assert before == ["chainlab"]
+        assert {name.removeprefix("chainlab.") for name in after} == {"chainlab"} | modules, argv
+
+
 def test_public_names_resolve_to_their_submodules():
     names = [name for names in chainlab._EXPORTS.values() for name in names]
     assert sorted(names) == chainlab.__all__
