@@ -21,7 +21,8 @@ class Config:
     #: Cap on m**n for the coarse chain DP and cell enumerations.
     max_grid_states: int = 10**7
     #: Cap on the fine lattice corners of the staircase DP and on the
-    #: row-element updates of the chain-mass DP.
+    #: (M+1)**n * max(1, n(n-1)/2) row-element updates of the layered
+    #: chain-mass DP (`verifier.check_chain_mass_cap`).
     max_fine_states: int = 10**7
     #: Memory budget for Whitney coefficient tables, in bytes.
     max_table_bytes: int = 1 << 28

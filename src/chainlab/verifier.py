@@ -18,9 +18,11 @@ A chain advances at most 1/M along axis j while x_j stays in one level
 staircase that hugs the upper faces of the cells of P, offset inward by
 1/(K*M), comes within O(1/K) of the right-hand side over M.  With closed
 cells the value could be larger: a staircase along the shared face of
-two incomparable cells would count in both.  `chain_mass_sup` computes the value exactly by a
-DP over the fine corners, and `end_to_end_verify` decides feasibility
-(sup <= kappa) with it alone.  Two coarser chain-mass oracles bracket it:
+two incomparable cells would count in both.  `chain_mass_sup` computes
+the value exactly, by a DP over the fine corners that makes each
+diagonal move one axis at a time (O(n) work per corner), and
+`end_to_end_verify` decides feasibility (sup <= kappa) with it alone.
+Two coarser chain-mass oracles bracket it:
 
 * `adversarial_chain_search`, the best monotone staircase along fine
   lattice edges, is a lower bound with a witness.
@@ -59,10 +61,10 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, compress, cycle, islice, product, repeat
+from itertools import chain, compress, cycle, islice, product, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Mapping
 
 from .config import Config
@@ -606,28 +608,24 @@ def _run_bytes(bounds: tuple[int, ...], start: int, stop: int) -> bytes:
     """One byte per flat index in [start, stop): 1 inside a run of `bounds`, else 0.
 
     Between the run bounds inside [start, stop), stretches of zeros and
-    ones alternate, starting with ones if start is in a run.
+    ones alternate, starting with ones if start is in a run.  They are
+    joined at most 1024 at a time, which bounds the temporary memory.
     """
     i, j = bisect_right(bounds, start), bisect_left(bounds, stop)
+    if j - i > 1024:
+        cuts = [start, *bounds[i + 1024 : j : 1024], stop]
+        return b"".join([_run_bytes(bounds, lo, hi) for lo, hi in zip(cuts, cuts[1:])])
     edges = [start, *bounds[i:j], stop]
     fill = cycle((b"\x01", b"\x00") if i % 2 else (b"\x00", b"\x01"))
     return b"".join(map(operator.mul, fill, map(operator.sub, edges[1:], edges)))
 
 
-def _max_rows(rows: list[Iterator[int]]) -> Iterator[int]:
-    """The pointwise maximum of equally long rows."""
-    best = rows[0]
-    for row in rows[1:]:
-        best = iter([x if x > y else y for x, y in zip(best, row)])
-    return best
-
-
 def check_chain_mass_cap(n: int, M: int, config: Config = Config()) -> None:
     """Refuse the chain-mass DP of a set of dimension n at resolution M
-    when its work, (M+1)**n * max(1, 2**(n-1) - 1) row-element updates,
+    when its work, (M+1)**n * max(1, n(n-1)/2) row-element updates,
     exceeds `config.max_fine_states`.  n and M pass `check_cell_grid`.
     """
-    work = (M + 1) ** n * max(1, 2 ** (n - 1) - 1)
+    work = (M + 1) ** n * max(1, n * (n - 1) // 2)
     if work > config.max_fine_states:
         raise ResourceLimitError(
             f"chain-mass DP of {work} row-element updates, cap {config.max_fine_states}"
@@ -637,73 +635,74 @@ def check_chain_mass_cap(n: int, M: int, config: Config = Config()) -> None:
 def chain_mass_sup(a: CellSet, config: Config = Config()) -> Fraction:
     """The supremum over chains C of H^1(A intersect C), exactly.
 
-    M times the supremum is g(M, ..., M), where g runs over the corners
-    {0..M}^n of the fine cells:
+    M times the supremum is g(M, ..., M) on the corners {0..M}^n of the
+    fine cells.  A move y - s -> y, s in {0,1}^n, crosses cell y - s and
+    gains |s| if that cell is in A; a corner with a coordinate equal to M
+    has no cell.  The axes of a move are added in increasing order, so
+    that it is counted once, and D(y, j) is the best value at y partway
+    through a move whose last axis so far is j:
 
-        g(0) = 0,
-        g(y) = max over s in {0,1}^n \\ {0} with s <= y of
-               g(y - s) + |s| * [cell y - s is in A]
-
-    A move y - s -> y crosses cell y - s and advances 1/M along each axis
-    of s; a corner with a coordinate equal to M has no cell.
+        D(y, j) = 1 + max(g(y - e_j) if cell y - e_j is in A,
+                          max over i < j of D(y - e_j, i)),
+        g(0) = 0,  g(y) = max over j of g(y - e_j) and D(y, j).
 
     The corners are filled one row (a run along the last axis) at a
-    time.  Each earlier row y' - s', for s' in {0,1}^(n-1) \\ {0}, gives
-    the moves s = (s', 0), read at the same last coordinate i, and
-    s = (s', 1), read at i - 1; one scan along the row then adds the
-    moves along the last axis alone.  Only the rows still to be read are
-    kept.  The work is checked first, by `check_chain_mass_cap`.
+    time: the first n-1 axes read the rows y - e_j, and one scan along
+    the row adds the last.  A row keeps g + [cell in A] and, for each
+    axis j < n-1, the D(y + e_j, j) it hands on.  g is offset by n, so a
+    move from a cell outside A starts at 0 and, gaining at most n-1,
+    never wins.  The work is checked first, by `check_chain_mass_cap`.
     """
+    def larger(old: list[int] | None, new: list[int]) -> list[int]:
+        return new if old is None else [s if s > t else t for s, t in zip(old, new)]
+
     n, M = a.n, a.M
     check_chain_mass_cap(n, M, config)
     width = M + 1
-    # The nonzero s' with their row offsets in base M + 1 and weights |s'|;
-    # s' = (1, ..., 1), the farthest back, is last.
-    moves = [
-        (sum(c * width ** (n - 2 - j) for j, c in enumerate(s)), sum(s), s)
-        for s in product((0, 1), repeat=n - 1)
-    ][1:]
-    # scale[w] maps a cell byte 1 to w, for bytes.translate.
-    scale = [bytes((0, w)) + bytes(254) for w in range(n + 1)]
-    span = moves[-1][0] if moves else 0
+    strides = [width ** (n - 2 - j) for j in range(n - 1)]
     bounds = a.cells.bounds
-    rows: dict[int, tuple[list[int], bytes]] = {}
-    for k, y in enumerate(product(range(width), repeat=n - 1)):
-        if M in y:
-            bits = bytes(width)
-        else:
-            row = 0
-            for c in y:
-                row = row * M + c
-            # The cells of the row, and none at corner M.
-            bits = _run_bytes(bounds, row * M, row * M + M) + b"\x00"
-        # The moves (s', 0) and (s', 1) from each earlier row y' - s'.
-        stays: list[Iterator[int]] = []
-        steps: list[Iterator[int]] = []
-        for offset, w, s in moves:
-            if any(map(operator.lt, y, s)):
-                continue
-            earlier, earlier_bits = rows[k - offset]
-            stays.append(map(operator.add, earlier, earlier_bits.translate(scale[w])))
-            steps.append(map(operator.add, earlier, earlier_bits.translate(scale[w + 1])))
-        if stays:
-            stay, step = _max_rows(stays), _max_rows(steps)
-            value = next(stay)
-            g = [value]
-            # Corner i: the last-axis move from i - 1, stay[i] and step[i - 1].
-            for x, here, back in zip(bits, stay, step):
-                value += x
-                if here > value:
-                    value = here
-                if back > value:
-                    value = back
-                g.append(value)
-        else:
-            g = list(accumulate(bits[:M], initial=0))
-        # Row k - span was last read by row k.
-        rows.pop(k - span, None)
-        rows[k] = g, bits
-    return Fraction(g[-1], M)
+    # The last strides[0] rows: row y - e_j is rows[-strides[j]].
+    rows: deque[tuple[list[int], list[list[int]]]] = deque(maxlen=max(strides, default=0))
+    for y in product(range(width), repeat=n - 1):
+        row = 0
+        for c in y:
+            row = row * M + c
+        # The cells of the row, and none at corner M or in a row at M.
+        bits = bytes(width) if M in y else _run_bytes(bounds, row * M, row * M + M) + b"\x00"
+        # At each corner of the row, over the rows read so far: below, the
+        # best value they bring; moves, the best D (earlier: before axis j).
+        below = moves = None
+        earlier = []
+        for j, c in enumerate(y):
+            if j:
+                earlier.append(moves)
+            if c:
+                step_j, handed_j = rows[-strides[j]]
+                below = larger(below, step_j)
+                if j:
+                    # D(y, 0) never exceeds g(y - e_0) + [cell y - e_0 in A].
+                    below = larger(below, handed_j[j])
+                moves = larger(moves, handed_j[j])
+        # The first row reads none: g = n, the offset, plus its cells so far.
+        below = iter(below or repeat(n, width))
+        value = next(below)
+        step = []
+        # Corner i + 1: the last-axis moves from corner i, and below.
+        for x, here, back in zip(bits, below, moves or repeat(0)):
+            value += x
+            step.append(value)
+            if here > value:
+                value = here
+            if back >= value:
+                value = back + 1
+        step.append(value)
+        # First axes of moves from the row's corners (0 outside A); n = 1 reads none.
+        first = list(map(operator.mul, step, bits)) if strides else []
+        handed = [first]
+        for d in earlier:
+            handed.append(first if d is None else [s if s > t else t + 1 for s, t in zip(first, d)])
+        rows.append((step, handed))
+    return Fraction(value - n, M)
 
 
 def max_cell_chain_mass_upper(a: CellSet, m: int, config: Config = Config()) -> Fraction:

@@ -11,6 +11,7 @@ import itertools
 import json
 import random
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from chainlab import cli, verifier
 from chainlab import io as chainlab_io
 from chainlab.cli import run
 from chainlab.config import Config
-from chainlab.verifier import _coarse_counts, _edge_gains
+from chainlab.verifier import _coarse_counts, _edge_gains, _run_bytes
 from conftest import random_cellset
 
 ERROR_SCHEMA = json.loads(
@@ -161,6 +162,35 @@ class TestFragmentedSets:
         chainlab_io.write_cellset(str(path), a)
         assert path.read_text(encoding="utf-8") == oracle.cell_file_text(n, M, members)
         assert chainlab_io.cellset_from_dict(chainlab_io.load_json(str(path))) == a
+
+    def test_long_row_bytes_in_bounded_memory(self):
+        # One row of 10^5 runs: its bytes are joined 1024 stretches at a
+        # time, so the temporary memory stays near twice the 0.2 MB result
+        # (a single join of all the stretches peaks near 19 MiB).
+        M = 2 * 10**5
+        a = checkerboard(1, M)
+        tracemalloc.start()
+        try:
+            row = _run_bytes(a.cells.bounds, 0, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row == b"\x01\x00" * (M // 2)
+        assert peak < 2 * 2**20
+
+    def test_row_bytes_across_join_pieces(self):
+        # oracle: one membership test per cell, on ranges that cross the
+        # 1024-bound pieces at every offset
+        rng = random.Random(2311)
+        for _ in range(20):
+            M = rng.randint(2000, 6000)
+            members = frozenset(c for c in range(M) if rng.random() < rng.uniform(0.2, 0.8))
+            bounds = CellSet(1, M, [(c,) for c in members]).cells.bounds
+            for _ in range(10):
+                start = rng.randint(0, M)
+                stop = rng.randint(start, M)
+                expected = bytes(c in members for c in range(start, stop))
+                assert _run_bytes(bounds, start, stop) == expected
 
     @pytest.mark.parametrize("n, M", [(2, 20), (2, 21), (3, 9), (4, 6)])
     def test_one_cell_per_row_rasters(self, tmp_path, n, M):

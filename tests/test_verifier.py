@@ -30,7 +30,8 @@ from chainlab import (
     SlabSpec,
     staircase_mass,
 )
-from cellset_oracle import chain_formula_max
+from chainlab.verifier import check_chain_mass_cap
+from cellset_oracle import chain_formula_max, row_merge_chain_mass_sup
 from conftest import random_cellset, random_covered_cellset, random_dense_cube_chain
 
 
@@ -352,20 +353,50 @@ class TestChainMassSup:
             assert chain_mass_sup(CellSet(n, M, [])) == 0
         assert chain_mass_sup(CellSet(1, 4, [(0,), (2,)])) == Fraction(1, 2)
 
+    def test_layered_dp_against_row_merge_and_chain_formula(self):
+        # oracles: the row-merge DP over all 2^n - 1 moves per corner, and
+        # the maximum over chains of cells of the distinct values per axis
+        rng = random.Random(6151)
+        for n, M in ((1, 20), (2, 10), (3, 6), (4, 4), (5, 3), (6, 2)):
+            cube = list(itertools.product(range(M), repeat=n))
+            shapes = [
+                [],
+                cube,
+                [(i,) * n for i in range(M)],
+                [c for c in cube if sum(c) % 2 == 0],
+            ]
+            shapes += [[c for c in cube if rng.random() < p] for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+            for cells in shapes:
+                a = CellSet(n, M, cells)
+                sup = chain_mass_sup(a)
+                assert sup == row_merge_chain_mass_sup(a)
+                assert sup == Fraction(chain_formula_max(a.points(), n), M)
+
     def test_cap_is_checked_before_any_work(self):
-        # (M+1)^n * max(1, 2^(n-1) - 1) row-element updates
-        for n, M in ((1, 9), (2, 6), (3, 4), (4, 2)):
-            work = (M + 1) ** n * max(1, 2 ** (n - 1) - 1)
+        # (M+1)^n * max(1, n(n-1)/2) row-element updates
+        rows = [(1, 9), (2, 6), (3, 4), (4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (9, 2)]
+        for n, M in rows + [(10, 2), (11, 2)]:
+            work = (M + 1) ** n * max(1, n * (n - 1) // 2)
             a = full_cube(n, M)
-            assert chain_mass_sup(a, Config(max_fine_states=work)) == n
+            if (n, M) in rows:
+                assert chain_mass_sup(a, Config(max_fine_states=work)) == n
+            else:
+                check_chain_mass_cap(n, M, Config(max_fine_states=work))
             with pytest.raises(ResourceLimitError):
                 chain_mass_sup(a, Config(max_fine_states=work - 1))
-        # 10^18 corners, or 2^39 moves per corner: refused at once
+        # 10^18 corners, or 3^40 corners: refused at once
         start = time.perf_counter()
         for n, M in ((3, 10**6), (40, 2)):
             with pytest.raises(ResourceLimitError):
                 chain_mass_sup(CellSet(n, M, []))
         assert time.perf_counter() - start < 0.1
+
+    def test_full_cube_at_the_default_cap(self):
+        # n = 10, M = 2: 3^10 * 45 row-element updates, inside the default
+        # 10^7; about 0.5 s on a 2-vCPU machine
+        start = time.perf_counter()
+        assert chain_mass_sup(full_cube(10, 2)) == 10
+        assert time.perf_counter() - start < 10
 
 
 class TestStaircaseMass:
