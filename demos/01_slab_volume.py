@@ -11,14 +11,14 @@ from chainlab import SlabSpec, slab_membership, slab_volume_exact, slab_volume_m
 
 print("=== exact volumes ===")
 for n, kappa in [(1, Fraction(1, 2)), (2, Fraction(1)), (3, Fraction(1)), (3, Fraction(3))]:
-    result = slab_volume_exact(SlabSpec(n, kappa))
-    print(f"  n={n} kappa={kappa}:  volume = {result.exact}  ({result.as_float:.6f})")
+    volume = slab_volume_exact(SlabSpec(n, kappa))
+    print(f"  n={n} kappa={kappa}:  volume = {volume}  ({float(volume):.6f})")
 
 print()
 print("=== dimension 1: the volume is just kappa ===")
 for i in (1, 3, 7, 10):
     kappa = Fraction(i, 10)
-    print(f"  kappa={kappa}: {slab_volume_exact(SlabSpec(1, kappa)).exact}")
+    print(f"  kappa={kappa}: {slab_volume_exact(SlabSpec(1, kappa))}")
 
 print()
 print("=== Monte Carlo cross-check (1e6 samples, seed 0) ===")
@@ -27,7 +27,7 @@ for n, kappa in [(2, Fraction(1)), (4, Fraction(2))]:
     exact = slab_volume_exact(spec)
     mc = slab_volume_montecarlo(spec, 10**6, seed=0)
     print(
-        f"  n={n} kappa={kappa}: exact {exact.as_float:.6f},"
+        f"  n={n} kappa={kappa}: exact {float(exact):.6f},"
         f" estimate {mc.estimate:.6f} +- {mc.half_width_99:.6f}"
     )
 

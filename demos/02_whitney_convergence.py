@@ -4,6 +4,7 @@ slab volume as the grid is refined."""
 from fractions import Fraction
 
 from chainlab import convergence_table, sum_k_largest, whitney_numbers, whitney_sum
+from chainlab.whitney import k_for_kappa
 
 print("=== small coefficient tables ===")
 for n, m in [(1, 3), (2, 2), (2, 3), (3, 3)]:
@@ -13,13 +14,14 @@ print()
 print("=== top-k sums from the central block ===")
 table = whitney_numbers(2, 3)
 for k in range(1, 6):
-    print(f"  k={k}: {sum_k_largest(table, k).value}")
+    print(f"  k={k}: {sum_k_largest(table, k)}")
 
 print()
 print("=== the kappa-indexed sum: ceil(kappa*m + n) largest entries ===")
 for m in (10, 100):
-    ws = whitney_sum(2, m, Fraction(1))
-    print(f"  n=2, m={m}, kappa=1: k={ws.k}, value={ws.value}, ratio={ws.value / m**2:.4f}")
+    value = whitney_sum(2, m, Fraction(1))
+    k = k_for_kappa(2, m, Fraction(1))
+    print(f"  n=2, m={m}, kappa=1: k={k}, value={value}, ratio={value / m**2:.4f}")
 
 print()
 print("=== ratio vs volume: the gap shrinks like 1/m ===")

@@ -26,7 +26,7 @@ print(f"  vertices for n=3: {[tuple(map(int, v)) for v in extremal_chain(3).vert
 print()
 print("=== anti-diagonal decomposition of the square's diagonal ===")
 diag = polyline([(0, 0), (1, 1)])
-for piece in antidiagonal_decompose(diag).pieces:
+for piece in antidiagonal_decompose(diag):
     print(
         f"  piece {piece.index}: interval {piece.s_interval},"
         f" length {float(h1_length(piece.piece)):.6f} <= 1"

@@ -1,9 +1,11 @@
 """End-to-end verification of the slab optimality machinery on box unions.
 
 The pipeline: rasterise the slab, compute coarse covers and densities,
-check the covering inequality, compute the exact supremum of chain mass
-(bracketed here by a staircase search and the coarse-cube bound), and
-compare against the Whitney-sum cap.  Everything is an exact rational.
+check the covering inequality, compute the exact supremum of chain mass,
+which decides feasibility, and compare against the Whitney-sum cap.
+Everything is an exact rational.  Two oracles of `chainlab.verifier`,
+kept for testing, bracket the supremum: a staircase search from below
+and the coarse-cube bound from above.
 """
 
 from fractions import Fraction
@@ -11,14 +13,13 @@ from fractions import Fraction
 from chainlab import (
     CellSet,
     ChainOfPoints,
-    adversarial_chain_search,
     build_chain_through_cubes,
     chain_mass_sup,
     discretize_slab,
     end_to_end_verify,
-    max_cell_chain_mass_upper,
     measure,
 )
+from chainlab.verifier import adversarial_chain_search, max_cell_chain_mass_upper
 
 print("=== rasterised slab, n=2, kappa=1, fine resolution 100 ===")
 inner = discretize_slab(2, 100, Fraction(1), "inner")
@@ -29,11 +30,12 @@ print(f"  true volume 3/4 sits between them")
 
 print()
 print("=== chain mass of the inner raster ===")
-adv = adversarial_chain_search(inner)
 sup = chain_mass_sup(inner)
+print(f"  exact supremum, the verdict:       {sup} = {float(sup):.4f}")
+print("  and the two oracles that bracket it:")
+adv = adversarial_chain_search(inner)
 upper = max_cell_chain_mass_upper(inner, 20)
 print(f"  best edge staircase (lower bound): {adv.lower} = {float(adv.lower):.4f}")
-print(f"  exact supremum:                    {sup} = {float(sup):.4f}")
 print(f"  coarse-cube bound (upper bound):   {upper} = {float(upper):.4f}")
 
 print()

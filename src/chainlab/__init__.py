@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 #: The public names, by the submodule that defines them.
 _EXPORTS = {
     "chain_geometry": (
-        "AntidiagonalDecomposition",
         "AntidiagonalPiece",
         "MonotonePolyline",
         "antichain_slab_membership",
@@ -46,34 +45,29 @@ _EXPORTS = {
     "slab_volume": (
         "MonteCarloResult",
         "SlabSpec",
-        "VolumeResult",
         "slab_membership",
         "slab_volume_exact",
         "slab_volume_montecarlo",
     ),
     "verifier": (
-        "AdversarialResult",
         "CellSet",
         "ChainCertificate",
         "ClaimCheckReport",
         "CoverSets",
         "EpsilonParams",
         "VerifyReport",
-        "adversarial_chain_search",
         "build_chain_through_cubes",
         "chain_mass_sup",
         "claim_check",
         "cover_sets",
         "discretize_slab",
         "end_to_end_verify",
-        "max_cell_chain_mass_upper",
         "measure",
         "staircase_mass",
     ),
     "whitney": (
         "CoefficientTable",
         "ConvergenceRow",
-        "WhitneySum",
         "convergence_table",
         "sum_k_largest",
         "whitney_numbers",

@@ -68,7 +68,7 @@ def validate_monotone(vertices: Sequence[Sequence[RationalLike]]) -> bool:
     if not vertices:
         return True
     try:
-        MonotonePolyline(n=len(vertices[0]), vertices=tuple(vertices))
+        polyline(vertices)
     except DomainError:
         return False
     return True
@@ -92,39 +92,22 @@ def _first_fault(n: int, numerators: Sequence[Sequence[int]], den: int) -> str:
     raise AssertionError("no fault found; validation bug")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MonotonePolyline:
     """Componentwise nondecreasing rational vertices in [0,1]^n.
 
-    Build it from rational vertices, `MonotonePolyline(n, vertices)`, or
-    from integer numerators over a positive denominator,
-    `MonotonePolyline(n, numerators=..., denominator=D)`.  Either way it
-    stores the numerators over the least common denominator, so equal
-    polylines compare equal.
+    Vertex i is numerators[i] / denominator: integer numerators over one
+    positive denominator.  The numerators are stored as tuples, reduced
+    over the least common denominator, so equal polylines compare equal.
+    `polyline` builds one from rational vertices.
     """
 
     n: int
     numerators: tuple[Numerators, ...]
-    denominator: int
-
-    def __init__(
-        self,
-        n: int,
-        vertices: Sequence[Sequence[RationalLike]] = (),
-        *,
-        numerators: Optional[Sequence[Sequence[int]]] = None,
-        denominator: int = 1,
-    ) -> None:
-        if numerators is None:
-            numerators, denominator = _over_common_denominator(vertices)
-        elif vertices:
-            raise TypeError("pass vertices or numerators, not both")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "numerators", tuple(map(tuple, numerators)))
-        object.__setattr__(self, "denominator", denominator)
-        self.__post_init__()
+    denominator: int = 1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "numerators", tuple(map(tuple, self.numerators)))
         n, den, nums = self.n, self.denominator, self.numerators
         if type(n) is not int:
             raise DomainError(f"n must be an integer, got {n!r}")
@@ -158,13 +141,17 @@ class MonotonePolyline:
 
 
 def polyline(vertices: Sequence[Sequence[RationalLike]], n: int | None = None) -> MonotonePolyline:
-    """Build a polyline, inferring the dimension from the first vertex."""
+    """The polyline through rational vertices (ints, Fractions or "P/Q"
+    strings), over the lcm of their denominators.
+
+    n defaults to the length of the first vertex.
+    """
     vertices = tuple(vertices)
     if n is None:
         if not vertices:
             raise DomainError("cannot infer dimension of an empty polyline")
         n = len(vertices[0])
-    return MonotonePolyline(n=n, vertices=vertices)
+    return MonotonePolyline(n, *_over_common_denominator(vertices))
 
 
 def _segment(a: Numerators, b: Numerators, den: int) -> int | float:
@@ -257,11 +244,6 @@ class AntidiagonalPiece:
         return self.s_interval[1] - self.s_interval[0]
 
 
-@dataclass(frozen=True)
-class AntidiagonalDecomposition:
-    pieces: tuple[AntidiagonalPiece, ...]
-
-
 def _cut(a: Numerators, b: Numerators, sa: int, sb: int, level: int) -> tuple[Numerators, int]:
     # The point of the segment a -> b whose numerator sum is `level`, with
     # sa <= level < sb the numerator sums of a and b: numerators over
@@ -273,14 +255,15 @@ def _cut(a: Numerators, b: Numerators, sa: int, sb: int, level: int) -> tuple[Nu
     return tuple(c // g for c in point), span // g
 
 
-def antidiagonal_decompose(p: MonotonePolyline) -> AntidiagonalDecomposition:
+def antidiagonal_decompose(p: MonotonePolyline) -> tuple[AntidiagonalPiece, ...]:
     """Clip the polyline at the hyperplanes of integer coordinate sum.
 
-    Piece i holds the sub-polyline with coordinate sum in [i-1, i]; the
-    clipping vertices are exact rational intersections and appear in
-    both adjacent pieces.  One forward walk assigns every segment: the
-    coordinate sum is nondecreasing along a monotone polyline, so the
-    active piece index only ever advances.  The walk compares integer
+    Returns the n pieces in order: piece i holds the sub-polyline with
+    coordinate sum in [i-1, i].  The clipping vertices are exact
+    rational intersections and appear in both adjacent pieces.  One
+    forward walk assigns every segment: the coordinate sum is
+    nondecreasing along a monotone polyline, so the active piece index
+    only ever advances.  The walk compares integer
     numerator sums with index * D, for D the polyline's denominator.
     """
     n, den, nums = p.n, p.denominator, p.numerators
@@ -316,9 +299,9 @@ def antidiagonal_decompose(p: MonotonePolyline) -> AntidiagonalDecomposition:
         offset = (i - 1) * piece_den
         s_lo = Fraction(sum(verts[0]) - offset, piece_den)
         s_hi = Fraction(sum(verts[-1]) - offset, piece_den)
-        sub = MonotonePolyline(n, numerators=verts, denominator=piece_den)
+        sub = MonotonePolyline(n, verts, piece_den)
         pieces.append(AntidiagonalPiece(index=i, piece=sub, s_interval=(s_lo, s_hi)))
-    return AntidiagonalDecomposition(pieces=tuple(pieces))
+    return tuple(pieces)
 
 
 def extremal_chain(n: int) -> MonotonePolyline:
@@ -326,4 +309,4 @@ def extremal_chain(n: int) -> MonotonePolyline:
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
     verts = [(1,) * i + (0,) * (n - i) for i in range(n + 1)]
-    return MonotonePolyline(n=n, numerators=verts, denominator=1)
+    return MonotonePolyline(n, verts)

@@ -72,12 +72,12 @@ def _cmd_volume(args: argparse.Namespace, config: Config) -> dict:
 
     _check_dimension(args.n, config)
     spec = SlabSpec(n=args.n, kappa=args.kappa)
-    result = slab_volume_exact(spec)
+    volume = slab_volume_exact(spec)
     payload = {
         "n": args.n,
         "kappa": format_rational(args.kappa),
-        "exact": format_rational(result.exact),
-        "float": result.as_float,
+        "exact": format_rational(volume),
+        "float": float(volume),
         "mc": None,
     }
     if args.mc is not None:
@@ -114,10 +114,10 @@ def _cmd_whitney(args: argparse.Namespace, config: Config) -> dict:
         k = k_for_kappa(args.n, args.m, args.kappa)
         payload["kappa"] = format_rational(args.kappa)
         payload["k"] = k
-        payload["sum"] = sum_k_largest(table, k).value
+        payload["sum"] = sum_k_largest(table, k)
     elif args.k is not None:
         payload["k"] = args.k
-        payload["sum"] = sum_k_largest(table, args.k).value
+        payload["sum"] = sum_k_largest(table, args.k)
     return payload
 
 
@@ -224,9 +224,8 @@ def _cmd_chain(args: argparse.Namespace, config: Config) -> dict:
             "h1_exact": format_rational(length) if exact else None,
             "exact": exact,
         }
-    decomposition = antidiagonal_decompose(poly)
     pieces = []
-    for piece in decomposition.pieces:
+    for piece in antidiagonal_decompose(poly):
         if piece.piece is None:
             pieces.append(
                 {

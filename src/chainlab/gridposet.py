@@ -275,7 +275,7 @@ def ksperner_bound_via_scd(n: int, m: int, k: int) -> int:
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     bound = sum(min(k, size) for size in _scd_chain_lengths(n, m))
-    expected = sum_k_largest(whitney_numbers(n, m), k).value
+    expected = sum_k_largest(whitney_numbers(n, m), k)
     if bound != expected:
         raise AssertionError(
             f"SCD bound {bound} != Whitney top-{k} sum {expected} for n={n}, m={m}"

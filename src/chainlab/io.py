@@ -135,7 +135,7 @@ def _check_entries(items: object, kind: type, what: str) -> None:
 
 
 def polyline_from_dict(data: dict) -> MonotonePolyline:
-    from .chain_geometry import MonotonePolyline
+    from .chain_geometry import MonotonePolyline, _over_common_denominator
 
     n = _require(data, "n", "polyline")
     vertices = _require(data, "vertices", "polyline")
@@ -145,11 +145,13 @@ def polyline_from_dict(data: dict) -> MonotonePolyline:
         parsed = parse_quotients(list(chain.from_iterable(vertices)))
     if parsed is None:
         fractions = [[_rational_field(c, "polyline vertex") for c in v] for v in vertices]
-        return MonotonePolyline(n, fractions)
+        # The file's n as given, so that MonotonePolyline refuses one that is
+        # not a dimension (null included), which `polyline` would infer.
+        return MonotonePolyline(n, *_over_common_denominator(fractions))
     numerators, denominators = parsed
     den = math.lcm(*set(denominators))
     scaled = map(mul, numerators, map(floordiv, repeat(den), denominators))
-    return MonotonePolyline(n=n, numerators=list(zip(*[scaled] * n)), denominator=den)
+    return MonotonePolyline(n, list(zip(*[scaled] * n)), den)
 
 
 def weighted_grid_from_dict(data: dict) -> WeightedGrid:

@@ -78,26 +78,20 @@ def parse_quotients(values: list) -> Optional[tuple[list[int], list[int]]]:
 
 
 def format_rational(value: Fraction) -> str:
-    """Serialise a Fraction as "P/Q" with an explicit denominator."""
-    value = Fraction(value)
-    return format_quotient(value.numerator, value.denominator)
-
-
-def format_quotient(numerator: int, denominator: int) -> str:
-    """Serialise numerator/denominator (denominator > 0) as "P/Q" in lowest terms.
+    """Serialise a Fraction (or an int) as "P/Q", in lowest terms with Q > 0.
 
     A term with more decimal digits than Python prints raises
     `ResourceLimitError` before any conversion.
     """
-    g = math.gcd(numerator, denominator)
-    p, q = numerator // g, denominator // g
+    value = Fraction(value)
+    p, q = value.numerator, value.denominator
     if p.bit_length() > _PRINTABLE_BITS or q.bit_length() > _PRINTABLE_BITS:
         _check_printable(max(abs(p), q))
     return f"{p}/{q}"
 
 
 def format_quotients(numerators: list[int], denominator: int) -> list[str]:
-    """`format_quotient(x, denominator)` for each x of `numerators`, in
+    """`format_rational(Fraction(x, denominator))` for each x of `numerators`, in
     whole-list passes: one `map(gcd, ...)`, two of `floordiv`, one size
     check of the largest term and one f-string comprehension (faster
     than `map(str.format, ...)`)."""

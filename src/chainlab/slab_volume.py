@@ -46,8 +46,10 @@ class SlabSpec:
     kappa: Scalar
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise DomainError(f"dimension must be a positive integer, got {self.n!r}")
+        if type(self.kappa) is bool or not isinstance(self.kappa, (int, float, Fraction)):
+            raise DomainError(f"kappa must be an int, float or Fraction, got {self.kappa!r}")
         if not (0 < self.kappa <= self.n):
             raise DomainError(
                 f"kappa must lie in (0, n] = (0, {self.n}], got {self.kappa}"
@@ -66,25 +68,14 @@ class SlabSpec:
         return (self.n + self.kappa) / 2
 
 
-@dataclass(frozen=True)
-class VolumeResult:
-    """Exact slab volume with a float shadow.
-
-    The float is the correctly rounded double of the exact value, so
-    |as_float - exact| <= 2**-53 < 2**-40 for volumes in (0, 1].
-    """
-
-    exact: Fraction
-    as_float: float
-
-
 class MonteCarloResult(NamedTuple):
     estimate: float
     half_width_99: float
 
 
-def slab_volume_exact(spec: SlabSpec) -> VolumeResult:
-    """Exact volume of the slab, by inclusion-exclusion over corner simplices.
+def slab_volume_exact(spec: SlabSpec) -> Fraction:
+    """Exact volume of the slab as a Fraction, by inclusion-exclusion over
+    corner simplices.
 
     Requires a rational kappa: the floor index and the n-th powers are
     evaluated with Fractions, where floats would round near integer
@@ -97,10 +88,10 @@ def slab_volume_exact(spec: SlabSpec) -> VolumeResult:
     total = Fraction(0)
     for j in range(math.floor(t) + 1):
         total += (-1) ** j * math.comb(n, j) * (t - j) ** n
-    exact = 1 - Fraction(2, math.factorial(n)) * total
-    if not 0 < exact <= 1:
-        raise AssertionError(f"volume {exact} outside (0, 1]; formula bug")
-    return VolumeResult(exact=exact, as_float=float(exact))
+    volume = 1 - Fraction(2, math.factorial(n)) * total
+    if not 0 < volume <= 1:
+        raise AssertionError(f"volume {volume} outside (0, 1]; formula bug")
+    return volume
 
 
 def slab_membership(x: Sequence[Scalar], spec: SlabSpec) -> bool:

@@ -579,12 +579,11 @@ class ClaimCheckReport:
     covering_defect_ok: bool
 
 
-def claim_check(
-    a: CellSet, m: int, params: EpsilonParams, cover: CoverSets | None = None
-) -> ClaimCheckReport:
-    """Check measure(A) <= measure(dense cover) + delta, exactly."""
-    if cover is None:
-        cover = cover_sets(a, m, params)
+def claim_check(a: CellSet, m: int, params: EpsilonParams, cover: CoverSets) -> ClaimCheckReport:
+    """Check measure(A) <= measure(dense cover) + delta, exactly.
+
+    `cover` is `cover_sets(a, m, params)`.
+    """
     mn = m**a.n
     measure_a = measure(a)
     touched_measure = Fraction(len(cover.touched), mn)
@@ -652,17 +651,22 @@ def chain_mass_sup(a: CellSet, config: Config = Config()) -> Fraction:
     axis j < n-1, the D(y + e_j, j) it hands on.  g is offset by n, so a
     move from a cell outside A starts at 0 and, gaining at most n-1,
     never wins.  The work is checked first, by `check_chain_mass_cap`.
+
+    For n = 1 no DP runs: every subset of [0, 1] lies on the chain
+    [0, 1], so the supremum is the measure of A.
     """
     def larger(old: list[int] | None, new: list[int]) -> list[int]:
         return new if old is None else [s if s > t else t for s, t in zip(old, new)]
 
     n, M = a.n, a.M
     check_chain_mass_cap(n, M, config)
+    if n == 1:
+        return Fraction(len(a.cells), M)
     width = M + 1
     strides = [width ** (n - 2 - j) for j in range(n - 1)]
     bounds = a.cells.bounds
     # The last strides[0] rows: row y - e_j is rows[-strides[j]].
-    rows: deque[tuple[list[int], list[list[int]]]] = deque(maxlen=max(strides, default=0))
+    rows: deque[tuple[list[int], list[list[int]]]] = deque(maxlen=strides[0])
     for y in product(range(width), repeat=n - 1):
         row = 0
         for c in y:
@@ -696,8 +700,8 @@ def chain_mass_sup(a: CellSet, config: Config = Config()) -> Fraction:
             if back >= value:
                 value = back + 1
         step.append(value)
-        # First axes of moves from the row's corners (0 outside A); n = 1 reads none.
-        first = list(map(operator.mul, step, bits)) if strides else []
+        # First axes of moves from the row's corners (0 outside A).
+        first = list(map(operator.mul, step, bits))
         handed = [first]
         for d in earlier:
             handed.append(first if d is None else [s if s > t else t + 1 for s, t in zip(first, d)])
@@ -744,7 +748,7 @@ def _corners_to_polyline(corners: list[GridPoint], n: int, M: int) -> MonotonePo
                 verts[-1] = c
                 continue
         verts.append(c)
-    return MonotonePolyline(n=n, numerators=verts, denominator=M)
+    return MonotonePolyline(n, verts, M)
 
 
 def _edge_gains(
@@ -952,7 +956,7 @@ def build_chain_through_cubes(
     guarantee = _shrink_factor(n, epsilon) * Fraction(max(len(q.points) - 1, 0), m)
     if len(q.points) <= 1:
         return ChainCertificate(
-            polyline=MonotonePolyline(n=n, vertices=()),
+            polyline=MonotonePolyline(n, ()),
             mass=Fraction(0),
             guarantee=Fraction(0),
         )
@@ -993,10 +997,6 @@ class VerifyReport:
     #: infeasible exactly when chain_mass_sup > kappa.
     feasibility: Literal["feasible", "infeasible"]
 
-    @property
-    def constraint_violated(self) -> bool:
-        return self.feasibility == "infeasible"
-
 
 def end_to_end_verify(
     a: CellSet,
@@ -1025,8 +1025,8 @@ def end_to_end_verify(
     cover = cover_sets(a, m, params)
     claim = claim_check(a, m, params, cover=cover)
     sup = chain_mass_sup(a, config)
-    cap = whitney_sum(a.n, m, params.kappa_prime, config).value
-    volume = slab_volume_exact(SlabSpec(n=a.n, kappa=kappa)).exact
+    cap = whitney_sum(a.n, m, params.kappa_prime, config)
+    volume = slab_volume_exact(SlabSpec(n=a.n, kappa=kappa))
     return VerifyReport(
         n=a.n,
         m=m,

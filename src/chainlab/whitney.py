@@ -40,14 +40,6 @@ class CoefficientTable:
 
 
 @dataclass(frozen=True)
-class WhitneySum:
-    """Sum of the k largest Whitney numbers."""
-
-    k: int
-    value: int
-
-
-@dataclass(frozen=True)
 class ConvergenceRow:
     m: int
     value: int
@@ -110,7 +102,7 @@ def central_block(table_length: int, k: int) -> tuple[int, int]:
     return lo, lo + k
 
 
-def sum_k_largest(table: CoefficientTable, k: int) -> WhitneySum:
+def sum_k_largest(table: CoefficientTable, k: int) -> int:
     """Sum of the k largest entries of the table.
 
     Symmetry plus unimodality make the k largest entries a block of k
@@ -121,7 +113,7 @@ def sum_k_largest(table: CoefficientTable, k: int) -> WhitneySum:
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     lo, hi = central_block(len(table.coeffs), k)
-    return WhitneySum(k=k, value=sum(table.coeffs[lo:hi]))
+    return sum(table.coeffs[lo:hi])
 
 
 def k_for_kappa(n: int, m: int, kappa: RationalLike) -> int:
@@ -132,7 +124,7 @@ def k_for_kappa(n: int, m: int, kappa: RationalLike) -> int:
     return math.ceil(kappa * m + n)
 
 
-def whitney_sum(n: int, m: int, kappa: RationalLike, config: Config = Config()) -> WhitneySum:
+def whitney_sum(n: int, m: int, kappa: RationalLike, config: Config = Config()) -> int:
     """Sum of the ceil(kappa*m + n) largest Whitney numbers of {0..m-1}^n.
 
     The table is capped by `config.max_table_bytes`.
@@ -154,10 +146,10 @@ def convergence_table(
     m_list = list(m_list)
     for m in m_list:
         _check_table(n, m, config)
-    volume = slab_volume_exact(SlabSpec(n=n, kappa=kappa)).exact
+    volume = slab_volume_exact(SlabSpec(n=n, kappa=kappa))
     rows = []
     for m in m_list:
-        value = whitney_sum(n, m, kappa, config).value
+        value = whitney_sum(n, m, kappa, config)
         rows.append(
             ConvergenceRow(m=m, value=value, ratio=Fraction(value, m**n), volume=volume)
         )

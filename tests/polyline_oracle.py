@@ -24,7 +24,6 @@ from fractions import Fraction
 from chainlab import MonotonePolyline, WeightedGrid, format_rational
 from chainlab.errors import DomainError, check_grid, check_grid_points
 from chainlab.io import _check_entries, _rational_field, _require
-from chainlab.rational import format_quotient
 
 Point = tuple[Fraction, ...]
 
@@ -223,4 +222,4 @@ def weighted_grid_from_dict(data: dict) -> WeightedGrid:
 
 def polyline_to_dict(p: MonotonePolyline) -> dict:
     den = p.denominator
-    return {"n": p.n, "vertices": [[format_quotient(x, den) for x in v] for v in p.numerators]}
+    return {"n": p.n, "vertices": [[format_rational(Fraction(x, den)) for x in v] for v in p.numerators]}

@@ -21,7 +21,6 @@ from chainlab import (
     h1_length,
     ksperner_bound_via_scd,
     ksperner_max_bruteforce,
-    max_cell_chain_mass_upper,
     measure,
     slab_volume_exact,
     slab_volume_montecarlo,
@@ -31,6 +30,7 @@ from chainlab import (
     whitney_numbers,
     whitney_sum,
 )
+from chainlab.verifier import max_cell_chain_mass_upper
 from conftest import random_dense_cube_chain, random_monotone_polyline
 
 LENGTH_SLACK = 2.0**-30
@@ -53,28 +53,28 @@ def test_criterion_1_slab_volume_exactness():
     }
     for n, kappa in cases:
         spec = SlabSpec(n, kappa)
-        result = slab_volume_exact(spec)
+        volume = slab_volume_exact(spec)
         if n == 1:
-            assert result.exact == kappa
+            assert volume == kappa
         if kappa == n:
-            assert result.exact == 1
+            assert volume == 1
         if (n, kappa) in expected:
-            assert result.exact == expected[(n, kappa)]
+            assert volume == expected[(n, kappa)]
         mc = slab_volume_montecarlo(spec, 10**6, seed=0)
         if mc.half_width_99 == 0.0:
-            assert mc.estimate == float(result.exact)
+            assert mc.estimate == float(volume)
         else:
-            assert abs(mc.estimate - float(result.exact)) <= mc.half_width_99
+            assert abs(mc.estimate - float(volume)) <= mc.half_width_99
     report(1, "slab volume exactness", started, 5.0)
 
 
 def test_criterion_2_convergence():
     started = time.monotonic()
     for n, kappa in ((1, Fraction(1, 2)), (2, Fraction(1)), (3, Fraction(1))):
-        volume = slab_volume_exact(SlabSpec(n, kappa)).exact
+        volume = slab_volume_exact(SlabSpec(n, kappa))
         gaps = []
         for m in (10, 100, 1000):
-            value = whitney_sum(n, m, kappa).value
+            value = whitney_sum(n, m, kappa)
             gaps.append(abs(Fraction(value, m**n) - volume))
         assert gaps[0] > gaps[1] > gaps[2], f"gaps not decreasing for n={n}"
         assert gaps[2] <= Fraction(n * (n + 1), 1000)
@@ -91,7 +91,7 @@ def test_criterion_3_erdos_desk_scale():
         for k in range(1, n * (m - 1) + 2):
             brute = ksperner_max_bruteforce(n, m, k)
             certified = ksperner_bound_via_scd(n, m, k)
-            top = sum_k_largest(table, k).value
+            top = sum_k_largest(table, k)
             assert brute == certified == top, (n, m, k, brute, certified, top)
     report(3, "k-Sperner brute force = SCD bound = Whitney sum", started, 60.0)
 
@@ -128,9 +128,8 @@ def test_criterion_5_chain_length_properties():
                 assert total <= n
             else:
                 assert total <= n + LENGTH_SLACK
-            decomposition = antidiagonal_decompose(p)
             pieces_total = 0.0
-            for piece in decomposition.pieces:
+            for piece in antidiagonal_decompose(p):
                 if piece.piece is None:
                     continue
                 assert piece.s_interval_length <= 1
@@ -189,7 +188,7 @@ def test_criterion_8_feasible_sets_respect_volume_bound():
     rng = random.Random(880)
     kappa = Fraction(1)
     n, m, M = 2, 20, 40
-    volume = slab_volume_exact(SlabSpec(n, kappa)).exact
+    volume = slab_volume_exact(SlabSpec(n, kappa))
     checked = 0
     while checked < 100:
         band_lo = rng.randint(0, 2 * (m - 1) - 10)

@@ -17,7 +17,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from chainlab import ChainOfPoints, discretize_slab
+from chainlab import (
+    CellSet,
+    ChainOfPoints,
+    EpsilonParams,
+    WeightedGrid,
+    discretize_slab,
+    polyline,
+    staircase_mass,
+)
 from conftest import random_cellset
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,3 +83,47 @@ def test_cell_counters_count_cells():
         q = ChainOfPoints(((0,) * a.n, (1,) * a.n))
         m = a.M // 2 if a.M % 2 == 0 else a.M
         assert tracing._chainbuild((q, a, m), None)["verifier.cells"] == count
+
+
+def test_every_counter_hook_reads_a_real_result(tmp_path):
+    # Each hooked layer runs once, wrapped by `Tracer.wrap` as in a traced
+    # run, so a change to what a layer takes or returns fails here and not
+    # only in the traced benchmark run.
+    tracing = load_tracing()
+    slab = discretize_slab(2, 12, Fraction(1), "inner")
+    full = CellSet(2, 12, [(x, y) for x in range(12) for y in range(12)])
+    cubes = ChainOfPoints(((0, 0), (1, 1), (2, 2)))
+    path = str(tmp_path / "payload.json")
+    samples = {
+        "verifier.discretize_slab": (2, 12, Fraction(1), "inner"),
+        "verifier.cover_sets": (slab, 4, EpsilonParams.auto(2, 4, Fraction(1))),
+        "verifier.adversarial_chain_search": (slab,),
+        "verifier.build_chain_through_cubes": (cubes, full, 4, Fraction(1, 50)),
+        "verifier.end_to_end_verify": (slab, Fraction(1), 4),
+        "io.dump_json": (path, {"n": 1}),
+        "io.load_json": (path,),
+        "gridposet.max_weight_chain": (
+            WeightedGrid(n=2, m=3, weights={(0, 0): Fraction(1), (1, 2): Fraction(2)}),
+        ),
+        "gridposet.symmetric_chain_decomposition": (2, 3),
+        "whitney.whitney_numbers": (2, 5),
+        "chain_geometry.polyline_validate": (polyline([(0, 0), (Fraction(1, 2), 1)]),),
+    }
+    hooked = {name for name, (_, _, hook) in tracing.LAYERS.items() if hook is not None}
+    assert hooked == set(samples)
+    tracer = tracing.Tracer(memory=False)
+    for name in sorted(hooked):
+        module, path_, hook = tracing.LAYERS[name]
+        owner = importlib.import_module(module)
+        for attr in path_.split("."):
+            owner = getattr(owner, attr)
+        tracer.wrap(name, owner, hook)(*samples[name])
+    assert set(tracer.counts) == set(tracing.COUNTERS)
+    assert all(type(v) is int and v >= 0 for v in tracer.counts.values())
+    assert tracer.counts["whitney.table_entries"] == 9
+    assert tracer.counts["chain_geometry.vertices"] == 2
+    assert tracer.counts["gridposet.scd_chains"] == 3
+    # The two staircases the tracer re-measures after a command.
+    assert len(tracer.staircases) == 2
+    for cells, staircase, claimed in tracer.staircases:
+        assert staircase_mass(cells, staircase) == claimed

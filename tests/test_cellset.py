@@ -279,7 +279,7 @@ class TestRepresentation:
 
     def test_staircase_mass_reads_membership(self):
         rng = random.Random(8105)
-        from chainlab import adversarial_chain_search
+        from chainlab.verifier import adversarial_chain_search
 
         for _ in range(10):
             a = random_cellset(rng, 2, 12, density=rng.uniform(0.2, 0.9))

@@ -156,7 +156,7 @@ class TestAntichainSlab:
 class TestAntidiagonalDecompose:
     def test_diagonal_of_square(self):
         diag = polyline([(0, 0), (1, 1)])
-        pieces = antidiagonal_decompose(diag).pieces
+        pieces = antidiagonal_decompose(diag)
         assert len(pieces) == 2
         for piece in pieces:
             assert piece.s_interval == (0, 1)
@@ -165,7 +165,7 @@ class TestAntidiagonalDecompose:
 
     def test_staircase(self):
         stair = polyline([(0, 0), (1, 0), (1, 1)])
-        pieces = antidiagonal_decompose(stair).pieces
+        pieces = antidiagonal_decompose(stair)
         assert pieces[0].s_interval == (0, 1)
         assert pieces[1].s_interval == (0, 1)
         assert h1_length(pieces[0].piece) == 1
@@ -173,24 +173,23 @@ class TestAntidiagonalDecompose:
 
     def test_low_sum_polyline_leaves_upper_pieces_empty(self):
         p = polyline([(0, 0), (Fraction(1, 4), 0), (Fraction(1, 4), Fraction(1, 4))])
-        pieces = antidiagonal_decompose(p).pieces
+        pieces = antidiagonal_decompose(p)
         assert pieces[0].piece is not None
         assert pieces[1].piece is None
         assert pieces[1].s_interval is None
 
     def test_empty_polyline(self):
-        p = MonotonePolyline(n=3, vertices=())
-        assert all(piece.piece is None for piece in antidiagonal_decompose(p).pieces)
+        p = MonotonePolyline(3, ())
+        assert all(piece.piece is None for piece in antidiagonal_decompose(p))
 
     def test_piece_invariants_randomised(self):
         rng = random.Random(59)
         for _ in range(200):
             n = rng.choice([2, 3])
             p = random_monotone_polyline(rng, n, max_vertices=12)
-            decomposition = antidiagonal_decompose(p)
             total = float(h1_length(p))
             piece_sum = 0.0
-            for piece in decomposition.pieces:
+            for piece in antidiagonal_decompose(p):
                 if piece.piece is None:
                     continue
                 length = float(h1_length(piece.piece))
@@ -201,10 +200,9 @@ class TestAntidiagonalDecompose:
 
     def test_pieces_cover_polyline_exactly_for_staircases(self):
         stair = extremal_chain(3)
-        decomposition = antidiagonal_decompose(stair)
         lengths = [
             h1_length(piece.piece)
-            for piece in decomposition.pieces
+            for piece in antidiagonal_decompose(stair)
             if piece.piece is not None
         ]
         assert sum(lengths) == h1_length(stair) == 3
@@ -214,9 +212,8 @@ class TestAntidiagonalDecompose:
         for _ in range(100):
             n = rng.choice([2, 3])
             p = random_monotone_polyline(rng, n, max_vertices=15)
-            decomposition = antidiagonal_decompose(p)
             piece_vertices = set()
-            for piece in decomposition.pieces:
+            for piece in antidiagonal_decompose(p):
                 if piece.piece is None:
                     continue
                 lo, hi = Fraction(piece.index - 1), Fraction(piece.index)
@@ -238,12 +235,12 @@ class TestAgainstFractionOracle:
     """The integer kernels against the Fraction code they replaced."""
 
     def check(self, n, vertices):
-        p = MonotonePolyline(n, vertices)
+        p = polyline(vertices, n)
         assert p.vertices == vertices
         for a, b in zip(vertices, vertices[1:]):
             assert _same(segment_length(a, b), oracle.segment_length(a, b))
         assert _same(h1_length(p), oracle.h1_length(vertices))
-        got = antidiagonal_decompose(p).pieces
+        got = antidiagonal_decompose(p)
         want = oracle.antidiagonal_decompose(n, vertices)
         assert len(got) == len(want) == n
         for piece, (index, piece_vertices, s_interval) in zip(got, want):
@@ -302,7 +299,7 @@ class TestAgainstFractionOracle:
         for _ in range(200):
             n = rng.randint(1, 4)
             vertices = oracle.random_vertices(rng, n, rng.choice(("staircase", "skew")))
-            p = MonotonePolyline(n, vertices)
+            p = polyline(vertices, n)
             scale = rng.randint(1, 5)
             q = MonotonePolyline(
                 n,

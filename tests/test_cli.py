@@ -4,6 +4,7 @@ import io
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -12,7 +13,6 @@ import pytest
 import polyline_oracle as oracle
 from chainlab import ResourceLimitError, format_rational
 from chainlab.cli import run
-from chainlab.rational import format_quotient
 from chainlab.slab_volume import MAX_SAMPLE_COORDINATES
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -64,12 +64,12 @@ class TestVolume:
         assert (code, out) == (3, "")
         assert check_schema("error", err)["error"]["code"] == "resource"
 
-    def test_format_quotient_digit_limit(self):
+    def test_format_rational_digit_limit(self):
         limit = sys.get_int_max_str_digits()
-        assert format_quotient(10**limit - 1, 2) == f"{10**limit - 1}/2"
+        assert format_rational(Fraction(10**limit - 1, 2)) == f"{10**limit - 1}/2"
         for numerator, denominator in ((10**limit, 3), (-(10**limit), 3), (1, 10**limit)):
             with pytest.raises(ResourceLimitError):
-                format_quotient(numerator, denominator)
+                format_rational(Fraction(numerator, denominator))
 
     def test_determinism(self):
         argv = ["volume", "--n", "3", "--kappa", "2/3", "--mc", "5000", "--seed", "1"]

@@ -277,7 +277,7 @@ class TestKSperner:
             for k in range(1, n * (m - 1) + 2):
                 brute = ksperner_max_bruteforce(n, m, k)
                 bound = ksperner_bound_via_scd(n, m, k)
-                top = sum_k_largest(whitney_numbers(n, m), k).value
+                top = sum_k_largest(whitney_numbers(n, m), k)
                 assert brute == bound == top
 
     def test_bruteforce_cap(self):

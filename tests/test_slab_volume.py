@@ -41,19 +41,19 @@ class TestExactVolume:
     def test_dimension_one_is_kappa(self):
         for i in range(1, 11):
             kappa = Fraction(i, 10)
-            assert slab_volume_exact(SlabSpec(1, kappa)).exact == kappa
+            assert slab_volume_exact(SlabSpec(1, kappa)) == kappa
 
     def test_frozen_derived_values(self):
         # unit square minus two corner triangles of area 1/8
-        assert slab_volume_exact(SlabSpec(2, Fraction(1))).exact == Fraction(3, 4)
+        assert slab_volume_exact(SlabSpec(2, Fraction(1))) == Fraction(3, 4)
         # formula: 1 - (2/6)(1 - 3*0)
-        assert slab_volume_exact(SlabSpec(3, Fraction(1))).exact == Fraction(2, 3)
-        assert slab_volume_exact(SlabSpec(3, Fraction(3))).exact == 1
-        assert slab_volume_exact(SlabSpec(1, Fraction(1, 2))).exact == Fraction(1, 2)
+        assert slab_volume_exact(SlabSpec(3, Fraction(1))) == Fraction(2, 3)
+        assert slab_volume_exact(SlabSpec(3, Fraction(3))) == 1
+        assert slab_volume_exact(SlabSpec(1, Fraction(1, 2))) == Fraction(1, 2)
 
     def test_full_cube_for_kappa_equal_n(self):
         for n in range(1, 9):
-            assert slab_volume_exact(SlabSpec(n, Fraction(n))).exact == 1
+            assert slab_volume_exact(SlabSpec(n, Fraction(n))) == 1
 
     def test_against_cdf_oracle(self):
         rng = random.Random(11)
@@ -62,12 +62,7 @@ class TestExactVolume:
             kappa = Fraction(rng.randint(1, 24 * n), 24)
             if kappa > n:
                 kappa = Fraction(n)
-            result = slab_volume_exact(SlabSpec(n, kappa))
-            assert result.exact == oracle_volume(n, kappa)
-
-    def test_float_shadow_close(self):
-        result = slab_volume_exact(SlabSpec(4, Fraction(7, 5)))
-        assert abs(Fraction(result.as_float) - result.exact) <= Fraction(1, 2**40)
+            assert slab_volume_exact(SlabSpec(n, kappa)) == oracle_volume(n, kappa)
 
     def test_monotone_in_kappa(self):
         rng = random.Random(5)
@@ -78,8 +73,8 @@ class TestExactVolume:
             k1, k2 = min(a * n, Fraction(n)), min(b * n, Fraction(n))
             if k1 == k2:
                 continue
-            v1 = slab_volume_exact(SlabSpec(n, k1)).exact
-            v2 = slab_volume_exact(SlabSpec(n, k2)).exact
+            v1 = slab_volume_exact(SlabSpec(n, k1))
+            v2 = slab_volume_exact(SlabSpec(n, k2))
             assert v1 < v2 if k2 < n or k1 < n else v1 <= v2
 
     def test_domain_errors(self):
@@ -89,6 +84,22 @@ class TestExactVolume:
             SlabSpec(2, Fraction(5, 2))
         with pytest.raises(DomainError):
             SlabSpec(0, Fraction(1, 2))
+
+    @pytest.mark.parametrize(
+        "n, kappa, message",
+        [
+            (True, 1, "dimension must be a positive integer, got True"),
+            (2.0, 1, "dimension must be a positive integer, got 2.0"),
+            (2, True, "kappa must be an int, float or Fraction, got True"),
+            (2, False, "kappa must be an int, float or Fraction, got False"),
+            (2, "1/2", "kappa must be an int, float or Fraction, got '1/2'"),
+            (2, None, "kappa must be an int, float or Fraction, got None"),
+        ],
+    )
+    def test_bool_and_non_number_arguments_rejected(self, n, kappa, message):
+        with pytest.raises(DomainError) as info:
+            SlabSpec(n, kappa)
+        assert str(info.value) == message
 
     def test_irrational_kappa_rejected_on_exact_path(self):
         spec = SlabSpec(2, 0.5)
@@ -135,7 +146,7 @@ class TestMonteCarlo:
 
     def test_agrees_with_exact(self):
         for n, kappa in ((2, Fraction(1)), (1, Fraction(1, 2))):
-            exact = float(slab_volume_exact(SlabSpec(n, kappa)).exact)
+            exact = float(slab_volume_exact(SlabSpec(n, kappa)))
             mc = slab_volume_montecarlo(SlabSpec(n, kappa), 10**6, seed=0)
             assert abs(mc.estimate - exact) < 0.005
 
@@ -156,7 +167,7 @@ class TestMonteCarlo:
     def test_coverage_over_seed_list(self):
         # the 99% interval should cover the exact value in >= 95 of 100 runs
         spec = SlabSpec(2, Fraction(1))
-        exact = float(slab_volume_exact(spec).exact)
+        exact = float(slab_volume_exact(spec))
         covered = 0
         for seed in range(100):
             mc = slab_volume_montecarlo(spec, 10**5, seed=seed)

@@ -237,6 +237,66 @@ def test_public_names_resolve_to_their_submodules():
         chainlab.no_such_name
 
 
+#: The public names of `chainlab`: a name joins or leaves only by an edit here.
+PUBLIC_NAMES = [
+    "AntidiagonalPiece",
+    "CellSet",
+    "ChainCertificate",
+    "ChainOfPoints",
+    "ChainlabError",
+    "ClaimCheckReport",
+    "CoefficientTable",
+    "Config",
+    "ConvergenceRow",
+    "CoverSets",
+    "DomainError",
+    "EpsilonParams",
+    "GridPoint",
+    "MaxChainResult",
+    "MonotonePolyline",
+    "MonteCarloResult",
+    "ResourceLimitError",
+    "SlabSpec",
+    "SymmetricChainDecomposition",
+    "VerifyReport",
+    "WeightedGrid",
+    "antichain_slab_membership",
+    "antidiagonal_decompose",
+    "as_rational",
+    "build_chain_through_cubes",
+    "chain_mass_sup",
+    "claim_check",
+    "convergence_table",
+    "coordinate_sum",
+    "cover_sets",
+    "discretize_slab",
+    "end_to_end_verify",
+    "extremal_chain",
+    "format_rational",
+    "h1_length",
+    "is_chain",
+    "ksperner_bound_via_scd",
+    "ksperner_max_bruteforce",
+    "max_weight_chain",
+    "measure",
+    "polyline",
+    "segment_length",
+    "slab_membership",
+    "slab_volume_exact",
+    "slab_volume_montecarlo",
+    "staircase_mass",
+    "sum_k_largest",
+    "symmetric_chain_decomposition",
+    "validate_monotone",
+    "whitney_numbers",
+    "whitney_sum",
+]
+
+
+def test_public_surface_is_pinned():
+    assert chainlab.__all__ == PUBLIC_NAMES
+
+
 def test_every_entry_point_prints_the_same_bytes(tmp_path):
     # -W error::RuntimeWarning fails a run in which runpy finds chainlab.cli
     # already imported, as it would if the package imported it.  The last
