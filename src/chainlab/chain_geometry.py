@@ -34,13 +34,12 @@ length of each clipped piece at 1 and the total length at n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import sub, truediv
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, Frozen
 from .rational import as_rational, RationalLike
 
 Point = tuple[Fraction, ...]
@@ -92,8 +91,7 @@ def _first_fault(n: int, numerators: Sequence[Sequence[int]], den: int) -> str:
     raise AssertionError("no fault found; validation bug")
 
 
-@dataclass(frozen=True)
-class MonotonePolyline:
+class MonotonePolyline(Frozen):
     """Componentwise nondecreasing rational vertices in [0,1]^n.
 
     Vertex i is numerators[i] / denominator: integer numerators over one
@@ -102,11 +100,21 @@ class MonotonePolyline:
     `polyline` builds one from rational vertices.
     """
 
+    __slots__ = _fields = ("n", "numerators", "denominator")
+
     n: int
     numerators: tuple[Numerators, ...]
-    denominator: int = 1
+    denominator: int
+
+    def __init__(self, n: int, numerators: Sequence[Sequence[int]], denominator: int = 1) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
+        # Looked up on the instance, so that a wrapper set on the class runs.
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Store the numerators as tuples, check them, and reduce them."""
         object.__setattr__(self, "numerators", tuple(map(tuple, self.numerators)))
         n, den, nums = self.n, self.denominator, self.numerators
         if type(n) is not int:
@@ -228,8 +236,7 @@ def antichain_slab_membership(x: Sequence[RationalLike], t: RationalLike) -> boo
     return coordinate_sum(x) == t
 
 
-@dataclass(frozen=True)
-class AntidiagonalPiece:
+class AntidiagonalPiece(NamedTuple):
     """The part of a polyline with coordinate sum between index-1 and index."""
 
     index: int

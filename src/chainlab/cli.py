@@ -10,7 +10,9 @@ exceeded, 64 unknown subcommand.
 Each `_cmd_*` handler imports the functions it calls when it runs, so a
 command line started as `python -m chainlab.cli` (or `python -m
 chainlab`, or the `chainlab` script) loads only the modules of its own
-command: `whitney` never loads the verifier.  Importing this module, as
+command: `whitney` never loads the verifier.  A run builds the argument
+parser of its own subcommand only, and an unknown subcommand exits
+before any parser is built.  Importing this module, as
 opposed to running it, still loads every module a command can use (see
 the end of the file): an in-process caller such as a layer tracer
 replaces those modules' attributes after `import chainlab.cli`, and the
@@ -343,70 +345,70 @@ def _cmd_chainbuild(args: argparse.Namespace, config: Config) -> dict:
     }
 
 
-def _build_parsers() -> dict[str, tuple[_Parser, Callable]]:
-    parsers: dict[str, tuple[_Parser, Callable]] = {}
+#: The handler of each subcommand.
+_HANDLERS: dict[str, Callable[[argparse.Namespace, Config], dict]] = {
+    "volume": _cmd_volume,
+    "whitney": _cmd_whitney,
+    "converge": _cmd_converge,
+    "maxchain": _cmd_maxchain,
+    "scd": _cmd_scd,
+    "ksperner": _cmd_ksperner,
+    "chain": _cmd_chain,
+    "raster-slab": _cmd_raster_slab,
+    "verify": _cmd_verify,
+    "chainbuild": _cmd_chainbuild,
+}
 
-    def new(name: str, handler: Callable) -> _Parser:
-        parser = _Parser(prog=f"chainlab {name}", add_help=True)
-        parser.add_argument("--config", type=str, default=None)
-        parsers[name] = (parser, handler)
-        return parser
 
-    p = new("volume", _cmd_volume)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kappa", type=_rational_arg, required=True)
-    p.add_argument("--mc", type=int, default=None, metavar="SAMPLES")
-    p.add_argument("--seed", type=int, default=None)
-
-    p = new("whitney", _cmd_whitney)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--kappa", type=_rational_arg, default=None)
-
-    p = new("converge", _cmd_converge)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kappa", type=_rational_arg, required=True)
-    p.add_argument("--m-list", type=_m_list_arg, required=True, dest="m_list")
-    p.add_argument("--csv", type=str, default=None)
-
-    p = new("maxchain", _cmd_maxchain)
-    p.add_argument("--weights", type=str, required=True)
-
-    p = new("scd", _cmd_scd)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--print", action="store_true", dest="print_chains")
-
-    p = new("ksperner", _cmd_ksperner)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--brute", action="store_true")
-
-    p = new("chain", _cmd_chain)
-    p.add_argument("action", choices=("length", "decompose"))
-    p.add_argument("--file", type=str, required=True)
-
-    p = new("raster-slab", _cmd_raster_slab)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--M", type=int, required=True, dest="M")
-    p.add_argument("--kappa", type=_rational_arg, required=True)
-    p.add_argument("--mode", choices=("inner", "outer"), required=True)
-    p.add_argument("-o", "--output", type=str, required=True)
-
-    p = new("verify", _cmd_verify)
-    p.add_argument("--set", type=str, required=True)
-    p.add_argument("--kappa", type=_rational_arg, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--epsilon", type=_rational_arg, default=None)
-
-    p = new("chainbuild", _cmd_chainbuild)
-    p.add_argument("--cubes", type=str, required=True)
-    p.add_argument("--set", type=str, required=True)
-    p.add_argument("--epsilon", type=_rational_arg, required=True)
-
-    return parsers
+def _build_parser(name: str) -> _Parser:
+    """The parser of subcommand `name`, a key of `_HANDLERS`; a run builds only its own."""
+    p = _Parser(prog=f"chainlab {name}", add_help=True)
+    p.add_argument("--config", type=str, default=None)
+    if name == "volume":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--kappa", type=_rational_arg, required=True)
+        p.add_argument("--mc", type=int, default=None, metavar="SAMPLES")
+        p.add_argument("--seed", type=int, default=None)
+    elif name == "whitney":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--k", type=int, default=None)
+        p.add_argument("--kappa", type=_rational_arg, default=None)
+    elif name == "converge":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--kappa", type=_rational_arg, required=True)
+        p.add_argument("--m-list", type=_m_list_arg, required=True, dest="m_list")
+        p.add_argument("--csv", type=str, default=None)
+    elif name == "maxchain":
+        p.add_argument("--weights", type=str, required=True)
+    elif name == "scd":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--print", action="store_true", dest="print_chains")
+    elif name == "ksperner":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--brute", action="store_true")
+    elif name == "chain":
+        p.add_argument("action", choices=("length", "decompose"))
+        p.add_argument("--file", type=str, required=True)
+    elif name == "raster-slab":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--M", type=int, required=True, dest="M")
+        p.add_argument("--kappa", type=_rational_arg, required=True)
+        p.add_argument("--mode", choices=("inner", "outer"), required=True)
+        p.add_argument("-o", "--output", type=str, required=True)
+    elif name == "verify":
+        p.add_argument("--set", type=str, required=True)
+        p.add_argument("--kappa", type=_rational_arg, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--epsilon", type=_rational_arg, default=None)
+    elif name == "chainbuild":
+        p.add_argument("--cubes", type=str, required=True)
+        p.add_argument("--set", type=str, required=True)
+        p.add_argument("--epsilon", type=_rational_arg, required=True)
+    return p
 
 
 _USAGE = """usage: chainlab SUBCOMMAND [options]
@@ -435,15 +437,14 @@ def run(argv: list[str], stdout: TextIO = sys.stdout, stderr: TextIO = sys.stder
     if not argv or argv[0] in ("-h", "--help"):
         stdout.write(_USAGE)
         return EXIT_OK
-    parsers = _build_parsers()
     name = argv[0]
-    if name not in parsers:
+    handler = _HANDLERS.get(name)
+    if handler is None:
         stderr.write(_error_payload("usage", f"unknown subcommand {name!r}") + "\n")
         return EXIT_USAGE
-    parser, handler = parsers[name]
     try:
         try:
-            args = parser.parse_args(argv[1:])
+            args = _build_parser(name).parse_args(argv[1:])
         except SystemExit as exc:  # --help lands here
             return EXIT_OK if exc.code in (0, None) else EXIT_DOMAIN
         config = Config.from_file(args.config) if args.config else Config()

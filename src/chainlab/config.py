@@ -11,48 +11,70 @@ behave identically everywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 
-from .errors import DomainError
+from .errors import DomainError, Frozen
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Frozen):
+    """Resource caps and the CLI's default seed; every field has a default."""
+
+    __slots__ = _fields = (
+        "max_grid_states",
+        "max_fine_states",
+        "max_table_bytes",
+        "max_dimension",
+        "default_seed",
+        "epsilon_denominator_cap",
+    )
+
     #: Cap on m**n for the coarse chain DP and cell enumerations.
-    max_grid_states: int = 10**7
+    max_grid_states: int
     #: Cap on the fine lattice corners of the staircase DP and on the
-    #: (M+1)**n * max(1, n(n-1)/2) row-element updates of the layered
-    #: chain-mass DP (`verifier.check_chain_mass_cap`).
-    max_fine_states: int = 10**7
+    #: (M+1)**n * n(n-1)/2 row-element updates of the layered chain-mass
+    #: DP, which runs for n >= 2 (`verifier.check_chain_mass_cap`).
+    max_fine_states: int
     #: Memory budget for Whitney coefficient tables, in bytes.
-    max_table_bytes: int = 1 << 28
+    max_table_bytes: int
     #: Hard cap on the dimension accepted by the volume subcommand.
-    max_dimension: int = 64
-    default_seed: int = 0
+    max_dimension: int
+    default_seed: int
     #: Largest denominator tried by the automatic epsilon rule.
-    epsilon_denominator_cap: int = 10**6
+    epsilon_denominator_cap: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        max_grid_states: int = 10**7,
+        max_fine_states: int = 10**7,
+        max_table_bytes: int = 1 << 28,
+        max_dimension: int = 64,
+        default_seed: int = 0,
+        epsilon_denominator_cap: int = 10**6,
+    ) -> None:
+        object.__setattr__(self, "max_grid_states", max_grid_states)
+        object.__setattr__(self, "max_fine_states", max_fine_states)
+        object.__setattr__(self, "max_table_bytes", max_table_bytes)
+        object.__setattr__(self, "max_dimension", max_dimension)
+        object.__setattr__(self, "default_seed", default_seed)
+        object.__setattr__(self, "epsilon_denominator_cap", epsilon_denominator_cap)
         # type() rather than isinstance(): a bool is not a cap or a seed.
         for cap in (
-            self.max_grid_states,
-            self.max_fine_states,
-            self.max_table_bytes,
-            self.max_dimension,
-            self.epsilon_denominator_cap,
+            max_grid_states,
+            max_fine_states,
+            max_table_bytes,
+            max_dimension,
+            epsilon_denominator_cap,
         ):
             if type(cap) is not int or cap <= 0:
                 raise DomainError(f"resource caps must be positive integers, got {cap!r}")
-        if type(self.default_seed) is not int or self.default_seed < 0:
+        if type(default_seed) is not int or default_seed < 0:
             raise DomainError(
-                f"default_seed must be a non-negative integer, got {self.default_seed!r}"
+                f"default_seed must be a non-negative integer, got {default_seed!r}"
             )
 
     @classmethod
     def from_file(cls, path: str) -> "Config":
         data = read_json_object(path, "config file")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)

@@ -1,6 +1,7 @@
-"""Exception types shared by all chainlab modules, and the one check of a
+"""Exception types shared by all chainlab modules, the one check of a
 grid {0..m-1}^n and of its points, which every module that checks input
-can import from here."""
+can import from here, and `Frozen`, the base of the value types that
+check their arguments."""
 
 import itertools
 
@@ -19,6 +20,48 @@ class DomainError(ChainlabError):
 
 class ResourceLimitError(ChainlabError):
     """The requested computation exceeds a configured resource cap."""
+
+
+class Frozen:
+    """Base of the immutable value types that check their arguments.
+
+    A subclass names its fields in `_fields` and keeps them in
+    `__slots__` (which may add a value derived from the fields).  Its
+    explicit `__init__` checks the arguments and sets each slot once,
+    with `object.__setattr__`; afterwards, assigning or deleting an
+    attribute raises `AttributeError`.  Two instances are equal when
+    they are of one class and their fields are equal; the hash and the
+    repr read the same fields.  Nothing is generated when a subclass is
+    defined.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through __init__, which takes the fields in order.
+        return type(self), self._values()
 
 
 def check_dimension(n: object) -> None:

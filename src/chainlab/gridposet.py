@@ -14,13 +14,19 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from operator import add, attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import Config
-from .errors import DomainError, ResourceLimitError, check_grid, check_grid_points, check_points
+from .errors import (
+    DomainError,
+    Frozen,
+    ResourceLimitError,
+    check_grid,
+    check_grid_points,
+    check_points,
+)
 from .rational import as_rational
 from .whitney import sum_k_largest, whitney_numbers
 
@@ -48,21 +54,22 @@ def is_chain(points: Iterable[GridPoint]) -> bool:
     return all(dominates(pts[i + 1], pts[i]) for i in range(len(pts) - 1))
 
 
-@dataclass(frozen=True)
-class ChainOfPoints:
+class ChainOfPoints(Frozen):
     """A nondecreasing sequence of distinct grid points.
 
     The points must be integer tuples of one dimension; pass
     `points_checked=True` only when the caller has checked that already.
     """
 
-    points: tuple[GridPoint, ...]
-    points_checked: InitVar[bool] = False
+    __slots__ = _fields = ("points",)
 
-    def __post_init__(self, points_checked: bool) -> None:
-        if self.points and not points_checked:
-            check_points(self.points, len(self.points[0]), "point")
-        for a, b in zip(self.points, self.points[1:]):
+    points: tuple[GridPoint, ...]
+
+    def __init__(self, points: tuple[GridPoint, ...], points_checked: bool = False) -> None:
+        object.__setattr__(self, "points", points)
+        if points and not points_checked:
+            check_points(points, len(points[0]), "point")
+        for a, b in zip(points, points[1:]):
             if a == b or not dominates(b, a):
                 raise DomainError(f"{a} -> {b} is not a strict componentwise step")
 
@@ -70,47 +77,49 @@ class ChainOfPoints:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class WeightedGrid:
+class WeightedGrid(Frozen):
     """Nonnegative rational weights on {0..m-1}^n; absent points weigh 0.
 
     The points must be integer tuples in the grid; pass
     `points_checked=True` only when the caller has checked that already.
     """
 
+    __slots__ = _fields = ("n", "m", "weights")
+
     n: int
     m: int
     weights: Mapping[GridPoint, Fraction]
-    points_checked: InitVar[bool] = False
 
-    def __post_init__(self, points_checked: bool) -> None:
-        check_grid(self.n, self.m)
+    def __init__(
+        self, n: int, m: int, weights: Mapping[GridPoint, Fraction], points_checked: bool = False
+    ) -> None:
+        check_grid(n, m)
         if not points_checked:
-            check_grid_points(list(self.weights), self.n, self.m, "point")
+            check_grid_points(list(weights), n, m, "point")
         # Whole-set check first; the loop words the first fault and coerces.
-        values = self.weights.values()
+        values = weights.values()
         if set(map(type, values)) <= {Fraction} and (
             min(map(attrgetter("numerator"), values), default=0) >= 0
         ):
-            object.__setattr__(self, "weights", dict(self.weights))
-            return
-        clean = {}
-        for p, w in self.weights.items():
-            w = as_rational(w)
-            if w < 0:
-                raise DomainError(f"negative weight {w} at {p}")
-            clean[p] = w
+            clean = dict(weights)
+        else:
+            clean = {}
+            for p, w in weights.items():
+                w = as_rational(w)
+                if w < 0:
+                    raise DomainError(f"negative weight {w} at {p}")
+                clean[p] = w
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "weights", clean)
 
 
-@dataclass(frozen=True)
-class MaxChainResult:
+class MaxChainResult(NamedTuple):
     total: Fraction
     witness: ChainOfPoints
 
 
-@dataclass(frozen=True)
-class SymmetricChainDecomposition:
+class SymmetricChainDecomposition(NamedTuple):
     """Partition of {0..m-1}^n into saturated rank-symmetric chains."""
 
     n: int

@@ -18,11 +18,10 @@ alone uses numpy, and imports it when called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, Frozen, ResourceLimitError
 from .rational import is_rational
 
 Scalar = Union[int, float, Fraction]
@@ -32,8 +31,7 @@ Scalar = Union[int, float, Fraction]
 MAX_SAMPLE_COORDINATES = 10**9
 
 
-@dataclass(frozen=True)
-class SlabSpec:
+class SlabSpec(Frozen):
     """Dimension and diagonal half-width of a slab.
 
     ``kappa`` is measured in l1 distance along the main diagonal and must
@@ -42,18 +40,20 @@ class SlabSpec:
     Carlo.
     """
 
+    __slots__ = _fields = ("n", "kappa")
+
     n: int
     kappa: Scalar
 
-    def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:
-            raise DomainError(f"dimension must be a positive integer, got {self.n!r}")
-        if type(self.kappa) is bool or not isinstance(self.kappa, (int, float, Fraction)):
-            raise DomainError(f"kappa must be an int, float or Fraction, got {self.kappa!r}")
-        if not (0 < self.kappa <= self.n):
-            raise DomainError(
-                f"kappa must lie in (0, n] = (0, {self.n}], got {self.kappa}"
-            )
+    def __init__(self, n: int, kappa: Scalar) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "kappa", kappa)
+        if type(n) is not int or n < 1:
+            raise DomainError(f"dimension must be a positive integer, got {n!r}")
+        if type(kappa) is bool or not isinstance(kappa, (int, float, Fraction)):
+            raise DomainError(f"kappa must be an int, float or Fraction, got {kappa!r}")
+        if not (0 < kappa <= n):
+            raise DomainError(f"kappa must lie in (0, n] = (0, {n}], got {kappa}")
 
     @property
     def lower_sum(self) -> Scalar:

@@ -62,14 +62,14 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress, cycle, islice, product, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Mapping, NamedTuple
 
 from .config import Config
 from .errors import (
     DomainError,
+    Frozen,
     ResourceLimitError,
     check_grid,
     check_grid_points,
@@ -150,8 +150,7 @@ def _first_bad_run(n: int, M: int, bounds: list) -> str:
     raise AssertionError("every run passed; the whole-list check is wrong")
 
 
-@dataclass(frozen=True, repr=False)
-class CellRuns:
+class CellRuns(Frozen):
     """The cells of a `CellSet` as row runs; a read-only view of their
     sorted flat indices.
 
@@ -166,16 +165,21 @@ class CellRuns:
     `checked` checks a list read from a file.
     """
 
+    _fields = ("n", "M", "bounds")
+    # `count`, the number of cells, follows from the bounds: it is not a field.
+    __slots__ = (*_fields, "count")
+
     n: int
     M: int
     bounds: tuple[int, ...]
-    count: int = field(init=False, compare=False)
+    count: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bounds", tuple(self.bounds))
-        object.__setattr__(
-            self, "count", sum(map(operator.sub, self.bounds[1::2], self.bounds[0::2]))
-        )
+    def __init__(self, n: int, M: int, bounds: Iterable[int]) -> None:
+        bounds = tuple(bounds)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "count", sum(map(operator.sub, bounds[1::2], bounds[0::2])))
 
     @classmethod
     def from_keys(cls, n: int, M: int, keys: list[int]) -> "CellRuns":
@@ -263,8 +267,7 @@ class CellRuns:
         return f"CellRuns(n={self.n}, M={self.M}, cells={self.count}, runs={len(self.bounds) // 2})"
 
 
-@dataclass(frozen=True, eq=False)
-class CellSet:
+class CellSet(Frozen):
     """A union of grid cubes with side 1/M, identified by their index vectors.
 
     `cells` may be given as any iterable of integer coordinate sequences
@@ -275,26 +278,28 @@ class CellSet:
     builds a set from flat indices.
     """
 
+    __slots__ = _fields = ("n", "M", "cells")
+
     n: int
     M: int
     cells: CellRuns
 
-    def __post_init__(self) -> None:
-        n, M = self.n, self.M
+    def __init__(self, n: int, M: int, cells: CellRuns | Iterable[Iterable[int]]) -> None:
         check_cell_grid(n, M)
-        if isinstance(self.cells, CellRuns):
-            if (self.cells.n, self.cells.M) != (n, M):
+        if isinstance(cells, CellRuns):
+            if (cells.n, cells.M) != (n, M):
                 raise DomainError(
-                    f"cell runs of n={self.cells.n}, M={self.cells.M} "
-                    f"given for n={n}, M={M}"
+                    f"cell runs of n={cells.n}, M={cells.M} given for n={n}, M={M}"
                 )
-            return
-        # The coordinates and keys are passed on unnamed, so that each
-        # list can be freed as soon as the next is made.
-        runs = CellRuns.from_keys(
-            n, M, _run_keys(check_grid_points(self.cells, n, M, "cell"), n, M)
-        )
-        object.__setattr__(self, "cells", runs)
+        else:
+            # The coordinates and keys are passed on unnamed, so that each
+            # list can be freed as soon as the next is made.
+            cells = CellRuns.from_keys(
+                n, M, _run_keys(check_grid_points(cells, n, M, "cell"), n, M)
+            )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "cells", cells)
 
     @classmethod
     def from_flat(cls, n: int, M: int, flat: Iterable[int]) -> "CellSet":
@@ -409,8 +414,7 @@ def _density_threshold(n: int, epsilon: Fraction) -> Fraction:
     return 1 - Fraction(1, 2**n) * epsilon ** (2 * n)
 
 
-@dataclass(frozen=True)
-class EpsilonParams:
+class EpsilonParams(Frozen):
     """The (epsilon, m, kappa) bundle with its derived quantities.
 
     Validity requires 0 < epsilon < 1/(2n+2) and the smallness condition
@@ -418,18 +422,22 @@ class EpsilonParams:
     the inflated kappa_prime below n.
     """
 
+    __slots__ = _fields = ("n", "m", "epsilon", "kappa")
+
     n: int
     m: int
     epsilon: Fraction
     kappa: Fraction
 
-    def __post_init__(self) -> None:
-        check_grid(self.n, self.m)
-        eps = as_rational(self.epsilon)
-        kappa = as_rational(self.kappa)
+    def __init__(self, n: int, m: int, epsilon: RationalLike, kappa: RationalLike) -> None:
+        check_grid(n, m)
+        eps = as_rational(epsilon)
+        kappa = as_rational(kappa)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "kappa", kappa)
-        _check_epsilon(self.n, eps)
+        _check_epsilon(n, eps)
         if kappa <= 0:
             raise DomainError(f"kappa must be positive, got {kappa}")
         if kappa >= self.n * self.shrink_factor:
@@ -487,8 +495,7 @@ class EpsilonParams:
         return cls(n=n, m=m, epsilon=Fraction(1, lo), kappa=kappa)
 
 
-@dataclass(frozen=True)
-class CoverSets:
+class CoverSets(NamedTuple):
     """Coarse cells meeting the set, and those where it is nearly full."""
 
     touched: frozenset[GridPoint]
@@ -557,8 +564,7 @@ def cover_sets(a: CellSet, m: int, params: EpsilonParams) -> CoverSets:
     )
 
 
-@dataclass(frozen=True)
-class ClaimCheckReport:
+class ClaimCheckReport(NamedTuple):
     """Exact evaluation of the covering inequality.
 
     The inequality measure(A) <= measure(dense cover) + delta is a
@@ -621,10 +627,13 @@ def _run_bytes(bounds: tuple[int, ...], start: int, stop: int) -> bytes:
 
 def check_chain_mass_cap(n: int, M: int, config: Config = Config()) -> None:
     """Refuse the chain-mass DP of a set of dimension n at resolution M
-    when its work, (M+1)**n * max(1, n(n-1)/2) row-element updates,
-    exceeds `config.max_fine_states`.  n and M pass `check_cell_grid`.
+    when its work, (M+1)**n * n(n-1)/2 row-element updates, exceeds
+    `config.max_fine_states`.  n and M pass `check_cell_grid`.  For
+    n = 1 no DP runs, and nothing is charged.
     """
-    work = (M + 1) ** n * max(1, n * (n - 1) // 2)
+    if n == 1:
+        return
+    work = (M + 1) ** n * (n * (n - 1) // 2)
     if work > config.max_fine_states:
         raise ResourceLimitError(
             f"chain-mass DP of {work} row-element updates, cap {config.max_fine_states}"
@@ -652,16 +661,16 @@ def chain_mass_sup(a: CellSet, config: Config = Config()) -> Fraction:
     move from a cell outside A starts at 0 and, gaining at most n-1,
     never wins.  The work is checked first, by `check_chain_mass_cap`.
 
-    For n = 1 no DP runs: every subset of [0, 1] lies on the chain
-    [0, 1], so the supremum is the measure of A.
+    For n = 1 no DP runs, whatever M: every subset of [0, 1] lies on the
+    chain [0, 1], so the supremum is the measure of A.
     """
     def larger(old: list[int] | None, new: list[int]) -> list[int]:
         return new if old is None else [s if s > t else t for s, t in zip(old, new)]
 
     n, M = a.n, a.M
-    check_chain_mass_cap(n, M, config)
     if n == 1:
         return Fraction(len(a.cells), M)
+    check_chain_mass_cap(n, M, config)
     width = M + 1
     strides = [width ** (n - 2 - j) for j in range(n - 1)]
     bounds = a.cells.bounds
@@ -727,8 +736,7 @@ def max_cell_chain_mass_upper(a: CellSet, m: int, config: Config = Config()) -> 
     return Fraction(a.n, m) * max_weight_chain(grid, config).total
 
 
-@dataclass(frozen=True)
-class AdversarialResult:
+class AdversarialResult(NamedTuple):
     lower: Fraction
     witness: MonotonePolyline
 
@@ -897,19 +905,21 @@ def staircase_mass(a: CellSet, p: MonotonePolyline) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class ChainCertificate:
+class ChainCertificate(Frozen):
     """A staircase through a chain of dense cubes, with its certified mass."""
+
+    __slots__ = _fields = ("polyline", "mass", "guarantee")
 
     polyline: MonotonePolyline
     mass: Fraction
     guarantee: Fraction
 
-    def __post_init__(self) -> None:
-        if self.mass < self.guarantee:
-            raise DomainError(
-                f"certificate mass {self.mass} below guarantee {self.guarantee}"
-            )
+    def __init__(self, polyline: MonotonePolyline, mass: Fraction, guarantee: Fraction) -> None:
+        object.__setattr__(self, "polyline", polyline)
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "guarantee", guarantee)
+        if mass < guarantee:
+            raise DomainError(f"certificate mass {mass} below guarantee {guarantee}")
 
 
 def build_chain_through_cubes(
@@ -974,8 +984,7 @@ def build_chain_through_cubes(
     )
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Everything the desk-scale verification of the slab bound measures."""
 
     n: int
@@ -1012,9 +1021,12 @@ def end_to_end_verify(
     and feasible otherwise.  `config` supplies the caps of the stages:
     `max_fine_states` for the chain-mass DP, `epsilon_denominator_cap`
     for the automatic epsilon and `max_table_bytes` for the Whitney cap.
-    The chain-mass cap is checked before any stage runs.
+    The chain-mass cap is checked before any stage runs, and the Whitney
+    table's before the coarse stages: it bounds m, and with it the
+    coarse columns that `cover_sets` sweeps, which for n = 1 the
+    chain-mass cap does not bound.
     """
-    from .whitney import whitney_sum
+    from .whitney import _check_table, whitney_sum
 
     check_chain_mass_cap(a.n, a.M, config)
     kappa = as_rational(kappa)
@@ -1022,6 +1034,7 @@ def end_to_end_verify(
         params = EpsilonParams.auto(a.n, m, kappa, config)
     else:
         params = EpsilonParams(n=a.n, m=m, epsilon=as_rational(epsilon), kappa=kappa)
+    _check_table(a.n, m, config)
     cover = cover_sets(a, m, params)
     claim = claim_check(a, m, params, cover=cover)
     sup = chain_mass_sup(a, config)

@@ -16,31 +16,35 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .config import Config
-from .errors import DomainError, ResourceLimitError, check_grid
+from .errors import DomainError, Frozen, ResourceLimitError, check_grid
 from .rational import as_rational, RationalLike
 from .slab_volume import SlabSpec, slab_volume_exact
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(Frozen):
     """Whitney numbers of {0..m-1}^n, indexed by rank."""
+
+    __slots__ = _fields = ("n", "m", "coeffs")
 
     n: int
     m: int
     coeffs: tuple[int, ...]
 
+    def __init__(self, n: int, m: int, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "coeffs", coeffs)
+
     def __len__(self) -> int:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     m: int
     value: int
     ratio: Fraction

@@ -9,6 +9,7 @@ imports only the standard library, so it is loaded straight from its path.
 
 import importlib
 import importlib.util
+import io
 import json
 import os
 import random
@@ -19,6 +20,7 @@ from pathlib import Path
 
 from chainlab import (
     CellSet,
+    MonotonePolyline,
     ChainOfPoints,
     EpsilonParams,
     WeightedGrid,
@@ -127,3 +129,32 @@ def test_every_counter_hook_reads_a_real_result(tmp_path):
     assert len(tracer.staircases) == 2
     for cells, staircase, claimed in tracer.staircases:
         assert staircase_mass(cells, staircase) == claimed
+
+
+def test_class_attribute_patches_reach_the_cli(tmp_path):
+    # The tracer replaces two class attributes, `EpsilonParams.auto` and
+    # `MonotonePolyline.__post_init__`; a command run through `cli.run`
+    # must call the replacements, or their spans read 0.
+    from chainlab import cli
+
+    tracing = load_tracing()
+    poly = tmp_path / "poly.json"
+    vertices = [["0/1", "0/1"], ["1/3", "1/2"], ["1/1", "1/1"]]
+    poly.write_text(json.dumps({"n": 2, "vertices": vertices}))
+    cells = str(tmp_path / "cells.json")
+    argvs = [
+        ["chain", "length", "--file", str(poly)],
+        ["raster-slab", "--n", "2", "--M", "20", "--kappa", "1", "--mode", "inner", "-o", cells],
+        ["verify", "--set", cells, "--kappa", "1", "--m", "4"],
+    ]
+    original = MonotonePolyline.__dict__["__post_init__"]
+    tracer = tracing.Tracer(memory=False)
+    with tracing.installed(tracer):
+        assert MonotonePolyline.__dict__["__post_init__"] is not original
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            assert cli.run(argv, stdout=out, stderr=err) == 0, err.getvalue()
+    assert MonotonePolyline.__dict__["__post_init__"] is original
+    assert tracer.seconds["chain_geometry.polyline_validate"] > 0
+    assert tracer.counts["chain_geometry.vertices"] == 3
+    assert tracer.seconds["verifier.epsilon_auto"] > 0

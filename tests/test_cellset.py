@@ -5,7 +5,6 @@ limits, exact types, and fuzzers for cell files (both forms) and for
 every other input file kind."""
 
 import argparse
-import dataclasses
 import io
 import itertools
 import json
@@ -213,13 +212,13 @@ class TestRepresentation:
         assert len(a.cells) == 4
         with pytest.raises(TypeError):
             a.cells[0] = 5
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             a.cells = []
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             a.cells.bounds = ()
         assert a.points() == [(0, 2), (0, 3), (1, 0), (3, 1)]
         assert CellSet.from_flat(2, 4, [13, 2, 4, 13, 3]) == a
-        assert CellSet(2, 4, a.cells) == a == dataclasses.replace(a)
+        assert CellSet(2, 4, a.cells) == a
         assert_canonical_runs(a)
         with pytest.raises(DomainError):
             CellSet(2, 5, a.cells)
@@ -419,12 +418,12 @@ class TestFileForms:
 
 
 def fraction_fields(obj, path="report"):
-    """Every Fraction reachable through the dataclass fields of obj."""
+    """Every Fraction reachable through the fields (`_fields`) of obj."""
     if isinstance(obj, Fraction):
         yield path, obj
-    elif dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            yield from fraction_fields(getattr(obj, f.name), f"{path}.{f.name}")
+    else:
+        for name in getattr(type(obj), "_fields", ()):
+            yield from fraction_fields(getattr(obj, name), f"{path}.{name}")
 
 
 class TestExactTypes:
@@ -669,7 +668,7 @@ def input_files(draw):
     elif kind == "cubes":
         data = {"n": n, "m": m, "cubes": [[t] * n for t in range(draw(st.integers(0, m)))]}
     else:
-        names = [f.name for f in dataclasses.fields(Config)]
+        names = list(Config._fields)
         data = draw(st.dictionaries(st.sampled_from(names), st.integers(1, 10**7), max_size=3))
     for _ in range(draw(st.integers(0, 3))):
         fault = draw(st.sampled_from(["value", "drop", "long-int"]))

@@ -407,6 +407,32 @@ class TestVerifyPipeline:
         config.write_text(json.dumps({"max_fine_states": 121}))
         assert invoke(argv + ["--config", str(config)])[0] == 0
 
+    @pytest.mark.parametrize("M", [10**7, 10**12])
+    def test_one_dimensional_set_has_no_chain_mass_cap(self, tmp_path, M, monkeypatch):
+        # n = 1 runs no chain-mass DP: the supremum is the measure, at any M.
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps({"n": 1, "M": M, "runs": [0, 1]}))
+        argv = ["verify", "--set", str(path), "--kappa", "1/2"]
+        code, out, err = invoke(argv + ["--m", "2"])
+        assert (code, err) == (0, "")
+        payload = check_schema("verify", out)
+        assert payload["M"] == M
+        assert payload["measure"] == payload["dp_upper"] == f"1/{M}"
+        assert payload["feasibility"] == "feasible"
+        # The coarse stages sweep up to m columns; m = M is refused by the
+        # Whitney table's cap before they run.
+        from chainlab import verifier
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a coarse stage ran past the table cap")
+
+        monkeypatch.setattr(verifier, "cover_sets", refuse)
+        code, out, err = invoke(argv + ["--m", str(M)])
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["message"] == (
+            f"coefficient table for n=1, m={M} exceeds the 268435456-byte budget"
+        )
+
     def test_missing_file(self):
         code, _, err = invoke(["verify", "--set", "/nonexistent.json", "--kappa", "1/1", "--m", "4"])
         assert code == 2

@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import chainlab
+from chainlab import cli
 from chainlab.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -218,6 +219,66 @@ def test_cell_commands_load_only_their_modules(tmp_path):
         assert (code, "\n".join(printed) + "\n") == invoke(argv)
         assert before == ["chainlab"]
         assert {name.removeprefix("chainlab.") for name in after} == {"chainlab"} | modules, argv
+
+
+# Runs `python -m chainlab.cli ARGV` as _RUN_AS_MAIN does, and prints on a
+# last line its exit code and every module it loaded: those not yet in
+# sys.modules when the interpreter, site hooks included, had started.
+_LOADED_BY_RUN = """
+import sys
+started = set(sys.modules)
+import json, runpy
+sys.argv = ["chainlab", *sys.argv[1:]]
+try:
+    runpy.run_module("chainlab.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print()
+print(json.dumps([code, sorted(set(sys.modules) - started)]))
+"""
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    # The value types are plain classes and named tuples, so nothing a
+    # command runs imports dataclasses, or inspect, which it would pull in.
+    # `volume --mc` is left out: numpy, which it loads, imports inspect.
+    weights, poly = probe_files(tmp_path)
+    argvs = [
+        [],
+        ["volume", "--n", "3", "--kappa", "1/2"],
+        ["whitney", "--n", "3", "--m", "4", "--kappa", "1/2"],
+        ["converge", "--n", "2", "--kappa", "1", "--m-list", "4,8"],
+        ["scd", "--n", "2", "--m", "3", "--print"],
+        ["ksperner", "--n", "2", "--m", "3", "--k", "2", "--brute"],
+        ["maxchain", "--weights", str(weights)],
+        ["chain", "length", "--file", str(poly)],
+        ["chain", "decompose", "--file", str(poly)],
+        *cell_command_argvs(tmp_path, tmp_path / "cells.json"),
+    ]
+    for argv in argvs:
+        proc = fresh_python(["-c", _LOADED_BY_RUN, *argv], tmp_path)
+        *printed, _, last = proc.stdout.split("\n")[:-1]
+        code, loaded = json.loads(last)
+        assert (code or 0, "\n".join(printed) + "\n") == invoke(argv), argv
+        assert "chainlab.config" in loaded
+        assert not {"dataclasses", "inspect"} & set(loaded), argv
+
+
+def test_a_run_builds_only_its_own_parser(monkeypatch):
+    built = []
+    build = cli._build_parser
+
+    def record(name):
+        built.append(name)
+        return build(name)
+
+    monkeypatch.setattr(cli, "_build_parser", record)
+    assert invoke(["nosuch"])[0] == 64
+    assert invoke([])[0] == 0
+    assert built == []
+    assert invoke(["whitney", "--n", "2", "--m", "3"])[0] == 0
+    assert invoke(["chain", "--help"])[0] == 0
+    assert built == ["whitney", "chain"]
 
 
 def test_public_names_resolve_to_their_submodules():

@@ -403,10 +403,12 @@ class TestChainMassSup:
         assert peak < 2**20
 
     def test_cap_is_checked_before_any_work(self):
-        # (M+1)^n * max(1, n(n-1)/2) row-element updates
-        rows = [(1, 9), (2, 6), (3, 4), (4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (9, 2)]
+        # (M+1)^n * n(n-1)/2 row-element updates; n = 1 runs no DP and is never refused
+        assert chain_mass_sup(full_cube(1, 9), Config(max_fine_states=1)) == 1
+        check_chain_mass_cap(1, 2**62, Config(max_fine_states=1))
+        rows = [(2, 6), (3, 4), (4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (9, 2)]
         for n, M in rows + [(10, 2), (11, 2)]:
-            work = (M + 1) ** n * max(1, n * (n - 1) // 2)
+            work = (M + 1) ** n * (n * (n - 1) // 2)
             a = full_cube(n, M)
             if (n, M) in rows:
                 assert chain_mass_sup(a, Config(max_fine_states=work)) == n
