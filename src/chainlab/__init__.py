@@ -27,6 +27,8 @@ _EXPORTS = {
         "segment_length",
         "validate_monotone",
     ),
+    "cellset": ("CellSet", "discretize_slab", "measure"),
+    "chainmass": ("chain_mass_sup",),
     "config": ("Config",),
     "errors": ("ChainlabError", "DomainError", "ResourceLimitError"),
     "gridposet": (
@@ -50,19 +52,15 @@ _EXPORTS = {
         "slab_volume_montecarlo",
     ),
     "verifier": (
-        "CellSet",
         "ChainCertificate",
         "ClaimCheckReport",
         "CoverSets",
         "EpsilonParams",
         "VerifyReport",
         "build_chain_through_cubes",
-        "chain_mass_sup",
         "claim_check",
         "cover_sets",
-        "discretize_slab",
         "end_to_end_verify",
-        "measure",
         "staircase_mass",
     ),
     "whitney": (

@@ -10,9 +10,10 @@ exceeded, 64 unknown subcommand.
 Each `_cmd_*` handler imports the functions it calls when it runs, so a
 command line started as `python -m chainlab.cli` (or `python -m
 chainlab`, or the `chainlab` script) loads only the modules of its own
-command: `whitney` never loads the verifier.  A run builds the argument
-parser of its own subcommand only, and an unknown subcommand exits
-before any parser is built.  Importing this module, as
+command: `whitney` never loads a cell set, and `raster-slab` loads
+`cellset` but neither `chainmass` nor `verifier`.  A run builds the
+argument parser of its own subcommand only, and an unknown subcommand
+exits before any parser is built.  Importing this module, as
 opposed to running it, still loads every module a command can use (see
 the end of the file): an in-process caller such as a layer tracer
 replaces those modules' attributes after `import chainlab.cli`, and the
@@ -253,7 +254,7 @@ def _cmd_chain(args: argparse.Namespace, config: Config) -> dict:
 
 def _cmd_raster_slab(args: argparse.Namespace, config: Config) -> dict:
     from . import io as chainlab_io
-    from .verifier import discretize_slab, measure
+    from .cellset import discretize_slab, measure
 
     cells = discretize_slab(args.n, args.M, args.kappa, args.mode, config)
     chainlab_io.write_cellset(args.output, cells)
@@ -286,7 +287,8 @@ def _claim_payload(report) -> dict:
 
 def _cmd_verify(args: argparse.Namespace, config: Config) -> dict:
     from . import io as chainlab_io
-    from .verifier import check_chain_mass_cap, end_to_end_verify
+    from .chainmass import check_chain_mass_cap
+    from .verifier import end_to_end_verify
 
     data = chainlab_io.load_json(args.set)
     # The cap of the chain-mass DP goes by n and M alone: refuse before the set is built.
@@ -472,4 +474,5 @@ def main() -> None:
 if __name__ == "__main__":
     main()
 else:
-    from . import chain_geometry, gridposet, io, slab_volume, verifier, whitney  # noqa: F401
+    from . import cellset, chain_geometry, chainmass, gridposet, io  # noqa: F401
+    from . import slab_volume, verifier, whitney  # noqa: F401

@@ -31,7 +31,7 @@ class Config(Frozen):
     max_grid_states: int
     #: Cap on the fine lattice corners of the staircase DP and on the
     #: (M+1)**n * n(n-1)/2 row-element updates of the layered chain-mass
-    #: DP, which runs for n >= 2 (`verifier.check_chain_mass_cap`).
+    #: DP, which runs for n >= 2 (`chainmass.check_chain_mass_cap`).
     max_fine_states: int
     #: Memory budget for Whitney coefficient tables, in bytes.
     max_table_bytes: int

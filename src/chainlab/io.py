@@ -32,8 +32,8 @@ the per-entry checks.
 Polyline vertices are written by `rational.format_quotients`, in
 whole-list passes over the numerators and the polyline's one
 denominator.  Each loader imports the type it builds when it runs, so a
-command loads only the module of its own file kind: `maxchain` never
-loads the verifier.
+command loads only the module of its own file kind: a cell file loads
+`cellset`, and `maxchain` never loads it.
 
 A cell set file gives n, M and exactly one of `cells`, the coordinate
 lists of its cells in any order (repeats allowed; the form people write
@@ -60,9 +60,9 @@ from .errors import DomainError, check_dimension, check_grid, check_grid_points,
 from .rational import as_rational, format_quotients, parse_quotients
 
 if TYPE_CHECKING:
+    from .cellset import CellSet
     from .chain_geometry import MonotonePolyline
     from .gridposet import ChainOfPoints, WeightedGrid
-    from .verifier import CellSet
 
 
 def _require(data: dict, key: str, context: str) -> Any:
@@ -101,7 +101,7 @@ def cellset_grid(data: dict) -> tuple[int, int]:
 
     The file must give exactly one of `cells` and `runs`.
     """
-    from .verifier import check_cell_grid
+    from .cellset import check_cell_grid
 
     n = _require(data, "n", "cell set")
     M = _require(data, "M", "cell set")
@@ -112,7 +112,7 @@ def cellset_grid(data: dict) -> tuple[int, int]:
 
 
 def cellset_from_dict(data: dict) -> CellSet:
-    from .verifier import CellRuns, CellSet
+    from .cellset import CellRuns, CellSet
 
     n, M = cellset_grid(data)
     if "runs" in data:

@@ -1,13 +1,13 @@
 """Cell-set kernels on coordinate tuples: oracles for the flat-index ones.
 
 These are the tuple-and-frozenset versions that the array kernels of
-`chainlab.verifier` replaced: the rasteriser walks every cell with
+`chainlab.cellset` and `chainlab.verifier` replaced: the rasteriser walks every cell with
 `itertools.product`, the coarse counts are a dict loop, and the edge
 gains test each edge cell's tuple for membership.  The tests assert the
 array versions equal them.  `runs_of` builds a cell file's run bounds
 from coordinate tuples, independently of `CellRuns`.
 `row_merge_chain_mass_sup` is the chain-mass DP that the layered
-`chainlab.verifier.chain_mass_sup` replaced: for each row of corners it
+`chainlab.chainmass.chain_mass_sup` replaced: for each row of corners it
 merges the 2^(n-1) - 1 earlier rows that its diagonal moves start in.
 """
 
@@ -21,7 +21,8 @@ from itertools import accumulate, product
 from typing import Iterator
 
 from chainlab import CellSet, Config, SlabSpec
-from chainlab.verifier import _run_bytes, check_chain_mass_cap
+from chainlab.cellset import _run_bytes
+from chainlab.chainmass import check_chain_mass_cap
 
 
 def discretize_slab_cells(n: int, M: int, kappa: Fraction, mode: str) -> frozenset:

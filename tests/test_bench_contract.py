@@ -134,7 +134,9 @@ def test_every_counter_hook_reads_a_real_result(tmp_path):
 def test_class_attribute_patches_reach_the_cli(tmp_path):
     # The tracer replaces two class attributes, `EpsilonParams.auto` and
     # `MonotonePolyline.__post_init__`; a command run through `cli.run`
-    # must call the replacements, or their spans read 0.
+    # must call the replacements, or their spans read 0.  The same holds
+    # for the functions that the CLI imports from `cellset` while the
+    # tracer finds them in `verifier` and `io`.
     from chainlab import cli
 
     tracing = load_tracing()
@@ -142,19 +144,35 @@ def test_class_attribute_patches_reach_the_cli(tmp_path):
     vertices = [["0/1", "0/1"], ["1/3", "1/2"], ["1/1", "1/1"]]
     poly.write_text(json.dumps({"n": 2, "vertices": vertices}))
     cells = str(tmp_path / "cells.json")
+    cubes = tmp_path / "cubes.json"
+    cubes.write_text(json.dumps({"n": 2, "m": 4, "cubes": [[1, 1], [2, 2]]}))
     argvs = [
         ["chain", "length", "--file", str(poly)],
         ["raster-slab", "--n", "2", "--M", "20", "--kappa", "1", "--mode", "inner", "-o", cells],
         ["verify", "--set", cells, "--kappa", "1", "--m", "4"],
+        ["chainbuild", "--cubes", str(cubes), "--set", cells, "--epsilon", "1/10"],
     ]
     original = MonotonePolyline.__dict__["__post_init__"]
     tracer = tracing.Tracer(memory=False)
+    outputs = []
     with tracing.installed(tracer):
         assert MonotonePolyline.__dict__["__post_init__"] is not original
         for argv in argvs:
             out, err = io.StringIO(), io.StringIO()
             assert cli.run(argv, stdout=out, stderr=err) == 0, err.getvalue()
+            outputs.append(json.loads(out.getvalue()))
     assert MonotonePolyline.__dict__["__post_init__"] is original
     assert tracer.seconds["chain_geometry.polyline_validate"] > 0
-    assert tracer.counts["chain_geometry.vertices"] == 3
     assert tracer.seconds["verifier.epsilon_auto"] > 0
+    for span in (
+        "verifier.discretize_slab",
+        "verifier.cover_sets",
+        "verifier.end_to_end_verify",
+        "verifier.build_chain_through_cubes",
+        "io.cellset_from_dict",
+    ):
+        assert tracer.seconds[span] > 0, span
+    # Counted by discretize_slab, end_to_end_verify and chainbuild.
+    assert tracer.counts["verifier.cells"] == 3 * outputs[1]["cell_count"] > 0
+    # Two polylines: the file's and chainbuild's staircase.
+    assert tracer.counts["chain_geometry.vertices"] == 3 + len(outputs[3]["polyline"]["vertices"])

@@ -33,7 +33,8 @@ from chainlab import cli, verifier
 from chainlab import io as chainlab_io
 from chainlab.cli import run
 from chainlab.config import Config
-from chainlab.verifier import _coarse_counts, _edge_gains, _run_bytes
+from chainlab.cellset import _run_bytes
+from chainlab.verifier import _coarse_counts, _edge_gains
 from conftest import random_cellset
 
 ERROR_SCHEMA = json.loads(

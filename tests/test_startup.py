@@ -24,6 +24,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -187,15 +188,17 @@ def test_cell_commands_run_without_site_packages(tmp_path):
 
 def test_each_command_loads_only_its_modules(tmp_path):
     weights, poly = probe_files(tmp_path)
-    grid = {"verifier", "io", "gridposet", "chain_geometry"}
+    # No grid or chain command loads a cell set module.
+    cell = {"cellset", "chainmass", "verifier"}
+    grid = cell | {"io", "gridposet", "chain_geometry"}
     argvs = [
         (["whitney", "--n", "3", "--m", "4", "--kappa", "1/2"], grid),
         (["converge", "--n", "2", "--kappa", "1", "--m-list", "4,8"], grid),
-        (["scd", "--n", "2", "--m", "3", "--print"], {"verifier", "chain_geometry"}),
-        (["ksperner", "--n", "2", "--m", "3", "--k", "2", "--brute"], {"verifier", "chain_geometry"}),
-        (["maxchain", "--weights", str(weights)], {"verifier", "chain_geometry"}),
-        (["chain", "length", "--file", str(poly)], {"verifier", "gridposet"}),
-        (["chain", "decompose", "--file", str(poly)], {"verifier", "gridposet"}),
+        (["scd", "--n", "2", "--m", "3", "--print"], cell | {"chain_geometry"}),
+        (["ksperner", "--n", "2", "--m", "3", "--k", "2", "--brute"], cell | {"chain_geometry"}),
+        (["maxchain", "--weights", str(weights)], cell | {"chain_geometry"}),
+        (["chain", "length", "--file", str(poly)], cell | {"gridposet"}),
+        (["chain", "decompose", "--file", str(poly)], cell | {"gridposet"}),
     ]
     for argv, unloaded in argvs:
         proc = fresh_python(["-c", _RUN_AS_MAIN, *argv], tmp_path)
@@ -210,8 +213,11 @@ def test_each_command_loads_only_its_modules(tmp_path):
 
 def test_cell_commands_load_only_their_modules(tmp_path):
     cells = tmp_path / "cells.json"
-    base = {"config", "errors", "rational", "io", "verifier", "slab_volume"}
-    expected = [base, base | {"whitney"}, base | {"whitney", "gridposet", "chain_geometry"}]
+    # raster-slab loads the cell sets alone: neither the chain-mass DP nor
+    # the proof machinery.  verifier imports chainmass, so chainbuild loads it.
+    base = {"config", "errors", "rational", "io", "cellset", "slab_volume"}
+    proof = base | {"chainmass", "verifier", "whitney"}
+    expected = [base, proof, proof | {"gridposet", "chain_geometry"}]
     for argv, modules in zip(cell_command_argvs(tmp_path, cells), expected):
         proc = fresh_python(["-c", _RUN_AS_MAIN, *argv], tmp_path)
         *printed, _, last = proc.stdout.split("\n")[:-1]
@@ -289,7 +295,12 @@ def test_public_names_resolve_to_their_submodules():
         owner = importlib.import_module(f"chainlab.{module}")
         assert getattr(chainlab, module) is owner
         for name in exported:
-            assert getattr(chainlab, name) is getattr(owner, name), name
+            value = getattr(chainlab, name)
+            assert value is getattr(owner, name), name
+            # Each public function and class is defined in the module that
+            # exports it (GridPoint, an alias of tuple, is neither).
+            if type(value) is type or isinstance(value, types.FunctionType):
+                assert value.__module__ == owner.__name__, name
     assert set(chainlab.__all__) <= set(dir(chainlab))
     namespace = {}
     exec("from chainlab import *", namespace)

@@ -26,7 +26,8 @@ from chainlab import (
     polyline,
 )
 from chainlab.errors import Frozen
-from chainlab.verifier import AdversarialResult, CellRuns
+from chainlab.cellset import CellRuns
+from chainlab.verifier import AdversarialResult
 
 #: Each type's constructor parameters, in order, with their defaults
 #: (`None`: required).  All but `points_checked` are the fields.
@@ -48,7 +49,7 @@ TYPES = {
     "MonotonePolyline": (("n", None), ("numerators", None), ("denominator", 1)),
     "ChainCertificate": (("polyline", None), ("mass", None), ("guarantee", None)),
     "CoefficientTable": (("n", None), ("m", None), ("coeffs", None)),
-    "CoverSets": (("touched", None), ("dense", None), ("density", None)),
+    "CoverSets": (("touched", None), ("dense", None)),
     "ClaimCheckReport": tuple(
         (name, None)
         for name in (

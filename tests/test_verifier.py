@@ -29,12 +29,9 @@ from chainlab import (
     SlabSpec,
     staircase_mass,
 )
-from chainlab.verifier import (
-    CellRuns,
-    adversarial_chain_search,
-    check_chain_mass_cap,
-    max_cell_chain_mass_upper,
-)
+from chainlab.cellset import CellRuns
+from chainlab.chainmass import check_chain_mass_cap
+from chainlab.verifier import adversarial_chain_search, max_cell_chain_mass_upper
 from cellset_oracle import chain_formula_max, row_merge_chain_mass_sup
 from conftest import random_cellset, random_covered_cellset, random_dense_cube_chain
 
@@ -186,10 +183,34 @@ class TestCoverSets:
         a = CellSet(1, 4, frozenset({(0,), (1,), (2,)}))
         params = EpsilonParams(n=1, m=2, epsilon=Fraction(1, 5), kappa=Fraction(1, 10))
         cover = cover_sets(a, 2, params)
-        assert cover.density[(0,)] == 1
-        assert cover.density[(1,)] == Fraction(1, 2)
         assert set(cover.touched) == {(0,), (1,)}
         assert set(cover.dense) == {(0,)}
+
+    def test_dense_at_the_threshold(self):
+        # A cube is dense when its density exceeds the threshold, not when it
+        # equals it: 9603 of 9604 cells is the threshold for n = 2, eps = 1/7.
+        # The cubes hold 9603, 0, 9604 and 9602 cells.
+        params = EpsilonParams(n=2, m=2, epsilon=Fraction(1, 7), kappa=Fraction(1, 10))
+        assert params.density_threshold == Fraction(9603, 9604)
+        cells = set(itertools.product(range(196), repeat=2)) - {(0, 0), (100, 100), (101, 101)}
+        cells -= set(itertools.product(range(98), range(98, 196)))
+        cover = cover_sets(CellSet(2, 196, cells), 2, params)
+        assert cover == (frozenset({(0, 0), (1, 0), (1, 1)}), frozenset({(1, 0)}))
+
+    def test_dense_cubes_match_the_exact_densities(self):
+        # Oracle: each coarse cube's density as a Fraction, from the points.
+        rng = random.Random(22)
+        for n, M, m, removals in [(1, 60, 3, 2), (2, 28, 2, 3), (2, 24, 4, 6), (3, 8, 2, 3)]:
+            w = M // m
+            params = EpsilonParams.auto(n, m, Fraction(1, 2))
+            for _ in range(5):
+                a = random_covered_cellset(rng, n, M, m, rng.randrange(removals + 1))
+                counts = {}
+                for cell in a.points():
+                    cube = tuple(c // w for c in cell)
+                    counts[cube] = counts.get(cube, 0) + 1
+                dense = {d for d, c in counts.items() if Fraction(c, w**n) > params.density_threshold}
+                assert cover_sets(a, m, params) == (frozenset(counts), frozenset(dense))
 
     def test_divisibility(self):
         params = EpsilonParams(n=1, m=3, epsilon=Fraction(1, 5), kappa=Fraction(1, 10))
@@ -529,6 +550,18 @@ class TestBuildChain:
             build_chain_through_cubes(
                 ChainOfPoints(((0,), (1,))), a, 2, Fraction(1, 10)
             )
+
+    def test_density_at_the_threshold(self):
+        # eps = 1/5 puts the threshold at 49/50: a cube of 50 cells holding
+        # 49 is not dense, one holding all 50 is.
+        q = ChainOfPoints(((0,), (1,)))
+        eps = Fraction(1, 5)
+        full = CellSet(1, 100, [(x,) for x in range(100)])
+        assert build_chain_through_cubes(q, full, 2, eps).mass == 1
+        short = CellSet(1, 100, [(x,) for x in range(99)])
+        message = r"cube \(1,\) has density 49/50, not above the threshold 49/50"
+        with pytest.raises(DomainError, match=message):
+            build_chain_through_cubes(q, short, 2, eps)
 
     @pytest.mark.parametrize("m", ["2", 0, 2.0, True])
     def test_bad_coarse_resolution(self, m):
