@@ -15,7 +15,7 @@ otherwise).  Every stage works on the runs in pure Python: the slab
 raster is one run per row, the coarse counts of `verifier` cut each run
 at the coarse columns it crosses (only touched coarse cubes, computed
 once per `end_to_end_verify`), membership is one bisection of the
-bounds, and the chain-mass DP and the edge gains of a box read the rows
+bounds, and the chain-mass DP and the cell mask of a box read the rows
 they meet as bytes, one per cell (`_run_bytes`).  A cell file holds the
 same bounds as one flat list (`io.cellset_to_dict`), which
 `CellRuns.checked` reads back in whole-list passes, with no list per

@@ -1,8 +1,9 @@
 """The grid poset {0..m-1}^n: chains, chain DP, decompositions, oracles.
 
 Points are plain integer tuples ordered componentwise.  The module
-provides the monotone-path DP over a box (n * size time), which runs
-both the maximum-weight chain DP and the verifier's staircase search,
+provides the monotone-path DP over a box with one weight per point
+(n * size time), which runs both the maximum-weight chain DP and the
+verifier's staircase search over a 0/1 cell mask,
 a symmetric chain decomposition built by the inductive product splice
 (and the same splice on chain lengths alone, for the k-Sperner bound),
 and a brute-force maximiser over families with no (k+1)-element chain,
@@ -15,7 +16,7 @@ import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
-from operator import add, attrgetter
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import Config
@@ -127,42 +128,39 @@ class SymmetricChainDecomposition(NamedTuple):
     chains: tuple[ChainOfPoints, ...]
 
 
-def monotone_path_dp(extent: Sequence[int], gains: Sequence[Sequence[int]]) -> list[int]:
-    """Best gain of a monotone lattice path from the origin to every point.
+def monotone_path_dp(extent: Sequence[int], weight: Sequence[int]) -> list[int]:
+    """Best weight of a monotone lattice path from the origin to every point.
 
     The points of the box with side lengths `extent` are flat row-major
-    indices.  gains[j][x] is what the unit step along axis j arriving at
-    x earns; it is read only where x_j > 0.  The table is
+    indices, and weight[x] is what a path earns at x.  The origin's
+    weight is never read.  The table is
 
-        best[0] = 0,  best[x] = max over j with x_j > 0 of best[x - e_j] + gains[j][x]
+        best[0] = 0,  best[x] = weight[x] + max over j with x_j > 0 of best[x - e_j]
 
-    filled one row (a run along the last axis) at a time: the steps along
-    the other axes arrive from earlier rows, then one scan along the row
-    adds the steps along the last axis.
+    filled one row (a run along the last axis) at a time: the elementwise
+    max of the earlier rows the other axes step from, then one scan along
+    the row adds the steps along the last axis.
     """
     n = len(extent)
     size = math.prod(extent)
     strides = [math.prod(extent[j + 1 :]) for j in range(n)]
     row = extent[-1]
-    last = gains[-1]
     best = [0] * size
-    best[:row] = itertools.accumulate(last[1:row], initial=0)
+    best[:row] = itertools.accumulate(weight[1:row], initial=0)
     for start in range(row, size, row):
-        stop = start + row
         arrive: list[int] = []
         for j in range(n - 1):
             if start // strides[j] % extent[j]:
-                back = start - strides[j]
-                step = list(map(add, best[back : back + row], gains[j][start:stop]))
-                arrive = [x if x > y else y for x, y in zip(arrive, step)] if arrive else step
+                back = best[start - strides[j] : start - strides[j] + row]
+                arrive = [x if x > y else y for x, y in zip(arrive, back)] if arrive else back
         value = arrive[0]
-        scan = [value]
-        for a, g in zip(arrive[1:], last[start + 1 : stop]):
-            value += g
+        scan = []
+        for a, w in zip(arrive, weight[start : start + row]):
             if a > value:
                 value = a
+            value += w
             scan.append(value)
-        best[start:stop] = scan
+        best[start : start + row] = scan
     return best
 
 
@@ -194,7 +192,7 @@ def max_weight_chain(grid: WeightedGrid, config: Config = Config()) -> MaxChainR
     weight = [0] * size
     for p, w in grid.weights.items():
         weight[mirrored(p)] = w.numerator * (scale // w.denominator)
-    up = monotone_path_dp([m] * n, [weight] * n)
+    up = monotone_path_dp([m] * n, weight)
     top = weight[0]
     optimum = up[-1] + top
     if optimum == 0:

@@ -20,11 +20,14 @@ feasibility (sup <= kappa) with the exact chain-mass supremum of
 explicit staircase whose exactly-computed mass meets the constructive
 lower bound (1-(2n+2)eps) * (1-eps)^n * (|cubes|-1)/m.
 
-Both staircase searches run on `gridposet.monotone_path_dp`, with each
-fine lattice edge scored once, as a 0/1 gain that the forward pass and
-the backtrack both read.
+Both staircase searches run on `gridposet.monotone_path_dp` over a 0/1
+mask of the corners of a box: mask[x] is 1 when the cell of x, clipped
+to M-1 on every axis, is in the set.  A fine lattice edge lies in the
+cell of the corner it leaves, so the edge arriving at x along axis j
+scores mask[x - e_j], and a staircase earns the mask of every corner
+it passes but the last.
 
-The coarse counts, the cover and the edge gains work on the row runs of
+The coarse counts, the cover and the cell mask work on the row runs of
 the cells (see `cellset`).  The cover counts in integers: a coarse cube
 is dense when its share of cells exceeds the density threshold, which
 `_dense_floor` turns into one bound on its cell count.  No part of this
@@ -44,7 +47,6 @@ from typing import TYPE_CHECKING, Literal, NamedTuple
 from .cellset import CellSet, _run_bytes, measure
 # Not called here: bench/tracing.py looks discretize_slab up in this module.
 from .cellset import discretize_slab  # noqa: F401
-from .chainmass import chain_mass_sup, check_chain_mass_cap
 from .config import Config
 from .errors import DomainError, Frozen, ResourceLimitError, check_grid, check_in_grid, check_points
 from .rational import as_rational, RationalLike
@@ -291,79 +293,32 @@ class AdversarialResult(NamedTuple):
     witness: MonotonePolyline
 
 
-def _corners_to_polyline(corners: list[GridPoint], n: int, M: int) -> MonotonePolyline:
-    from .chain_geometry import MonotonePolyline
+def _cell_mask(a: CellSet, lo_corner: GridPoint, hi_corner: GridPoint) -> bytes:
+    """0/1 cell mask over the corners of a box, a flat row-major index.
 
-    # Compress runs of collinear steps into single segments.
-    verts: list[GridPoint] = []
-    for c in corners:
-        if len(verts) >= 2:
-            d1 = tuple(x - y for x, y in zip(verts[-1], verts[-2]))
-            d2 = tuple(x - y for x, y in zip(c, verts[-1]))
-            moving1 = [j for j, d in enumerate(d1) if d]
-            moving2 = [j for j, d in enumerate(d2) if d]
-            if moving1 == moving2 and len(moving1) == 1:
-                verts[-1] = c
-                continue
-        verts.append(c)
-    return MonotonePolyline(n, verts, M)
+    mask[x] = 1 iff the cell of corner x, min(x_t, M-1) on every axis t
+    (absolute coordinates), is in `a`.  The edge arriving at x along
+    axis j lies in the cell of x - e_j, so it scores mask[x - e_j].
 
-
-def _edge_gains(
-    a: CellSet, lo_corner: GridPoint, hi_corner: GridPoint
-) -> list[bytearray]:
-    """0/1 gains of the fine lattice edges of a box, one array per axis.
-
-    gains[j][x] = 1 iff the edge arriving at corner x (a flat row-major
-    index of the box) along axis j lies in a cell of `a`: in x's absolute
-    coordinates, the cell with index x_j - 1 along j and min(x_t, M-1)
-    along every other axis t.  The first corner along j has no such edge
-    and gains 0.
-
-    The corners of the box with fixed first n-1 coordinates meet one row
-    of cells, so each row the box meets is read from the runs once, as
-    the bytes of its cells lo-1 .. hi along the last axis (clipped to
-    M-1).  Every axis's gains are slices of those bytes, row after row.
+    Each row of cells the box meets is read from the runs once, clipped
+    to the box, and the last cell is repeated for corner M; rows that
+    clip to the same row are read once.  Both callers have
+    lo_corner[t] < M on every axis: `build_chain_through_cubes` starts at
+    a cube corner c*w <= M - w, `adversarial_chain_search` at 0.
     """
-    n, M = a.n, a.M
+    M = a.M
     bounds = a.cells.bounds
-    shape = [hi - lo + 1 for lo, hi in zip(lo_corner, hi_corner)]
-    size = math.prod(shape)
     lo, hi = lo_corner[-1], hi_corner[-1]
-    first, last = max(lo - 1, 0), min(hi, M - 1)
+    last = min(hi, M - 1)
+    rows = [0]
+    for l, h in zip(lo_corner[:-1], hi_corner[:-1]):
+        rows = [r * M + min(x, M - 1) for r in rows for x in range(l, h + 1)]
     masks: dict[int, bytes] = {}
-
-    def mask(row: int) -> bytes:
-        # Cells lo-1 .. hi of the row (none at -1, cell M-1 past M-1).
-        bits = _run_bytes(bounds, row * M + first, row * M + last + 1)
-        return b"\x00" * (lo == 0) + bits + bits[-1:] * (hi - last)
-
-    # Cell coordinates of the box's rows along the first n-1 axes.
-    clipped = [
-        [min(x, M - 1) for x in range(l, h + 1)] for l, h in zip(lo_corner[:-1], hi_corner[:-1])
-    ]
-    gains = []
-    for j in range(n):
-        axes = list(clipped)
-        if j < n - 1:
-            # Cell x_j - 1; the first corner reads any row, zeroed below.
-            axes[j] = [max(lo_corner[j] - 1, 0), *range(lo_corner[j], hi_corner[j])]
-        rows = [0]
-        for axis in axes:
-            rows = [r * M + c for r in rows for c in axis]
-        for row in rows:
-            if row not in masks:
-                masks[row] = mask(row)
-        # Along the last axis the cells are x - 1, along the others min(x, M-1).
-        part = slice(1, None) if j < n - 1 else slice(0, -1)
-        line = bytearray(b"".join([masks[row][part] for row in rows]))
-        # The first corner along j has no edge along j.
-        stride = math.prod(shape[j + 1 :])
-        zeros = bytes(stride)
-        for start in range(0, size, stride * shape[j]):
-            line[start : start + stride] = zeros
-        gains.append(line)
-    return gains
+    for row in rows:
+        if row not in masks:
+            bits = _run_bytes(bounds, row * M + lo, row * M + last + 1)
+            masks[row] = bits + bits[-1:] * (hi - last)
+    return b"".join(map(masks.__getitem__, rows))
 
 
 def _staircase_dp(
@@ -375,9 +330,15 @@ def _staircase_dp(
     """Best monotone edge path from lo_corner to hi_corner.
 
     Returns the number of scored edges (edges whose open interior lies
-    in a cell of `a`) and the corner sequence of one optimal path,
+    in a cell of `a`) and the vertices of one optimal path, its runs of
+    steps along one axis merged into single segments.  The path is
     reconstructed from the top corner with the smallest axis preferred,
     so reruns are identical.
+
+    An edge scores the mask of the corner it leaves, so with
+    B = monotone_path_dp(extent, mask), which scores the corner a step
+    arrives at, the optimum is B[-1] + mask[0] - mask[-1], and the step
+    into corner i along axis j is optimal when B[i - s_j] == B[i] - mask[i].
     """
     from .gridposet import monotone_path_dp
 
@@ -387,23 +348,29 @@ def _staircase_dp(
     if size > corner_cap:
         raise ResourceLimitError(f"staircase DP over {size} corners, cap {corner_cap}")
     strides = [math.prod(extent[j + 1 :]) for j in range(n)]
-    gains = _edge_gains(a, lo_corner, hi_corner)
-    best = monotone_path_dp(extent, gains)
+    mask = _cell_mask(a, lo_corner, hi_corner)
+    best = monotone_path_dp(extent, mask)
 
-    path = [hi_corner]
+    vertices = [hi_corner]
     corner = list(hi_corner)
     idx = size - 1
+    axis = -1
     while idx:
+        target = best[idx] - mask[idx]
         for j in range(n):
-            if corner[j] > lo_corner[j] and best[idx - strides[j]] + gains[j][idx] == best[idx]:
+            if corner[j] > lo_corner[j] and best[idx - strides[j]] == target:
                 idx -= strides[j]
                 corner[j] -= 1
-                path.append(tuple(corner))
+                if j == axis:
+                    vertices[-1] = tuple(corner)
+                else:
+                    vertices.append(tuple(corner))
+                axis = j
                 break
         else:
             raise AssertionError("staircase reconstruction failed; DP bug")
-    path.reverse()
-    return best[-1], path
+    vertices.reverse()
+    return best[-1] + mask[0] - mask[-1], vertices
 
 
 def adversarial_chain_search(a: CellSet, config: Config = Config()) -> AdversarialResult:
@@ -413,12 +380,11 @@ def adversarial_chain_search(a: CellSet, config: Config = Config()) -> Adversari
     mass: the witness is itself a chain realising it.  The DP runs over
     (M+1)**n corners, at most `config.max_fine_states`.
     """
+    from .chain_geometry import MonotonePolyline
+
     n, M = a.n, a.M
-    count, corners = _staircase_dp(a, (0,) * n, (M,) * n, config.max_fine_states)
-    return AdversarialResult(
-        lower=Fraction(count, M),
-        witness=_corners_to_polyline(corners, n, M),
-    )
+    count, vertices = _staircase_dp(a, (0,) * n, (M,) * n, config.max_fine_states)
+    return AdversarialResult(lower=Fraction(count, M), witness=MonotonePolyline(n, vertices, M))
 
 
 def staircase_mass(a: CellSet, p: MonotonePolyline) -> Fraction:
@@ -522,7 +488,7 @@ def build_chain_through_cubes(
         )
     lo_corner = tuple(c * w for c in q.points[0])
     hi_corner = tuple((c + 1) * w for c in q.points[-1])
-    count, corners = _staircase_dp(a, lo_corner, hi_corner, config.max_fine_states)
+    count, vertices = _staircase_dp(a, lo_corner, hi_corner, config.max_fine_states)
     mass = Fraction(count, a.M)
     if mass < guarantee:
         raise DomainError(
@@ -530,7 +496,7 @@ def build_chain_through_cubes(
             "this contradicts the constructive bound for dense cube chains"
         )
     return ChainCertificate(
-        polyline=_corners_to_polyline(corners, n, a.M), mass=mass, guarantee=guarantee
+        polyline=MonotonePolyline(n, vertices, a.M), mass=mass, guarantee=guarantee
     )
 
 
@@ -576,6 +542,7 @@ def end_to_end_verify(
     coarse columns that `cover_sets` sweeps, which for n = 1 the
     chain-mass cap does not bound.
     """
+    from .chainmass import chain_mass_sup, check_chain_mass_cap
     from .whitney import _check_table, whitney_sum
 
     check_chain_mass_cap(a.n, a.M, config)

@@ -2,10 +2,12 @@
 
 These are the tuple-and-frozenset versions that the array kernels of
 `chainlab.cellset` and `chainlab.verifier` replaced: the rasteriser walks every cell with
-`itertools.product`, the coarse counts are a dict loop, and the edge
-gains test each edge cell's tuple for membership.  The tests assert the
-array versions equal them.  `runs_of` builds a cell file's run bounds
-from coordinate tuples, independently of `CellRuns`.
+`itertools.product`, the coarse counts are a dict loop, and the cell
+mask tests each corner's cell tuple for membership.  The tests assert
+the array versions equal them.  `staircase_path` scores each lattice
+edge from its own cell, so it checks the staircase DP's reading of an
+edge as the mask of the corner it leaves.  `runs_of` builds a cell
+file's run bounds from coordinate tuples, independently of `CellRuns`.
 `row_merge_chain_mass_sup` is the chain-mass DP that the layered
 `chainlab.chainmass.chain_mass_sup` replaced: for each row of corners it
 merges the 2^(n-1) - 1 earlier rows that its diagonal moves start in.
@@ -52,15 +54,50 @@ def coarse_counts(cells, M: int, m: int) -> dict:
     return counts
 
 
-def edge_gains(cells: frozenset, M: int, lo_corner, hi_corner) -> list[bytearray]:
-    """0/1 edge gains of a box, one membership test per edge cell tuple."""
+def cell_mask(cells: frozenset, M: int, lo_corner, hi_corner) -> bytes:
+    """The cell of each corner of a box, clipped to M-1, tested for membership."""
+    clipped = [[min(x, M - 1) for x in range(l, h + 1)] for l, h in zip(lo_corner, hi_corner)]
+    return bytes(map(cells.__contains__, product(*clipped)))
+
+
+def staircase_path(cells: frozenset, M: int, lo_corner, hi_corner) -> tuple[int, list]:
+    """The best monotone edge path of a box, by a dict DP over its corners.
+
+    The edge arriving at corner x along axis j scores 1 when its cell is
+    in the set: cell x_j - 1 on axis j and min(x_t, M-1) on every other
+    axis t.  The path is backtracked from the top corner with the
+    smallest axis first, and its runs of steps along one axis are merged
+    into single segments.  Returns the score and the vertices.
+    """
     n = len(lo_corner)
-    across = [[min(c, M - 1) for c in range(lo, hi + 1)] for lo, hi in zip(lo_corner, hi_corner)]
-    gains = []
-    for j in range(n):
-        axes = across[:j] + [[-1, *range(lo_corner[j], hi_corner[j])]] + across[j + 1 :]
-        gains.append(bytearray(map(cells.__contains__, itertools.product(*axes))))
-    return gains
+
+    def back(x, j):
+        return x[:j] + (x[j] - 1,) + x[j + 1 :]
+
+    def gain(x, j):
+        cell = tuple(x[t] - 1 if t == j else min(x[t], M - 1) for t in range(n))
+        return int(cell in cells)
+
+    best: dict = {}
+    # Lexicographic order puts every corner after the corners below it.
+    for x in product(*(range(l, h + 1) for l, h in zip(lo_corner, hi_corner))):
+        steps = [best[back(x, j)] + gain(x, j) for j in range(n) if x[j] > lo_corner[j]]
+        best[x] = max(steps, default=0)
+    x = tuple(hi_corner)
+    vertices = [x]
+    axis = None
+    while x != tuple(lo_corner):
+        j = next(
+            j for j in range(n)
+            if x[j] > lo_corner[j] and best[back(x, j)] + gain(x, j) == best[x]
+        )
+        x = back(x, j)
+        if j == axis:
+            vertices[-1] = x
+        else:
+            vertices.append(x)
+        axis = j
+    return best[tuple(hi_corner)], vertices[::-1]
 
 
 def chain_formula_max(cells, n: int) -> int:

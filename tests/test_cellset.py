@@ -34,7 +34,7 @@ from chainlab import io as chainlab_io
 from chainlab.cli import run
 from chainlab.config import Config
 from chainlab.cellset import _run_bytes
-from chainlab.verifier import _coarse_counts, _edge_gains
+from chainlab.verifier import _cell_mask, _coarse_counts, _staircase_dp
 from conftest import random_cellset
 
 ERROR_SCHEMA = json.loads(
@@ -111,8 +111,24 @@ class TestAgainstTupleOracles:
                 lo, hi = (0,) * n, (M,) * n
             else:
                 lo, hi = random_box(rng, n, M)
-            expected = oracle.edge_gains(frozenset(a.points()), M, lo, hi)
-            assert _edge_gains(a, lo, hi) == expected
+            # Every edge scores the mask of the corner it leaves.
+            assert _cell_mask(a, lo, hi) == oracle.cell_mask(frozenset(a.points()), M, lo, hi)
+
+    def test_staircase_path(self):
+        # Boxes start below M on every axis, as both callers' boxes do, and
+        # some are flat (extent 1) on some axes.
+        rng = random.Random(8108)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            M = rng.randint(2, {1: 30, 2: 9, 3: 5, 4: 3}[n])
+            a = random_cellset(rng, n, M, density=rng.uniform(0, 1))
+            if rng.random() < 0.3:
+                lo, hi = (0,) * n, (M,) * n
+            else:
+                lo, hi = random_box(rng, n, M)
+                hi = tuple(l if rng.random() < 0.3 else h for l, h in zip(lo, hi))
+            expected = oracle.staircase_path(frozenset(a.points()), M, lo, hi)
+            assert _staircase_dp(a, lo, hi, 10**6) == expected
 
     def test_membership(self):
         rng = random.Random(8104)
@@ -155,7 +171,7 @@ class TestFragmentedSets:
                 assert _coarse_counts(a, m) == oracle.coarse_counts(a.points(), M, m)
         rng = random.Random(8107 + n * M)
         for lo, hi in [((0,) * n, (M,) * n)] + [random_box(rng, n, M) for _ in range(10)]:
-            assert _edge_gains(a, lo, hi) == oracle.edge_gains(members, M, lo, hi)
+            assert _cell_mask(a, lo, hi) == oracle.cell_mask(members, M, lo, hi)
         for cell in itertools.product(range(-1, M + 1), repeat=n):
             assert (cell in a) == (cell in members)
         path = tmp_path / "cells.json"

@@ -39,6 +39,10 @@ class TestValidateMonotone:
     def test_constructor_rejects_invalid(self):
         with pytest.raises(DomainError):
             polyline([(0, 1), (1, 0)])
+        with pytest.raises(DomainError, match="^denominator must be a positive integer, got 0$"):
+            MonotonePolyline(2, [(0, 0)], 0)
+        with pytest.raises(DomainError, match="^numerator '1' is not an integer$"):
+            MonotonePolyline(2, [("1", 0)], 2)
 
 
 class TestH1Length:

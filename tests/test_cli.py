@@ -127,9 +127,19 @@ class TestWhitney:
         assert code == 2
         assert check_schema("error", err)["error"]["message"] == "--k and --kappa are mutually exclusive"
 
+    def test_k_without_kappa(self):
+        code, out, _ = invoke(["whitney", "--n", "2", "--m", "3", "--k", "2"])
+        assert code == 0
+        payload = check_schema("whitney", out)
+        assert (payload["k"], payload["kappa"], payload["sum"]) == (2, None, 5)
+
     def test_cli_caps(self):
         code, _, _ = invoke(["whitney", "--n", "17", "--m", "3"])
         assert code == 2
+        code, out, err = invoke(["whitney", "--n", "2", "--m", "10001"])
+        assert (code, out) == (2, "")
+        message = check_schema("error", err)["error"]["message"]
+        assert message == "whitney CLI accepts 2 <= m <= 10000, got 10001"
 
 
 class TestConverge:
@@ -246,6 +256,13 @@ class TestKsperner:
         assert code == 3
         assert json.loads(err)["error"]["code"] == "resource"
 
+    def test_k_below_one_exit_two(self):
+        code, out, err = invoke(["ksperner", "--n", "2", "--m", "3", "--k", "0"])
+        assert (code, out) == (2, "")
+        assert check_schema("error", err)["error"] == {
+            "code": "domain", "message": "k must be >= 1, got 0"
+        }
+
 
 def _file_coordinate(j, c):
     # Plain integers and unreduced "P/Q" strings load like reduced ones.
@@ -360,6 +377,19 @@ class TestVerifyPipeline:
         assert (code, out) == (2, "")
         error = check_schema("error", err)["error"]
         assert error == {"code": "domain", "message": f"M must be >= 2, got {M}"}
+        assert not cells_path.exists()
+
+    def test_raster_slab_grid_state_cap_exit_three(self, tmp_path):
+        cells_path = tmp_path / "cells.json"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_grid_states": 15}))
+        code, out, err = invoke(
+            ["raster-slab", "--n", "2", "--M", "4", "--kappa", "1",
+             "--mode", "inner", "-o", str(cells_path), "--config", str(config)]
+        )
+        assert (code, out) == (3, "")
+        error = check_schema("error", err)["error"]
+        assert error == {"code": "resource", "message": "4^2 cells exceed the cap 15"}
         assert not cells_path.exists()
 
     def test_verify_determinism(self, tmp_path):
@@ -682,6 +712,16 @@ class TestDispatch:
             code, out, err = invoke(argv)
             assert (code, out) == (2, ""), data
             assert check_schema("error", err)["error"]["message"] == message
+
+    def test_config_not_an_object(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps([1, 2]))
+        code, out, err = invoke(["volume", "--n", "2", "--kappa", "1", "--config", str(config)])
+        assert (code, out) == (2, "")
+        error = check_schema("error", err)["error"]
+        assert error == {
+            "code": "domain", "message": f"config file {config} does not hold a JSON object"
+        }
 
     def test_config_default_seed(self, tmp_path):
         config = tmp_path / "config.json"

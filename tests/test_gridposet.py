@@ -74,16 +74,13 @@ class TestChainOfPoints:
 class TestMonotonePathDP:
     def test_against_path_enumeration(self):
         # oracle: score every monotone path from the origin to the top corner;
-        # gains at x_j = 0 are set high, so reading one would show
+        # the origin weighs 99, so reading it would show
         rng = random.Random(61)
         for _ in range(60):
             n = rng.randint(1, 3)
             extent = [rng.randint(1, 4 if n < 3 else 3) for _ in range(n)]
             points = list(itertools.product(*(range(e) for e in extent)))
-            gains = [
-                [99 if x[j] == 0 else rng.randint(0, 5) for x in points]
-                for j in range(n)
-            ]
+            weight = [99] + [rng.randint(0, 5) for _ in points[1:]]
             index = {x: i for i, x in enumerate(points)}
             best = 0
             steps = [j for j in range(n) for _ in range(extent[j] - 1)]
@@ -91,9 +88,9 @@ class TestMonotonePathDP:
                 x, total = [0] * n, 0
                 for j in perm:
                     x[j] += 1
-                    total += gains[j][index[tuple(x)]]
+                    total += weight[index[tuple(x)]]
                 best = max(best, total)
-            assert monotone_path_dp(extent, gains)[-1] == best
+            assert monotone_path_dp(extent, weight)[-1] == best
 
 
 class TestMaxWeightChain:
@@ -283,3 +280,7 @@ class TestKSperner:
     def test_bruteforce_cap(self):
         with pytest.raises(ResourceLimitError):
             ksperner_max_bruteforce(2, 5, 1)
+
+    def test_bruteforce_k_below_one(self):
+        with pytest.raises(DomainError, match="^k must be >= 1, got 0$"):
+            ksperner_max_bruteforce(2, 2, 0)

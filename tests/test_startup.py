@@ -214,10 +214,10 @@ def test_each_command_loads_only_its_modules(tmp_path):
 def test_cell_commands_load_only_their_modules(tmp_path):
     cells = tmp_path / "cells.json"
     # raster-slab loads the cell sets alone: neither the chain-mass DP nor
-    # the proof machinery.  verifier imports chainmass, so chainbuild loads it.
+    # the proof machinery.  Only verify runs the chain-mass DP.
     base = {"config", "errors", "rational", "io", "cellset", "slab_volume"}
-    proof = base | {"chainmass", "verifier", "whitney"}
-    expected = [base, proof, proof | {"gridposet", "chain_geometry"}]
+    proof = base | {"verifier", "whitney"}
+    expected = [base, proof | {"chainmass"}, proof | {"gridposet", "chain_geometry"}]
     for argv, modules in zip(cell_command_argvs(tmp_path, cells), expected):
         proc = fresh_python(["-c", _RUN_AS_MAIN, *argv], tmp_path)
         *printed, _, last = proc.stdout.split("\n")[:-1]

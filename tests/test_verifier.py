@@ -130,6 +130,10 @@ class TestEpsilonParams:
         with pytest.raises(DomainError):
             EpsilonParams(n=2, m=10, epsilon=Fraction(0), kappa=Fraction(1, 2))
 
+    def test_kappa_must_be_positive(self):
+        with pytest.raises(DomainError, match="^kappa must be positive, got 0$"):
+            EpsilonParams(n=2, m=10, epsilon=Fraction(1, 100), kappa=0)
+
     def test_smallness_condition(self):
         # kappa = 1 needs epsilon below ~1/15 in dimension 2
         with pytest.raises(DomainError):
@@ -216,6 +220,15 @@ class TestCoverSets:
         params = EpsilonParams(n=1, m=3, epsilon=Fraction(1, 5), kappa=Fraction(1, 10))
         with pytest.raises(DomainError):
             cover_sets(CellSet(1, 4, frozenset()), 3, params)
+
+    def test_params_must_match(self):
+        a = CellSet(2, 4, frozenset({(0, 0)}))
+        params = EpsilonParams(n=3, m=2, epsilon=Fraction(1, 100), kappa=Fraction(1, 2))
+        with pytest.raises(DomainError, match="^params dimension 3 != cell set dimension 2$"):
+            cover_sets(a, 2, params)
+        params = EpsilonParams(n=2, m=4, epsilon=Fraction(1, 100), kappa=Fraction(1, 2))
+        with pytest.raises(DomainError, match="^params carry m=4 but m=2 was requested$"):
+            cover_sets(a, 2, params)
 
 
 class TestClaimCheck:
