@@ -33,7 +33,7 @@ from itertools import chain, compress, cycle, islice, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Literal
 
 from .config import Config
-from .errors import DomainError, Frozen, ResourceLimitError, check_grid, check_grid_points
+from .errors import DomainError, Frozen, check_grid, check_grid_points, check_grid_size
 from .rational import as_rational, RationalLike
 from .slab_volume import SlabSpec
 
@@ -41,23 +41,11 @@ if TYPE_CHECKING:
     from .gridposet import GridPoint
 
 
-#: Flat cell indices stay in the int64 range, so M**n must stay below 2**63.
-_FLAT_LIMIT = 2**63
-
-
-def _check_flat_range(n: int, M: int) -> None:
-    # Callers check M >= 2 first, so n >= 63 is out of range; testing it
-    # first avoids a huge power.
-    if n >= 63 or M**n >= _FLAT_LIMIT:
-        raise ResourceLimitError(
-            f"{M}^{n} cells exceed the int64 range of flat cell indices"
-        )
-
-
 def check_cell_grid(n: object, M: object) -> None:
-    """Check that {0..M-1}^n is a grid of cells: `check_grid`, then M**n below 2**63."""
+    """Check that {0..M-1}^n is a grid of cells: `check_grid`, then M**n below
+    2**63, so that flat cell indices stay in the int64 range."""
     check_grid(n, M, "M")
-    _check_flat_range(n, M)
+    check_grid_size(n, M, 2**63 - 1, "cells (int64 flat indices)")
 
 
 def _unravel(index: int, base: int, length: int) -> GridPoint:
@@ -336,9 +324,8 @@ def discretize_slab(
         raise DomainError(f"mode must be 'inner' or 'outer', got {mode!r}")
     spec = SlabSpec(n=n, kappa=as_rational(kappa))
     check_grid(n, M, "M")
-    if M**n > config.max_grid_states:
-        raise ResourceLimitError(f"{M}^{n} cells exceed the cap {config.max_grid_states}")
-    _check_flat_range(n, M)
+    check_grid_size(n, M, config.max_grid_states, "cells")
+    check_cell_grid(n, M)
     lo_times_m = spec.lower_sum * M
     hi_times_m = spec.upper_sum * M
     if mode == "inner":

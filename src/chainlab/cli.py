@@ -167,11 +167,15 @@ def _cmd_maxchain(args: argparse.Namespace, config: Config) -> dict:
 
     grid = chainlab_io.weighted_grid_from_dict(chainlab_io.load_json(args.weights))
     result = max_weight_chain(grid, config)
+    try:
+        total_float = float(result.total)
+    except OverflowError as exc:
+        raise ResourceLimitError("the chain's total weight is too large for a float") from exc
     return {
         "n": grid.n,
         "m": grid.m,
         "total": format_rational(result.total),
-        "total_float": float(result.total),
+        "total_float": total_float,
         "witness": [list(p) for p in result.witness.points],
     }
 

@@ -35,7 +35,7 @@ class Config(Frozen):
     max_fine_states: int
     #: Memory budget for Whitney coefficient tables, in bytes.
     max_table_bytes: int
-    #: Hard cap on the dimension accepted by the volume subcommand.
+    #: Hard cap on the dimension accepted by the volume and converge subcommands.
     max_dimension: int
     default_seed: int
     #: Largest denominator tried by the automatic epsilon rule.

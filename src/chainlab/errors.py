@@ -1,7 +1,7 @@
 """Exception types shared by all chainlab modules, the one check of a
-grid {0..m-1}^n and of its points, which every module that checks input
-can import from here, and `Frozen`, the base of the value types that
-check their arguments."""
+grid {0..m-1}^n, of its size m**n against a cap and of its points, which
+every module that checks input can import from here, and `Frozen`, the
+base of the value types that check their arguments."""
 
 import itertools
 
@@ -79,6 +79,17 @@ def check_grid(n: object, m: object, name: str = "m") -> None:
         raise DomainError(f"{name} must be an integer, got {m!r}")
     if m < 2:
         raise DomainError(f"{name} must be >= 2, got {m}")
+
+
+def check_grid_size(n: int, m: int, cap: int, what: str) -> None:
+    """Refuse a grid of m**n `what` above `cap`, naming its size as m^n.
+
+    n and m pass `check_grid` first.  Since m >= 2**(b-1) with b the bit
+    length of m, n * (b-1) >= cap.bit_length() already means m**n > cap;
+    otherwise the power is built and has fewer than twice the cap's bits.
+    """
+    if n * (m.bit_length() - 1) >= cap.bit_length() or m**n > cap:
+        raise ResourceLimitError(f"{m}^{n} {what} exceed the cap {cap}")
 
 
 def check_points(points: object, n: int, what: str) -> list[int]:

@@ -23,13 +23,12 @@ from .config import Config
 from .errors import (
     DomainError,
     Frozen,
-    ResourceLimitError,
     check_grid,
     check_grid_points,
+    check_grid_size,
     check_points,
 )
 from .rational import as_rational
-from .whitney import sum_k_largest, whitney_numbers
 
 GridPoint = tuple[int, ...]
 
@@ -180,9 +179,8 @@ def max_weight_chain(grid: WeightedGrid, config: Config = Config()) -> MaxChainR
     The DP runs over m**n states, at most `config.max_grid_states`.
     """
     n, m = grid.n, grid.m
+    check_grid_size(n, m, config.max_grid_states, "grid states")
     size = m**n
-    if size > config.max_grid_states:
-        raise ResourceLimitError(f"grid has {size} states, cap is {config.max_grid_states}")
     scale = math.lcm(*(w.denominator for w in grid.weights.values()))
     strides = [m ** (n - 1 - j) for j in range(n)]
 
@@ -218,14 +216,6 @@ def max_weight_chain(grid: WeightedGrid, config: Config = Config()) -> MaxChainR
     )
 
 
-def _check_scd_size(n: int, m: int) -> None:
-    check_grid(n, m)
-    if m**n > SCD_MAX_POINTS:
-        raise ResourceLimitError(
-            f"decomposition of {m}^{n} points exceeds the cap {SCD_MAX_POINTS}"
-        )
-
-
 def symmetric_chain_decomposition(n: int, m: int) -> SymmetricChainDecomposition:
     """Symmetric chain decomposition of {0..m-1}^n.
 
@@ -234,7 +224,8 @@ def symmetric_chain_decomposition(n: int, m: int) -> SymmetricChainDecomposition
     factor, is peeled into hooks (one row to its corner, then up the
     column), every hook again saturated and symmetric.
     """
-    _check_scd_size(n, m)
+    check_grid(n, m)
+    check_grid_size(n, m, SCD_MAX_POINTS, "decomposition points")
     q = m - 1
     chains: list[list[GridPoint]] = [[(j,) for j in range(m)]]
     for _ in range(n - 1):
@@ -260,7 +251,8 @@ def _scd_chain_lengths(n: int, m: int) -> list[int]:
     t = 0..min(p, m-1).  Lengths are kept as a length -> count table,
     which has at most n(m-1)+1 entries.
     """
-    _check_scd_size(n, m)
+    check_grid(n, m)
+    check_grid_size(n, m, SCD_MAX_POINTS, "decomposition points")
     counts = {m: 1}
     for _ in range(n - 1):
         spliced: dict[int, int] = defaultdict(int)
@@ -279,6 +271,9 @@ def ksperner_bound_via_scd(n: int, m: int, k: int) -> int:
     of the k largest Whitney numbers; the equality is asserted here
     because a mismatch means one of the two computations is broken.
     """
+    # Imported here, so that `scd` and `maxchain` never load the Whitney tables.
+    from .whitney import sum_k_largest, whitney_numbers
+
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     bound = sum(min(k, size) for size in _scd_chain_lengths(n, m))
@@ -302,11 +297,7 @@ def ksperner_max_bruteforce(n: int, m: int, k: int, prune: bool = True) -> int:
     check_grid(n, m)
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    size = m**n
-    if size > BRUTEFORCE_MAX_POINTS:
-        raise ResourceLimitError(
-            f"family space 2^{size} too large; cap is 2^{BRUTEFORCE_MAX_POINTS}"
-        )
+    check_grid_size(n, m, BRUTEFORCE_MAX_POINTS, "points to search by brute force")
     points = list(itertools.product(range(m), repeat=n))
     points.sort(key=lambda p: (sum(p), p))
     preds = [

@@ -675,8 +675,14 @@ def input_files(draw):
         data = {"n": n, "M": 2 * m, "cells": draw(st.lists(point, max_size=6))}
     elif kind == "runs":
         data = {"n": n, "M": 2 * m, "runs": oracle.runs_of(draw(st.lists(point, max_size=6)), 2 * m)}
+    elif kind == "weights" and draw(st.booleans()):
+        # A grid far past every cap, to be refused by its size alone.
+        data = {"n": draw(st.integers(10**4, 10**9)), "m": m, "weights": []}
     elif kind == "weights":
-        entry = st.fixed_dictionaries({"point": point, "w": st.sampled_from(["0/1", "1/2", "3"])})
+        # Numerators of up to 1000 digits: totals past the float range.
+        huge = st.integers(1, 1000).map(lambda digits: "9" * digits + "/7")
+        weight = st.one_of(st.sampled_from(["0/1", "1/2", "3"]), huge)
+        entry = st.fixed_dictionaries({"point": point, "w": weight})
         data = {"n": n, "m": m, "weights": draw(st.lists(entry, max_size=6))}
     elif kind == "polyline":
         steps = sorted(draw(st.lists(st.integers(0, 3 * n), max_size=5)))

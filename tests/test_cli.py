@@ -211,6 +211,17 @@ class TestMaxchain:
         assert "point (0,) twice" in check_schema("error", err)["error"]["message"]
 
 
+    def test_total_past_float_range_exit_three(self, tmp_path):
+        path = tmp_path / "weights.json"
+        entries = [{"point": [0], "w": "1" + "0" * 400 + "/1"}]
+        path.write_text(json.dumps({"n": 1, "m": 2, "weights": entries}))
+        code, out, err = invoke(["maxchain", "--weights", str(path)])
+        assert (code, out) == (3, "")
+        assert check_schema("error", err)["error"] == {
+            "code": "resource", "message": "the chain's total weight is too large for a float"
+        }
+
+
 class TestScd:
     def test_counts(self):
         code, out, _ = invoke(["scd", "--n", "2", "--m", "3"])

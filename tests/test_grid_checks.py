@@ -3,19 +3,26 @@
 import io
 import itertools
 import json
+import time
 from fractions import Fraction
+from pathlib import Path
 
+import jsonschema
 import pytest
 
 from chainlab import (
     CellSet,
     ChainOfPoints,
+    Config,
     DomainError,
     EpsilonParams,
+    ResourceLimitError,
     WeightedGrid,
     build_chain_through_cubes,
+    discretize_slab,
     ksperner_bound_via_scd,
     ksperner_max_bruteforce,
+    max_weight_chain,
     symmetric_chain_decomposition,
     whitney_numbers,
 )
@@ -131,3 +138,81 @@ def test_library_callers_still_get_domain_errors():
     for weights in ({(0, 0, 0): 1}, {(0, 2): 1}, {(0, 0.0): 1}, {(True, 0): 1}, {(-1, 0): 1}):
         with pytest.raises(DomainError):
             WeightedGrid(2, 2, weights)
+
+
+def test_grid_size_check_matches_the_power():
+    # The plain comparison m**n > cap is the oracle; the caps include the
+    # powers themselves and their neighbours, and caps of 63 and 64 bits.
+    ms = [2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 255, 256, 257, 2**31 - 1, 2**32, 2**63 - 1, 2**63]
+    ms += [2**64 + 1, 10**30, 2**200]
+    wide = [2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64]
+    for m in ms:
+        for n in range(1, 70):
+            power = m**n
+            near = [power - 1, power, power + 1] if power.bit_length() <= 130 else []
+            for cap in [*range(1, 40), 10**7, 12**6, *wide, *near]:
+                if power > cap:
+                    with pytest.raises(ResourceLimitError) as info:
+                        errors.check_grid_size(n, m, cap, "points")
+                    assert str(info.value) == f"{m}^{n} points exceed the cap {cap}"
+                else:
+                    errors.check_grid_size(n, m, cap, "points")
+
+
+ERROR_SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "schemas" / "error.schema.json").read_text()
+)
+HUGE = 10**9
+
+
+def _weights_argv(tmp_path, n, m):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({"n": n, "m": m, "weights": []}))
+    return ["maxchain", "--weights", str(path)]
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (lambda tmp: ["scd", "--n", str(HUGE), "--m", "3"], f"3^{HUGE}"),
+        (lambda tmp: ["ksperner", "--n", str(HUGE), "--m", "3", "--k", "1"], f"3^{HUGE}"),
+        (
+            lambda tmp: ["raster-slab", "--n", str(HUGE), "--M", "3", "--kappa", "1",
+                         "--mode", "inner", "-o", str(tmp / "cells.json")],
+            f"3^{HUGE}",
+        ),
+        (lambda tmp: _weights_argv(tmp, HUGE, 3), f"3^{HUGE}"),
+        # 2^20000 has more decimal digits than Python prints.
+        (lambda tmp: _weights_argv(tmp, 20000, 2), "2^20000"),
+    ],
+    ids=["scd", "ksperner", "raster-slab", "maxchain", "maxchain-unprintable"],
+)
+def test_huge_grid_refused_fast_by_its_power(tmp_path, argv, size):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    code = run(argv(tmp_path), stdout=out, stderr=err)
+    assert time.perf_counter() - start < 2
+    assert (code, out.getvalue()) == (3, "")
+    payload = json.loads(err.getvalue())
+    jsonschema.validate(payload, ERROR_SCHEMA)
+    assert payload["error"]["message"].startswith(f"{size} "), payload
+    assert not (tmp_path / "cells.json").exists()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n, m: discretize_slab(n, m, 1, "inner", Config(max_grid_states=2**70)),
+        lambda n, m: CellSet(n, m, []),
+        lambda n, m: max_weight_chain(WeightedGrid(n, m, {})),
+        symmetric_chain_decomposition,
+        lambda n, m: ksperner_max_bruteforce(n, m, 1),
+    ],
+    ids=["discretize_slab", "CellSet", "max_weight_chain", "scd", "bruteforce"],
+)
+@pytest.mark.parametrize("n, m", [(HUGE, 3), (20000, 2)])
+def test_huge_grid_refused_by_the_library(call, n, m):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=rf"^{m}\^{n} "):
+        call(n, m)
+    assert time.perf_counter() - start < 2

@@ -191,12 +191,14 @@ def test_each_command_loads_only_its_modules(tmp_path):
     # No grid or chain command loads a cell set module.
     cell = {"cellset", "chainmass", "verifier"}
     grid = cell | {"io", "gridposet", "chain_geometry"}
+    # Only the k-Sperner bound among the grid poset commands reads the Whitney tables.
+    tables = {"whitney", "slab_volume"}
     argvs = [
         (["whitney", "--n", "3", "--m", "4", "--kappa", "1/2"], grid),
         (["converge", "--n", "2", "--kappa", "1", "--m-list", "4,8"], grid),
-        (["scd", "--n", "2", "--m", "3", "--print"], cell | {"chain_geometry"}),
+        (["scd", "--n", "2", "--m", "3", "--print"], cell | {"chain_geometry"} | tables),
         (["ksperner", "--n", "2", "--m", "3", "--k", "2", "--brute"], cell | {"chain_geometry"}),
-        (["maxchain", "--weights", str(weights)], cell | {"chain_geometry"}),
+        (["maxchain", "--weights", str(weights)], cell | {"chain_geometry"} | tables),
         (["chain", "length", "--file", str(poly)], cell | {"gridposet"}),
         (["chain", "decompose", "--file", str(poly)], cell | {"gridposet"}),
     ]
@@ -214,10 +216,11 @@ def test_each_command_loads_only_its_modules(tmp_path):
 def test_cell_commands_load_only_their_modules(tmp_path):
     cells = tmp_path / "cells.json"
     # raster-slab loads the cell sets alone: neither the chain-mass DP nor
-    # the proof machinery.  Only verify runs the chain-mass DP.
+    # the proof machinery.  Only verify runs the chain-mass DP, and only
+    # verify reads the Whitney tables, for the cap.
     base = {"config", "errors", "rational", "io", "cellset", "slab_volume"}
-    proof = base | {"verifier", "whitney"}
-    expected = [base, proof | {"chainmass"}, proof | {"gridposet", "chain_geometry"}]
+    proof = base | {"verifier"}
+    expected = [base, proof | {"chainmass", "whitney"}, proof | {"gridposet", "chain_geometry"}]
     for argv, modules in zip(cell_command_argvs(tmp_path, cells), expected):
         proc = fresh_python(["-c", _RUN_AS_MAIN, *argv], tmp_path)
         *printed, _, last = proc.stdout.split("\n")[:-1]
