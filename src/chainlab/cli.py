@@ -7,17 +7,20 @@ identical argv, seed and config.  Exit codes: 0 success, 2 domain or
 usage error (machine-readable object on stderr), 3 resource cap
 exceeded, 64 unknown subcommand.
 
-Each `_cmd_*` handler imports the functions it calls when it runs, so a
-command line started as `python -m chainlab.cli` (or `python -m
-chainlab`, or the `chainlab` script) loads only the modules of its own
-command: `whitney` never loads a cell set, and `raster-slab` loads
-`cellset` but neither `chainmass` nor `verifier`.  A run builds the
-argument parser of its own subcommand only, and an unknown subcommand
-exits before any parser is built.  Importing this module, as
-opposed to running it, still loads every module a command can use (see
-the end of the file): an in-process caller such as a layer tracer
-replaces those modules' attributes after `import chainlab.cli`, and the
-handlers look the names up there when they run.
+Each subcommand is declared once, in `_COMMANDS`: its summary, its
+handler and its arguments.  The parser, the usage text and the dispatch
+are all read from that table.  Each `_cmd_*` handler imports the
+functions it calls when it runs, so a command line started as `python
+-m chainlab.cli` (or `python -m chainlab`, or the `chainlab` script)
+loads only the modules of its own command: `whitney` never loads a cell
+set, and `raster-slab` loads `cellset` but neither `chainmass` nor
+`verifier`.  A run builds the argument parser of its own subcommand
+only, and an unknown subcommand exits before any parser is built.
+Importing this module, as opposed to running it, still loads every
+module a command can use (see the end of the file): an in-process
+caller such as a layer tracer replaces those modules' attributes after
+`import chainlab.cli`, and the handlers look the names up there when
+they run.
 """
 
 from __future__ import annotations
@@ -59,6 +62,11 @@ def _m_list_arg(text: str) -> list[int]:
         return [int(x) for x in text.split(",") if x]
     except ValueError as exc:
         raise _UsageError(f"--m-list must be comma-separated integers: {exc}") from exc
+
+
+def _exact_and_float(key: str, value: Fraction) -> dict:
+    """`key` as a "P/Q" string and `key`_float as its float twin."""
+    return {key: format_rational(value), f"{key}_float": float(value)}
 
 
 def _emit(payload: dict, stdout: TextIO) -> None:
@@ -269,8 +277,7 @@ def _cmd_raster_slab(args: argparse.Namespace, config: Config) -> dict:
         "kappa": format_rational(args.kappa),
         "mode": args.mode,
         "cell_count": len(cells.cells),
-        "measure": format_rational(vol),
-        "measure_float": float(vol),
+        **_exact_and_float("measure", vol),
         "output": args.output,
     }
 
@@ -308,15 +315,11 @@ def _cmd_verify(args: argparse.Namespace, config: Config) -> dict:
         "epsilon": format_rational(report.params.epsilon),
         "kappa_prime": format_rational(report.params.kappa_prime),
         "delta": format_rational(report.params.delta),
-        "measure": format_rational(report.measure_a),
-        "measure_float": float(report.measure_a),
-        "slab_volume": format_rational(report.slab_volume),
-        "slab_volume_float": float(report.slab_volume),
+        **_exact_and_float("measure", report.measure_a),
+        **_exact_and_float("slab_volume", report.slab_volume),
         # Both keys hold the exact supremum; the names predate it.
-        "adversarial_lower": format_rational(report.chain_mass_sup),
-        "adversarial_lower_float": float(report.chain_mass_sup),
-        "dp_upper": format_rational(report.chain_mass_sup),
-        "dp_upper_float": float(report.chain_mass_sup),
+        **_exact_and_float("adversarial_lower", report.chain_mass_sup),
+        **_exact_and_float("dp_upper", report.chain_mass_sup),
         "touched_count": report.touched_count,
         "dense_count": report.dense_count,
         "whitney_cap": report.whitney_cap,
@@ -342,97 +345,88 @@ def _cmd_chainbuild(args: argparse.Namespace, config: Config) -> dict:
         "M": cells.M,
         "epsilon": format_rational(args.epsilon),
         "cube_count": len(cubes.points),
-        "mass": format_rational(cert.mass),
-        "mass_float": float(cert.mass),
-        "guarantee": format_rational(cert.guarantee),
-        "guarantee_float": float(cert.guarantee),
+        **_exact_and_float("mass", cert.mass),
+        **_exact_and_float("guarantee", cert.guarantee),
         "passed": cert.mass >= cert.guarantee,
         "polyline": chainlab_io.polyline_to_dict(cert.polyline),
     }
 
 
-#: The handler of each subcommand.
-_HANDLERS: dict[str, Callable[[argparse.Namespace, Config], dict]] = {
-    "volume": _cmd_volume,
-    "whitney": _cmd_whitney,
-    "converge": _cmd_converge,
-    "maxchain": _cmd_maxchain,
-    "scd": _cmd_scd,
-    "ksperner": _cmd_ksperner,
-    "chain": _cmd_chain,
-    "raster-slab": _cmd_raster_slab,
-    "verify": _cmd_verify,
-    "chainbuild": _cmd_chainbuild,
+def _arg(*flags: str, **options) -> tuple:
+    """One argument of a subcommand: `_build_parser` passes it to add_argument."""
+    return flags, options
+
+
+_N = _arg("--n", type=int, required=True)
+_M = _arg("--m", type=int, required=True)
+_KAPPA = _arg("--kappa", type=_rational_arg, required=True)
+
+#: Each subcommand, once: its line in the usage text, its handler and its
+#: arguments after --config, in the order of its --help.
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace, Config], dict], tuple]] = {
+    "volume": ("exact and Monte Carlo slab volume", _cmd_volume, (
+        _N, _KAPPA, _arg("--mc", type=int, default=None, metavar="SAMPLES"),
+        _arg("--seed", type=int, default=None),
+    )),
+    "whitney": ("Whitney numbers of the grid poset and top-k sums", _cmd_whitney, (
+        _N, _M, _arg("--k", type=int, default=None),
+        _arg("--kappa", type=_rational_arg, default=None),
+    )),
+    "converge": ("table of whitney-sum ratios against the slab volume", _cmd_converge, (
+        _N, _KAPPA, _arg("--m-list", type=_m_list_arg, required=True, dest="m_list"),
+        _arg("--csv", type=str, default=None),
+    )),
+    "maxchain": ("maximum-weight chain in a weighted grid", _cmd_maxchain, (
+        _arg("--weights", type=str, required=True),
+    )),
+    "scd": ("symmetric chain decomposition", _cmd_scd, (
+        _N, _M, _arg("--print", action="store_true", dest="print_chains"),
+    )),
+    "ksperner": ("k-Sperner bound (SCD-certified, optionally brute-forced)", _cmd_ksperner, (
+        _N, _M, _arg("--k", type=int, required=True), _arg("--brute", action="store_true"),
+    )),
+    "chain": ("length / decompose of a monotone polyline file", _cmd_chain, (
+        _arg("action", choices=("length", "decompose")),
+        _arg("--file", type=str, required=True),
+    )),
+    "raster-slab": ("rasterise the slab to a cell set file", _cmd_raster_slab, (
+        _N, _arg("--M", type=int, required=True, dest="M"), _KAPPA,
+        _arg("--mode", choices=("inner", "outer"), required=True),
+        _arg("-o", "--output", type=str, required=True),
+    )),
+    "verify": ("end-to-end proof-chain verification of a cell set", _cmd_verify, (
+        _arg("--set", type=str, required=True), _KAPPA, _M,
+        _arg("--epsilon", type=_rational_arg, default=None),
+    )),
+    "chainbuild": ("certified chain through a chain of dense cubes", _cmd_chainbuild, (
+        _arg("--cubes", type=str, required=True), _arg("--set", type=str, required=True),
+        _arg("--epsilon", type=_rational_arg, required=True),
+    )),
 }
 
 
 def _build_parser(name: str) -> _Parser:
-    """The parser of subcommand `name`, a key of `_HANDLERS`; a run builds only its own."""
+    """The parser of subcommand `name`, a key of `_COMMANDS`; a run builds only its own."""
     p = _Parser(prog=f"chainlab {name}", add_help=True)
     p.add_argument("--config", type=str, default=None)
-    if name == "volume":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--kappa", type=_rational_arg, required=True)
-        p.add_argument("--mc", type=int, default=None, metavar="SAMPLES")
-        p.add_argument("--seed", type=int, default=None)
-    elif name == "whitney":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--kappa", type=_rational_arg, default=None)
-    elif name == "converge":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--kappa", type=_rational_arg, required=True)
-        p.add_argument("--m-list", type=_m_list_arg, required=True, dest="m_list")
-        p.add_argument("--csv", type=str, default=None)
-    elif name == "maxchain":
-        p.add_argument("--weights", type=str, required=True)
-    elif name == "scd":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--print", action="store_true", dest="print_chains")
-    elif name == "ksperner":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--brute", action="store_true")
-    elif name == "chain":
-        p.add_argument("action", choices=("length", "decompose"))
-        p.add_argument("--file", type=str, required=True)
-    elif name == "raster-slab":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--M", type=int, required=True, dest="M")
-        p.add_argument("--kappa", type=_rational_arg, required=True)
-        p.add_argument("--mode", choices=("inner", "outer"), required=True)
-        p.add_argument("-o", "--output", type=str, required=True)
-    elif name == "verify":
-        p.add_argument("--set", type=str, required=True)
-        p.add_argument("--kappa", type=_rational_arg, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--epsilon", type=_rational_arg, default=None)
-    elif name == "chainbuild":
-        p.add_argument("--cubes", type=str, required=True)
-        p.add_argument("--set", type=str, required=True)
-        p.add_argument("--epsilon", type=_rational_arg, required=True)
+    for flags, options in _COMMANDS[name][2]:
+        p.add_argument(*flags, **options)
     return p
 
 
-_USAGE = """usage: chainlab SUBCOMMAND [options]
+_USAGE = (
+    "usage: chainlab SUBCOMMAND [options]\n\nsubcommands:\n"
+    + "".join(f"  {name:<12} {summary}\n" for name, (summary, _, _) in _COMMANDS.items())
+    + "\nRun `chainlab SUBCOMMAND --help` for details.\n"
+)
 
-subcommands:
-  volume       exact and Monte Carlo slab volume
-  whitney      Whitney numbers of the grid poset and top-k sums
-  converge     table of whitney-sum ratios against the slab volume
-  maxchain     maximum-weight chain in a weighted grid
-  scd          symmetric chain decomposition
-  ksperner     k-Sperner bound (SCD-certified, optionally brute-forced)
-  chain        length / decompose of a monotone polyline file
-  raster-slab  rasterise the slab to a cell set file
-  verify       end-to-end proof-chain verification of a cell set
-  chainbuild   certified chain through a chain of dense cubes
-
-Run `chainlab SUBCOMMAND --help` for details.
-"""
+#: The error code and exit status of each failure `run` reports; the first match counts.
+_FAILURES = {
+    _UsageError: ("usage", EXIT_DOMAIN),
+    DomainError: ("domain", EXIT_DOMAIN),
+    ResourceLimitError: ("resource", EXIT_RESOURCE),
+    OSError: ("domain", EXIT_DOMAIN),
+}
 
 
 def _error_payload(code: str, message: str) -> str:
@@ -444,8 +438,7 @@ def run(argv: list[str], stdout: TextIO = sys.stdout, stderr: TextIO = sys.stder
         stdout.write(_USAGE)
         return EXIT_OK
     name = argv[0]
-    handler = _HANDLERS.get(name)
-    if handler is None:
+    if name not in _COMMANDS:
         stderr.write(_error_payload("usage", f"unknown subcommand {name!r}") + "\n")
         return EXIT_USAGE
     try:
@@ -454,19 +447,11 @@ def run(argv: list[str], stdout: TextIO = sys.stdout, stderr: TextIO = sys.stder
         except SystemExit as exc:  # --help lands here
             return EXIT_OK if exc.code in (0, None) else EXIT_DOMAIN
         config = Config.from_file(args.config) if args.config else Config()
-        payload = handler(args, config)
-    except _UsageError as exc:
-        stderr.write(_error_payload("usage", str(exc)) + "\n")
-        return EXIT_DOMAIN
-    except DomainError as exc:
-        stderr.write(_error_payload("domain", str(exc)) + "\n")
-        return EXIT_DOMAIN
-    except ResourceLimitError as exc:
-        stderr.write(_error_payload("resource", str(exc)) + "\n")
-        return EXIT_RESOURCE
-    except OSError as exc:
-        stderr.write(_error_payload("domain", str(exc)) + "\n")
-        return EXIT_DOMAIN
+        payload = _COMMANDS[name][1](args, config)
+    except tuple(_FAILURES) as exc:
+        code, status = next(v for t, v in _FAILURES.items() if isinstance(exc, t))
+        stderr.write(_error_payload(code, str(exc)) + "\n")
+        return status
     _emit(payload, stdout)
     return EXIT_OK
 

@@ -4,8 +4,9 @@ Configuration is explicit: the CLI reads a config file only when given
 --config, never from environment variables, so identical invocations
 behave identically everywhere.
 
-`read_json_object` reads config and input files alike (`io` imports
-`config`, so it cannot live in `io`).
+`int_table_bytes` is the one estimate of an integer table's size that
+the table budget charges.  `read_json_object` reads config and input
+files alike (`io` imports `config`, so it cannot live in `io`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ class Config(Frozen):
     #: (M+1)**n * n(n-1)/2 row-element updates of the layered chain-mass
     #: DP, which runs for n >= 2 (`chainmass.check_chain_mass_cap`).
     max_fine_states: int
-    #: Memory budget for Whitney coefficient tables, in bytes.
+    #: Memory budget, in bytes, for the integer tables a command builds:
+    #: the Whitney coefficient tables and the chain DP's two lists
+    #: (`int_table_bytes` estimates them).
     max_table_bytes: int
     #: Hard cap on the dimension accepted by the volume and converge subcommands.
     max_dimension: int
@@ -78,6 +81,12 @@ class Config(Frozen):
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
+
+
+def int_table_bytes(count: int, bits: int) -> int:
+    """Estimated bytes of `count` Python ints of up to `bits` bits each, as
+    charged against `Config.max_table_bytes`."""
+    return count * (bits // 8 + 32)
 
 
 def read_json_object(path: str, what: str) -> dict:

@@ -19,10 +19,11 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .config import Config
+from .config import Config, int_table_bytes
 from .errors import (
     DomainError,
     Frozen,
+    ResourceLimitError,
     check_grid,
     check_grid_points,
     check_grid_size,
@@ -163,6 +164,32 @@ def monotone_path_dp(extent: Sequence[int], weight: Sequence[int]) -> list[int]:
     return best
 
 
+def _weight_scale(grid: WeightedGrid, config: Config) -> int:
+    """The lcm of the weights' denominators, which scales them to integers.
+
+    The weight list and the DP table are 2*m**n ints, each of at most as
+    many bits as the lcm, the largest numerator and the longest chain's
+    n(m-1)+1 points have together.  The lcm is built one distinct
+    denominator at a time and the lists are charged against
+    `config.max_table_bytes` at every step, so a refusal comes before
+    the full lcm or any list.
+    """
+    n, m, weights = grid.n, grid.m, grid.weights.values()
+    count = 2 * m**n
+    extra = (n * (m - 1) + 1).bit_length()
+    extra += max(map(int.bit_length, map(attrgetter("numerator"), weights)), default=0)
+    scale = 1
+    for denominator in {1, *map(attrgetter("denominator"), weights)}:
+        scale = math.lcm(scale, denominator)
+        bits = scale.bit_length() + extra
+        if int_table_bytes(count, bits) > config.max_table_bytes:
+            raise ResourceLimitError(
+                f"2*{m}^{n} chain DP integers at {bits} bits or more each exceed the "
+                f"{config.max_table_bytes}-byte table budget"
+            )
+    return scale
+
+
 def max_weight_chain(grid: WeightedGrid, config: Config = Config()) -> MaxChainResult:
     """Maximum total weight of a chain, with a deterministic witness.
 
@@ -176,12 +203,13 @@ def max_weight_chain(grid: WeightedGrid, config: Config = Config()) -> MaxChainR
     never change the total and are not reported).  Any strict dominator
     of a point is lexicographically larger than it, so each step of the
     walk scans on from the point chosen before: one pass over the points.
-    The DP runs over m**n states, at most `config.max_grid_states`.
+    The DP runs over m**n states, at most `config.max_grid_states`, and
+    its two lists must fit `config.max_table_bytes` (`_weight_scale`).
     """
     n, m = grid.n, grid.m
     check_grid_size(n, m, config.max_grid_states, "grid states")
     size = m**n
-    scale = math.lcm(*(w.denominator for w in grid.weights.values()))
+    scale = _weight_scale(grid, config)
     strides = [m ** (n - 1 - j) for j in range(n)]
 
     def mirrored(p: GridPoint) -> int:

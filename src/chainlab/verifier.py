@@ -277,7 +277,7 @@ def max_cell_chain_mass_upper(a: CellSet, m: int, config: Config = Config()) -> 
     the cubes it meets form a chain, so the maximum number of touched
     cubes on a cube chain, times n/m, dominates the supremum.  Loose by
     up to a factor n.  The cube chain DP runs over m**n states, at most
-    `config.max_grid_states`.
+    `config.max_grid_states`, and its lists fit `config.max_table_bytes`.
     """
     from .gridposet import WeightedGrid, max_weight_chain
 

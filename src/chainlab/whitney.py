@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .config import Config
+from .config import Config, int_table_bytes
 from .errors import DomainError, Frozen, ResourceLimitError, check_grid
 from .rational import as_rational, RationalLike
 from .slab_volume import SlabSpec, slab_volume_exact
@@ -67,10 +67,8 @@ def _convolve_ones(coeffs: Sequence[int], m: int) -> list[int]:
 
 
 def _estimate_table_bytes(n: int, m: int) -> int:
-    # n(m-1)+1 entries, each at most m^n, stored as Python ints.
-    entries = n * (m - 1) + 1
-    bits_per_entry = int(n * math.log2(m))  # >= 1, as n >= 1 and m >= 2
-    return entries * (bits_per_entry // 8 + 32)
+    # n(m-1)+1 entries, each at most m^n (int(n*log2(m)) >= 1 bits).
+    return int_table_bytes(n * (m - 1) + 1, int(n * math.log2(m)))
 
 
 def _check_table(n: int, m: int, config: Config) -> None:

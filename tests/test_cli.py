@@ -1,9 +1,13 @@
 """CLI contract: subcommands, exit codes, schemas, determinism."""
 
 import io
+import itertools
 import json
 import random
+import re
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +26,29 @@ def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+SUBCOMMANDS = (
+    "volume", "whitney", "converge", "maxchain", "scd",
+    "ksperner", "chain", "raster-slab", "verify", "chainbuild",
+)
+
+USAGE = """usage: chainlab SUBCOMMAND [options]
+
+subcommands:
+  volume       exact and Monte Carlo slab volume
+  whitney      Whitney numbers of the grid poset and top-k sums
+  converge     table of whitney-sum ratios against the slab volume
+  maxchain     maximum-weight chain in a weighted grid
+  scd          symmetric chain decomposition
+  ksperner     k-Sperner bound (SCD-certified, optionally brute-forced)
+  chain        length / decompose of a monotone polyline file
+  raster-slab  rasterise the slab to a cell set file
+  verify       end-to-end proof-chain verification of a cell set
+  chainbuild   certified chain through a chain of dense cubes
+
+Run `chainlab SUBCOMMAND --help` for details.
+"""
 
 
 def check_schema(name, text):
@@ -220,6 +247,64 @@ class TestMaxchain:
         assert check_schema("error", err)["error"] == {
             "code": "resource", "message": "the chain's total weight is too large for a float"
         }
+
+    @staticmethod
+    def distinct_denominators(tmp_path, m):
+        # The i-th point in row-major order weighs 1/(10^30 + i): m*m distinct
+        # 100-bit denominators, whose lcm has about 100*m*m bits.
+        path = tmp_path / "weights.json"
+        entries = [{"point": [i // m, i % m], "w": f"1/{10**30 + i}"} for i in range(m * m)]
+        path.write_text(json.dumps({"n": 2, "m": m, "weights": entries}))
+        return ["maxchain", "--weights", str(path)]
+
+    def test_lcm_past_table_budget_exit_three(self, tmp_path):
+        # Without the budget the lcm and both lists would take gigabytes.
+        argv = self.distinct_denominators(tmp_path, 100)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 10
+        assert peak < 64 << 20
+        assert (code, out) == (3, "")
+        error = check_schema("error", err)["error"]
+        assert error["code"] == "resource"
+        assert re.fullmatch(
+            r"2\*100\^2 chain DP integers at \d+ bits or more each exceed the "
+            r"268435456-byte table budget",
+            error["message"],
+        ), error
+
+    def test_lcm_within_table_budget(self, tmp_path):
+        m = 45
+        code, out, _ = invoke(self.distinct_denominators(tmp_path, m))
+        assert code == 0
+        best = {}
+        for i, j in itertools.product(range(m), repeat=2):
+            below = [best[p] for p in ((i - 1, j), (i, j - 1)) if p in best]
+            best[i, j] = Fraction(1, 10**30 + i * m + j) + max(below, default=0)
+        assert Fraction(check_schema("maxchain", out)["total"]) == best[m - 1, m - 1]
+
+    def test_table_budget_from_config(self, tmp_path):
+        # lcm 3 (2 bits), numerator 7 (3 bits), longest chain 5 points (3 bits):
+        # 2*3^2 ints of 8 bits, charged 8 // 8 + 32 bytes each, 594 bytes in all.
+        weights = tmp_path / "weights.json"
+        entries = [{"point": [1, 2], "w": "7/3"}]
+        weights.write_text(json.dumps({"n": 2, "m": 3, "weights": entries}))
+        config = tmp_path / "config.json"
+        argv = ["maxchain", "--weights", str(weights), "--config", str(config)]
+        config.write_text(json.dumps({"max_table_bytes": 594}))
+        code, out, _ = invoke(argv)
+        assert (code, check_schema("maxchain", out)["total"]) == (0, "7/3")
+        config.write_text(json.dumps({"max_table_bytes": 593}))
+        code, out, err = invoke(argv)
+        assert (code, out) == (3, "")
+        assert check_schema("error", err)["error"]["message"] == (
+            "2*3^2 chain DP integers at 8 bits or more each exceed the 593-byte table budget"
+        )
 
 
 class TestScd:
@@ -687,9 +772,20 @@ class TestDispatch:
         assert json.loads(err)["error"]["code"] == "usage"
 
     def test_usage_text(self):
-        code, out, _ = invoke([])
-        assert code == 0
-        assert "subcommands" in out
+        for argv in ([], ["-h"], ["--help"]):
+            assert invoke(argv) == (0, USAGE, "")
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_subcommand_help(self, name, capsys):
+        assert invoke([name, "--help"]) == (0, "", "")
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith(f"usage: chainlab {name} [-h] [--config CONFIG] "), first
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_subcommand_without_arguments_is_usage_error(self, name):
+        code, out, err = invoke([name])
+        assert (code, out) == (2, "")
+        assert check_schema("error", err)["error"]["code"] == "usage"
 
     def test_missing_required_flag(self):
         code, _, err = invoke(["volume", "--n", "2"])
