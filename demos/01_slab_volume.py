@@ -3,6 +3,8 @@
 The diagonal slab keeps the points whose coordinate sum stays within
 kappa/2 of the centre value n/2.  Its volume has a closed form that we
 evaluate in exact rationals, then sanity-check with seeded sampling.
+kappa is an int, a Fraction or a "P/Q" string, never a float, so the
+slab's bounds and its membership test are exact.
 """
 
 from fractions import Fraction
@@ -10,15 +12,15 @@ from fractions import Fraction
 from chainlab import SlabSpec, slab_membership, slab_volume_exact, slab_volume_montecarlo
 
 print("=== exact volumes ===")
-for n, kappa in [(1, Fraction(1, 2)), (2, Fraction(1)), (3, Fraction(1)), (3, Fraction(3))]:
+for n, kappa in [(1, Fraction(1, 2)), (2, 1), (3, "1"), (3, Fraction(3))]:
     volume = slab_volume_exact(SlabSpec(n, kappa))
     print(f"  n={n} kappa={kappa}:  volume = {volume}  ({float(volume):.6f})")
 
 print()
 print("=== dimension 1: the volume is just kappa ===")
 for i in (1, 3, 7, 10):
-    kappa = Fraction(i, 10)
-    print(f"  kappa={kappa}: {slab_volume_exact(SlabSpec(1, kappa))}")
+    spec = SlabSpec(1, f"{i}/10")  # kept as the Fraction in lowest terms
+    print(f"  kappa={spec.kappa}: {slab_volume_exact(spec)}")
 
 print()
 print("=== Monte Carlo cross-check (1e6 samples, seed 0) ===")

@@ -15,7 +15,7 @@ print("=== maximum-weight chain in a 2x2 grid ===")
 grid = WeightedGrid(2, 2, {(0, 0): 1, (0, 1): 5, (1, 0): 2, (1, 1): 3})
 result = max_weight_chain(grid)
 print("  weights " + ", ".join(f"{p}: {w}" for p, w in sorted(grid.weights.items())))
-print(f"  best total {result.total} via {list(result.witness.points)}")
+print(f"  best total {result.total} via {list(result.witness)}")
 
 print()
 print("=== symmetric chain decompositions ===")
@@ -25,7 +25,7 @@ for n, m in [(2, 2), (2, 3), (3, 2)]:
     print(f"  {{0..{m-1}}}^{n}: {len(scd.chains)} chains, lengths {lengths}")
 scd = symmetric_chain_decomposition(2, 3)
 for chain in scd.chains:
-    print(f"    {list(chain.points)}")
+    print(f"    {list(chain)}")
 
 print()
 print("=== largest family with no chain of k+1 points ===")

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Literal
 
 from .config import Config
 from .errors import DomainError, Frozen, check_grid, check_grid_points, check_grid_size
-from .rational import as_rational, RationalLike
+from .rational import RationalLike
 from .slab_volume import SlabSpec
 
 if TYPE_CHECKING:
@@ -308,6 +308,7 @@ def discretize_slab(
     """Rasterise the diagonal slab at resolution M.
 
     M is an int >= 2, and M**n may not exceed `config.max_grid_states`.
+    kappa is what `SlabSpec` accepts: an int, a Fraction or a "P/Q" string.
 
     inner: cells whose closure lies inside the closed slab, so the inner
     measure never exceeds the slab volume.  outer: cells whose overlap
@@ -322,7 +323,7 @@ def discretize_slab(
     """
     if mode not in ("inner", "outer"):
         raise DomainError(f"mode must be 'inner' or 'outer', got {mode!r}")
-    spec = SlabSpec(n=n, kappa=as_rational(kappa))
+    spec = SlabSpec(n=n, kappa=kappa)
     check_grid(n, M, "M")
     check_grid_size(n, M, config.max_grid_states, "cells")
     check_cell_grid(n, M)

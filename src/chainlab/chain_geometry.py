@@ -162,20 +162,10 @@ def polyline(vertices: Sequence[Sequence[RationalLike]], n: int | None = None) -
     return MonotonePolyline(n, *_over_common_denominator(vertices))
 
 
-def _segment(a: Numerators, b: Numerators, den: int) -> int | float:
-    # Length of a -> b over den: the numerator of the exact length when at
-    # most one coordinate moves, else a float (see the module docstring).
-    moving = [(x, y) for x, y in zip(a, b) if x != y]
-    if len(moving) <= 1:
-        return abs(moving[0][1] - moving[0][0]) if moving else 0
-    return math.sqrt(math.fsum((y / den - x / den) ** 2 for x, y in moving))
-
-
 def segment_length(a: Sequence[RationalLike], b: Sequence[RationalLike]) -> Fraction | float:
-    """Euclidean length of one segment; exact when at most one coordinate moves."""
-    (na, nb), den = _over_common_denominator((a, b))
-    length = _segment(na, nb, den)
-    return Fraction(length, den) if type(length) is int else length
+    """Euclidean length of the segment from a up to b, points of [0,1]^n
+    with a <= b; exact when at most one coordinate moves."""
+    return h1_length(polyline((a, b)))
 
 
 def h1_length(p: MonotonePolyline) -> Fraction | float:

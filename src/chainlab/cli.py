@@ -46,8 +46,15 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises `_UsageError` on a usage error, and prints --help on `help_stream`."""
+
+    help_stream: TextIO | None = None  # None: sys.stdout, as argparse does
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+    def print_help(self, file: TextIO | None = None) -> None:
+        super().print_help(file or self.help_stream)
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -92,11 +99,10 @@ def _cmd_volume(args: argparse.Namespace, config: Config) -> dict:
         "mc": None,
     }
     if args.mc is not None:
-        seed = args.seed if args.seed is not None else config.default_seed
-        mc = slab_volume_montecarlo(spec, samples=args.mc, seed=seed)
+        mc = slab_volume_montecarlo(spec, samples=args.mc, seed=args.seed)
         payload["mc"] = {
             "samples": args.mc,
-            "seed": seed,
+            "seed": args.seed,
             "estimate": mc.estimate,
             "half_width_99": mc.half_width_99,
         }
@@ -184,7 +190,7 @@ def _cmd_maxchain(args: argparse.Namespace, config: Config) -> dict:
         "m": grid.m,
         "total": format_rational(result.total),
         "total_float": total_float,
-        "witness": [list(p) for p in result.witness.points],
+        "witness": [list(p) for p in result.witness],
     }
 
 
@@ -202,7 +208,7 @@ def _cmd_scd(args: argparse.Namespace, config: Config) -> dict:
     }
     if args.print_chains:
         scd = symmetric_chain_decomposition(args.n, args.m)
-        payload["chains"] = [[list(p) for p in c.points] for c in scd.chains]
+        payload["chains"] = [[list(p) for p in c] for c in scd.chains]
     return payload
 
 
@@ -366,7 +372,7 @@ _KAPPA = _arg("--kappa", type=_rational_arg, required=True)
 _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace, Config], dict], tuple]] = {
     "volume": ("exact and Monte Carlo slab volume", _cmd_volume, (
         _N, _KAPPA, _arg("--mc", type=int, default=None, metavar="SAMPLES"),
-        _arg("--seed", type=int, default=None),
+        _arg("--seed", type=int, default=0),
     )),
     "whitney": ("Whitney numbers of the grid poset and top-k sums", _cmd_whitney, (
         _N, _M, _arg("--k", type=int, default=None),
@@ -442,8 +448,10 @@ def run(argv: list[str], stdout: TextIO = sys.stdout, stderr: TextIO = sys.stder
         stderr.write(_error_payload("usage", f"unknown subcommand {name!r}") + "\n")
         return EXIT_USAGE
     try:
+        parser = _build_parser(name)
+        parser.help_stream = stdout
         try:
-            args = _build_parser(name).parse_args(argv[1:])
+            args = parser.parse_args(argv[1:])
         except SystemExit as exc:  # --help lands here
             return EXIT_OK if exc.code in (0, None) else EXIT_DOMAIN
         config = Config.from_file(args.config) if args.config else Config()

@@ -1,4 +1,4 @@
-"""Resource caps and CLI defaults, and the reader of JSON-object files.
+"""Resource caps, and the reader of JSON-object files.
 
 Configuration is explicit: the CLI reads a config file only when given
 --config, never from environment variables, so identical invocations
@@ -17,14 +17,13 @@ from .errors import DomainError, Frozen
 
 
 class Config(Frozen):
-    """Resource caps and the CLI's default seed; every field has a default."""
+    """Resource caps; every field has a default."""
 
     __slots__ = _fields = (
         "max_grid_states",
         "max_fine_states",
         "max_table_bytes",
         "max_dimension",
-        "default_seed",
         "epsilon_denominator_cap",
     )
 
@@ -40,7 +39,6 @@ class Config(Frozen):
     max_table_bytes: int
     #: Hard cap on the dimension accepted by the volume and converge subcommands.
     max_dimension: int
-    default_seed: int
     #: Largest denominator tried by the automatic epsilon rule.
     epsilon_denominator_cap: int
 
@@ -50,29 +48,17 @@ class Config(Frozen):
         max_fine_states: int = 10**7,
         max_table_bytes: int = 1 << 28,
         max_dimension: int = 64,
-        default_seed: int = 0,
         epsilon_denominator_cap: int = 10**6,
     ) -> None:
         object.__setattr__(self, "max_grid_states", max_grid_states)
         object.__setattr__(self, "max_fine_states", max_fine_states)
         object.__setattr__(self, "max_table_bytes", max_table_bytes)
         object.__setattr__(self, "max_dimension", max_dimension)
-        object.__setattr__(self, "default_seed", default_seed)
         object.__setattr__(self, "epsilon_denominator_cap", epsilon_denominator_cap)
-        # type() rather than isinstance(): a bool is not a cap or a seed.
-        for cap in (
-            max_grid_states,
-            max_fine_states,
-            max_table_bytes,
-            max_dimension,
-            epsilon_denominator_cap,
-        ):
+        # type() rather than isinstance(): a bool is not a cap.
+        for cap in self._values():
             if type(cap) is not int or cap <= 0:
                 raise DomainError(f"resource caps must be positive integers, got {cap!r}")
-        if type(default_seed) is not int or default_seed < 0:
-            raise DomainError(
-                f"default_seed must be a non-negative integer, got {default_seed!r}"
-            )
 
     @classmethod
     def from_file(cls, path: str) -> "Config":

@@ -1,6 +1,9 @@
 """The grid poset {0..m-1}^n: chains, chain DP, decompositions, oracles.
 
-Points are plain integer tuples ordered componentwise.  The module
+Points are plain integer tuples ordered componentwise, and the chains
+the module builds (a maximum-weight chain's witness, the chains of a
+decomposition) are plain tuples of them, listed bottom to top.
+`ChainOfPoints` checks a chain given from outside.  The module
 provides the monotone-path DP over a box with one weight per point
 (n * size time), which runs both the maximum-weight chain DP and the
 verifier's staircase search over a 0/1 cell mask,
@@ -117,7 +120,7 @@ class WeightedGrid(Frozen):
 
 class MaxChainResult(NamedTuple):
     total: Fraction
-    witness: ChainOfPoints
+    witness: tuple[GridPoint, ...]
 
 
 class SymmetricChainDecomposition(NamedTuple):
@@ -125,7 +128,7 @@ class SymmetricChainDecomposition(NamedTuple):
 
     n: int
     m: int
-    chains: tuple[ChainOfPoints, ...]
+    chains: tuple[tuple[GridPoint, ...], ...]
 
 
 def monotone_path_dp(extent: Sequence[int], weight: Sequence[int]) -> list[int]:
@@ -222,7 +225,7 @@ def max_weight_chain(grid: WeightedGrid, config: Config = Config()) -> MaxChainR
     top = weight[0]
     optimum = up[-1] + top
     if optimum == 0:
-        return MaxChainResult(total=_ZERO, witness=ChainOfPoints(()))
+        return MaxChainResult(total=_ZERO, witness=())
 
     witness: list[GridPoint] = []
     remaining = optimum
@@ -238,10 +241,7 @@ def max_weight_chain(grid: WeightedGrid, config: Config = Config()) -> MaxChainR
                 break
         else:
             raise AssertionError("witness reconstruction failed; DP bug")
-    return MaxChainResult(
-        total=Fraction(optimum, scale),
-        witness=ChainOfPoints(tuple(witness), points_checked=True),  # points of the grid
-    )
+    return MaxChainResult(total=Fraction(optimum, scale), witness=tuple(witness))
 
 
 def symmetric_chain_decomposition(n: int, m: int) -> SymmetricChainDecomposition:
@@ -265,10 +265,7 @@ def symmetric_chain_decomposition(n: int, m: int) -> SymmetricChainDecomposition
                 hook += [chain[i] + (q - t,) for i in range(t + 1, p + 1)]
                 spliced.append(hook)
         chains = spliced
-    # The splice builds integer tuples of one dimension.
-    return SymmetricChainDecomposition(
-        n=n, m=m, chains=tuple(ChainOfPoints(tuple(c), points_checked=True) for c in chains)
-    )
+    return SymmetricChainDecomposition(n=n, m=m, chains=tuple(map(tuple, chains)))
 
 
 def _scd_chain_lengths(n: int, m: int) -> list[int]:

@@ -113,7 +113,3 @@ def _check_printable(largest: int) -> None:
         raise ResourceLimitError(
             f"a rational with more than {limit} decimal digits is too long to print"
         )
-
-
-def is_rational(value: object) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)

@@ -10,21 +10,21 @@ measure zero).  Its Lebesgue measure has the closed form
     1 - (2/n!) * sum_{j=0}^{floor((n-kappa)/2)}
                  (-1)^j * C(n,j) * ((n-kappa)/2 - j)^n
 
-which this module evaluates in exact rational arithmetic.  A seeded
-Monte Carlo estimator serves as an independent stochastic oracle; it
-alone uses numpy, and imports it when called.
+which this module evaluates in exact rational arithmetic.  `SlabSpec`
+keeps kappa as a Fraction, so the bounding sums, the volume and the
+membership test are all exact.  A seeded Monte Carlo estimator serves
+as an independent stochastic oracle; it alone compares floats, and it
+alone uses numpy, which it imports when called.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, Frozen, ResourceLimitError
-from .rational import is_rational
-
-Scalar = Union[int, float, Fraction]
+from .rational import RationalLike, as_rational
 
 #: Most sample coordinates (samples * n) one Monte Carlo run may draw;
 #: each costs a few nanoseconds, so the cap bounds a run to seconds.
@@ -35,36 +35,36 @@ class SlabSpec(Frozen):
     """Dimension and diagonal half-width of a slab.
 
     ``kappa`` is measured in l1 distance along the main diagonal and must
-    satisfy 0 < kappa <= n.  A rational kappa enables the exact volume
-    path; a float kappa restricts the spec to membership tests and Monte
-    Carlo.
+    satisfy 0 < kappa <= n.  It is given as an int, a Fraction or a "P/Q"
+    string, as `as_rational` accepts, and kept as a Fraction, so both
+    bounding sums are exact.
     """
 
     __slots__ = _fields = ("n", "kappa")
 
     n: int
-    kappa: Scalar
+    kappa: Fraction
 
-    def __init__(self, n: int, kappa: Scalar) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "kappa", kappa)
+    def __init__(self, n: int, kappa: RationalLike) -> None:
         if type(n) is not int or n < 1:
             raise DomainError(f"dimension must be a positive integer, got {n!r}")
-        if type(kappa) is bool or not isinstance(kappa, (int, float, Fraction)):
-            raise DomainError(f"kappa must be an int, float or Fraction, got {kappa!r}")
-        if not (0 < kappa <= n):
-            raise DomainError(f"kappa must lie in (0, n] = (0, {n}], got {kappa}")
+        try:
+            exact = as_rational(kappa)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(
+                f'kappa must be an int, Fraction or "P/Q" string, got {kappa!r}'
+            ) from exc
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "kappa", exact)
+        if not (0 < exact <= n):
+            raise DomainError(f"kappa must lie in (0, n] = (0, {n}], got {exact}")
 
     @property
-    def lower_sum(self) -> Scalar:
-        if is_rational(self.kappa):
-            return (self.n - Fraction(self.kappa)) / 2
+    def lower_sum(self) -> Fraction:
         return (self.n - self.kappa) / 2
 
     @property
-    def upper_sum(self) -> Scalar:
-        if is_rational(self.kappa):
-            return (self.n + Fraction(self.kappa)) / 2
+    def upper_sum(self) -> Fraction:
         return (self.n + self.kappa) / 2
 
 
@@ -77,14 +77,11 @@ def slab_volume_exact(spec: SlabSpec) -> Fraction:
     """Exact volume of the slab as a Fraction, by inclusion-exclusion over
     corner simplices.
 
-    Requires a rational kappa: the floor index and the n-th powers are
-    evaluated with Fractions, where floats would round near integer
-    floor boundaries.
+    The floor index and the n-th powers are evaluated with Fractions,
+    where floats would round near integer floor boundaries.
     """
-    if not is_rational(spec.kappa):
-        raise DomainError("exact volume requires a rational kappa")
     n = spec.n
-    t = (n - Fraction(spec.kappa)) / 2
+    t = spec.lower_sum
     total = Fraction(0)
     for j in range(math.floor(t) + 1):
         total += (-1) ** j * math.comb(n, j) * (t - j) ** n
@@ -94,21 +91,19 @@ def slab_volume_exact(spec: SlabSpec) -> Fraction:
     return volume
 
 
-def slab_membership(x: Sequence[Scalar], spec: SlabSpec) -> bool:
+def slab_membership(x: Sequence[Fraction | float], spec: SlabSpec) -> bool:
     """Whether x lies in the closed slab.
 
-    Exact when both x and kappa are rational; float comparison otherwise.
+    Exact for float coordinates too: each converts to the Fraction of
+    its value, so the coordinate sum is never rounded.
     """
     if len(x) != spec.n:
         raise DomainError(f"point has {len(x)} coordinates, spec has n={spec.n}")
     for c in x:
         if not 0 <= c <= 1:
             raise DomainError(f"coordinate {c!r} outside [0, 1]")
-    if is_rational(spec.kappa) and all(is_rational(c) for c in x):
-        s = sum(Fraction(c) for c in x)
-        return spec.lower_sum <= s <= spec.upper_sum
-    s = math.fsum(float(c) for c in x)
-    return float(spec.lower_sum) <= s <= float(spec.upper_sum)
+    s = sum(map(Fraction, x))
+    return spec.lower_sum <= s <= spec.upper_sum
 
 
 def slab_volume_montecarlo(

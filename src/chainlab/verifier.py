@@ -66,6 +66,11 @@ def _shrink_factor(n: int, epsilon: Fraction) -> Fraction:
     return (1 - (2 * n + 2) * epsilon) * (1 - epsilon) ** n
 
 
+def _is_small(n: int, epsilon: Fraction, kappa: Fraction) -> bool:
+    """The smallness condition, which forces kappa_prime below n."""
+    return kappa < n * _shrink_factor(n, epsilon)
+
+
 def _density_threshold(n: int, epsilon: Fraction) -> Fraction:
     return 1 - Fraction(1, 2**n) * epsilon ** (2 * n)
 
@@ -106,7 +111,7 @@ class EpsilonParams(Frozen):
         _check_epsilon(n, eps)
         if kappa <= 0:
             raise DomainError(f"kappa must be positive, got {kappa}")
-        if kappa >= self.n * self.shrink_factor:
+        if not _is_small(n, eps, kappa):
             raise DomainError(
                 f"kappa={kappa} violates the smallness condition "
                 f"kappa < n*(1-(2n+2)*eps)*(1-eps)^n = {self.n * self.shrink_factor}"
@@ -142,19 +147,15 @@ class EpsilonParams(Frozen):
         bisection.
         """
         kappa = as_rational(kappa)
-
-        def fits(t: int) -> bool:
-            return kappa < n * _shrink_factor(n, Fraction(1, t))
-
         lo, hi = 2 * n + 3, config.epsilon_denominator_cap
-        if lo > hi or not fits(hi):
+        if lo > hi or not _is_small(n, Fraction(1, hi), kappa):
             raise DomainError(
                 f"no epsilon of the form 1/t with t <= {hi} fits "
                 f"kappa={kappa}; kappa must be strictly below n"
             )
         while lo < hi:
             mid = (lo + hi) // 2
-            if fits(mid):
+            if _is_small(n, Fraction(1, mid), kappa):
                 hi = mid
             else:
                 lo = mid + 1

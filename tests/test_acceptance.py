@@ -104,10 +104,10 @@ def test_criterion_4_scd_validity():
             top_rank = n * (m - 1)
             seen = set()
             for chain in scd.chains:
-                ranks = [sum(p) for p in chain.points]
+                ranks = [sum(p) for p in chain]
                 assert all(b - a == 1 for a, b in zip(ranks, ranks[1:]))
                 assert ranks[0] + ranks[-1] == top_rank
-                for p in chain.points:
+                for p in chain:
                     assert p not in seen
                     seen.add(p)
             assert len(seen) == m**n

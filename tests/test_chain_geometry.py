@@ -88,6 +88,13 @@ class TestH1Length:
             if isinstance(length, Fraction):
                 assert length <= l1
 
+    def test_segment_goes_up_inside_the_cube(self):
+        # A segment is a one-segment polyline: from a up to b in [0,1]^n.
+        assert segment_length((0, 0), (0, Fraction(1, 2))) == Fraction(1, 2)
+        for a, b in (((1, 0), (0, 1)), ((Fraction(1, 2),), (0,)), ((0,), (2,))):
+            with pytest.raises(DomainError):
+                segment_length(a, b)
+
     def test_polyline_l1_bound(self):
         rng = random.Random(29)
         for _ in range(100):

@@ -777,9 +777,12 @@ class TestDispatch:
 
     @pytest.mark.parametrize("name", SUBCOMMANDS)
     def test_subcommand_help(self, name, capsys):
-        assert invoke([name, "--help"]) == (0, "", "")
-        first = capsys.readouterr().out.splitlines()[0]
+        # The help goes to the stream given to `run`, not to sys.stdout.
+        code, out, err = invoke([name, "--help"])
+        assert (code, err) == (0, "")
+        first = out.splitlines()[0]
         assert first.startswith(f"usage: chainlab {name} [-h] [--config CONFIG] "), first
+        assert capsys.readouterr() == ("", "")
 
     @pytest.mark.parametrize("name", SUBCOMMANDS)
     def test_subcommand_without_arguments_is_usage_error(self, name):
@@ -810,9 +813,8 @@ class TestDispatch:
         config = tmp_path / "config.json"
         argv = ["volume", "--n", "2", "--kappa", "1", "--mc", "1000", "--config", str(config)]
         for data, message in (
-            ({"default_seed": "x"}, "default_seed must be a non-negative integer, got 'x'"),
-            ({"default_seed": -1}, "default_seed must be a non-negative integer, got -1"),
-            ({"default_seed": True}, "default_seed must be a non-negative integer, got True"),
+            ({"max_dimension": "x"}, "resource caps must be positive integers, got 'x'"),
+            ({"epsilon_denominator_cap": -1}, "resource caps must be positive integers, got -1"),
             ({"max_grid_states": True}, "resource caps must be positive integers, got True"),
         ):
             config.write_text(json.dumps(data))
@@ -831,12 +833,20 @@ class TestDispatch:
         }
 
     def test_config_default_seed(self, tmp_path):
+        # The seed is --seed alone, 0 when not given; a config file that
+        # names a default seed is refused like any unknown key.
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"default_seed": 9}))
         argv = ["volume", "--n", "2", "--kappa", "1", "--mc", "1000"]
-        code, out, _ = invoke(argv + ["--config", str(config)])
-        assert code == 0
-        assert (code, out, "") == invoke(argv + ["--seed", "9"])
+        code, out, err = invoke(argv + ["--config", str(config)])
+        assert (code, out) == (2, "")
+        assert check_schema("error", err)["error"] == {
+            "code": "domain", "message": "unknown config keys: ['default_seed']"
+        }
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["mc"]["seed"] == 0
+        assert (code, out, err) == invoke(argv + ["--seed", "0"])
 
     def test_bad_config_format(self, tmp_path):
         config = tmp_path / "config.json"

@@ -9,6 +9,7 @@ import pytest
 from chainlab import (
     DomainError,
     SlabSpec,
+    discretize_slab,
     slab_membership,
     slab_volume_exact,
     slab_volume_montecarlo,
@@ -90,10 +91,12 @@ class TestExactVolume:
         [
             (True, 1, "dimension must be a positive integer, got True"),
             (2.0, 1, "dimension must be a positive integer, got 2.0"),
-            (2, True, "kappa must be an int, float or Fraction, got True"),
-            (2, False, "kappa must be an int, float or Fraction, got False"),
-            (2, "1/2", "kappa must be an int, float or Fraction, got '1/2'"),
-            (2, None, "kappa must be an int, float or Fraction, got None"),
+            (2, True, 'kappa must be an int, Fraction or "P/Q" string, got True'),
+            (2, False, 'kappa must be an int, Fraction or "P/Q" string, got False'),
+            (2, 0.5, 'kappa must be an int, Fraction or "P/Q" string, got 0.5'),
+            (2, None, 'kappa must be an int, Fraction or "P/Q" string, got None'),
+            (2, "1/0", 'kappa must be an int, Fraction or "P/Q" string, got \'1/0\''),
+            (2, "5/2", "kappa must lie in (0, n] = (0, 2], got 5/2"),
         ],
     )
     def test_bool_and_non_number_arguments_rejected(self, n, kappa, message):
@@ -102,9 +105,23 @@ class TestExactVolume:
         assert str(info.value) == message
 
     def test_irrational_kappa_rejected_on_exact_path(self):
-        spec = SlabSpec(2, 0.5)
-        with pytest.raises(DomainError):
-            slab_volume_exact(spec)
+        # A float kappa is refused before any spec or raster exists.
+        with pytest.raises(DomainError, match="kappa must be an int, Fraction"):
+            SlabSpec(2, 0.5)
+        for mode in ("inner", "outer"):
+            with pytest.raises(DomainError, match="kappa must be an int, Fraction"):
+                discretize_slab(2, 10, 0.5, mode)
+
+    def test_kappa_forms_give_one_spec(self):
+        spec = SlabSpec(2, Fraction(1, 2))
+        assert SlabSpec(2, "1/2") == spec
+        assert type(SlabSpec(2, "1/2").kappa) is Fraction
+        assert SlabSpec(2, 1) == SlabSpec(2, "1") == SlabSpec(2, Fraction(1))
+        assert type(SlabSpec(2, 1).kappa) is Fraction
+        assert (spec.lower_sum, spec.upper_sum) == (Fraction(3, 4), Fraction(5, 4))
+        assert discretize_slab(2, 10, "1/2", "inner") == discretize_slab(
+            2, 10, Fraction(1, 2), "inner"
+        )
 
 
 class TestMembership:
@@ -135,7 +152,41 @@ class TestMembership:
             slab_membership([Fraction(1, 2)], SlabSpec(2, Fraction(1)))
 
     def test_float_kappa_membership(self):
-        assert slab_membership([0.5, 0.5], SlabSpec(2, 0.25))
+        # A float kappa never reaches a membership test; float points do.
+        with pytest.raises(DomainError):
+            slab_membership([0.5, 0.5], SlabSpec(2, 0.25))
+        assert slab_membership([0.5, 0.5], SlabSpec(2, "1/4"))
+
+    def test_float_points_decide_exactly(self):
+        # Each float is the exact dyadic rational it stores, so a float
+        # point and its Fraction twin get one answer, on the boundary
+        # hyperplanes and one ulp off them as well.
+        rng = random.Random(41)
+        on_boundary = 0
+        for _ in range(2000):
+            n = rng.randint(1, 5)
+            spec = SlabSpec(n, Fraction(rng.randint(1, 4 * n), 4))
+            x = [rng.random() for _ in range(n)]
+            if rng.random() < 0.5:
+                # Move the last coordinate onto a boundary: dyadic
+                # coordinates keep every sum exact in floats.
+                x = [math.ldexp(math.floor(math.ldexp(c, 10)), -10) for c in x]
+                target = rng.choice((spec.lower_sum, spec.upper_sum))
+                last = target - sum(map(Fraction, x[:-1]))
+                if not 0 <= last <= 1:
+                    continue
+                x[-1] = float(last)
+                assert Fraction(x[-1]) == last
+                assert slab_membership(x, spec)
+                on_boundary += 1
+                x[-1] = math.nextafter(x[-1], rng.choice((-1.0, 2.0)))
+                if not 0 <= x[-1] <= 1:
+                    continue
+            exact = [Fraction(c) for c in x]
+            assert slab_membership(x, spec) == slab_membership(exact, spec)
+            s = sum(exact)
+            assert slab_membership(x, spec) == (spec.lower_sum <= s <= spec.upper_sum)
+        assert on_boundary > 200
 
 
 class TestMonteCarlo:

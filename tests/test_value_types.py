@@ -37,7 +37,6 @@ TYPES = {
         ("max_fine_states", 10**7),
         ("max_table_bytes", 1 << 28),
         ("max_dimension", 64),
-        ("default_seed", 0),
         ("epsilon_denominator_cap", 10**6),
     ),
     "SlabSpec": (("n", None), ("kappa", None)),
@@ -98,7 +97,7 @@ def samples():
     poly = polyline([(0, 0), (Fraction(1, 2), 1)])
     return [
         (Config(max_dimension=3), Config(10**7, max_dimension=3)),
-        (SlabSpec(2, Fraction(1, 2)), SlabSpec(n=2, kappa=Fraction(1, 2))),
+        (SlabSpec(2, Fraction(1, 2)), SlabSpec(n=2, kappa="1/2")),
         (runs, CellRuns(n=2, M=4, bounds=(2, 4, 13, 14))),
         (CellSet(2, 4, runs), CellSet.from_flat(2, 4, [13, 2, 3])),
         (EpsilonParams(2, 4, Fraction(1, 50), 1), EpsilonParams(2, 4, "1/50", Fraction(1))),
@@ -135,8 +134,7 @@ def test_repr_names_the_fields():
     assert repr(SlabSpec(2, Fraction(1, 2))) == "SlabSpec(n=2, kappa=Fraction(1, 2))"
     assert repr(Config()) == (
         "Config(max_grid_states=10000000, max_fine_states=10000000, "
-        "max_table_bytes=268435456, max_dimension=64, default_seed=0, "
-        "epsilon_denominator_cap=1000000)"
+        "max_table_bytes=268435456, max_dimension=64, epsilon_denominator_cap=1000000)"
     )
     runs = CellRuns(2, 4, (2, 4, 13, 14))
     assert repr(runs) == "CellRuns(n=2, M=4, cells=3, runs=2)"
