@@ -37,8 +37,9 @@ import math
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import sub, truediv
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .config import Config, charged_lcm
 from .errors import DomainError, Frozen
 from .rational import as_rational, RationalLike
 
@@ -53,12 +54,19 @@ def _as_point(coords: Sequence[RationalLike]) -> Point:
     )
 
 
+def _common_denominator(denominators: Iterable[int], count: int, config: Config) -> int:
+    """The lcm of the denominators of `count` coordinates, charged as `count`
+    integers of its bits (a coordinate in [0, 1] scales to a numerator of
+    at most as many bits as the lcm) against `config.max_table_bytes`."""
+    return charged_lcm(denominators, count, 0, f"{count} polyline coordinates", config)
+
+
 def _over_common_denominator(
-    vertices: Sequence[Sequence[RationalLike]],
+    vertices: Sequence[Sequence[RationalLike]], config: Config
 ) -> tuple[tuple[Numerators, ...], int]:
     """The vertices as integer numerators over the lcm of their denominators."""
     pts = [_as_point(v) for v in vertices]
-    den = math.lcm(*{c.denominator for c in chain.from_iterable(pts)})
+    den = _common_denominator({c.denominator for p in pts for c in p}, sum(map(len, pts)), config)
     return tuple(tuple(c.numerator * (den // c.denominator) for c in p) for p in pts), den
 
 
@@ -133,8 +141,12 @@ class MonotonePolyline(Frozen):
             or any(col != sorted(col) for col in (flat[j::n] for j in range(n)))
         ):
             raise DomainError(_first_fault(n, nums, den))
-        g = math.gcd(den, *flat)
-        if g > 1:
+        # The gcd g of den and every numerator divides gcd(den, sum(flat)),
+        # so one gcd of two ints settles most polylines; the gcd over every
+        # numerator, whose cost grows with their count times their size
+        # squared, runs only when that one exceeds 1.
+        g = math.gcd(den, sum(flat))
+        if g > 1 and (g := math.gcd(g, *flat)) > 1:
             object.__setattr__(self, "denominator", den // g)
             object.__setattr__(self, "numerators", tuple(tuple(x // g for x in v) for v in nums))
 
@@ -148,18 +160,21 @@ class MonotonePolyline(Frozen):
         return len(self.numerators)
 
 
-def polyline(vertices: Sequence[Sequence[RationalLike]], n: int | None = None) -> MonotonePolyline:
+def polyline(
+    vertices: Sequence[Sequence[RationalLike]], n: int | None = None, config: Config = Config()
+) -> MonotonePolyline:
     """The polyline through rational vertices (ints, Fractions or "P/Q"
     strings), over the lcm of their denominators.
 
-    n defaults to the length of the first vertex.
+    n defaults to the length of the first vertex.  The numerators, one
+    per coordinate, must fit `config.max_table_bytes`.
     """
     vertices = tuple(vertices)
     if n is None:
         if not vertices:
             raise DomainError("cannot infer dimension of an empty polyline")
         n = len(vertices[0])
-    return MonotonePolyline(n, *_over_common_denominator(vertices))
+    return MonotonePolyline(n, *_over_common_denominator(vertices, config))
 
 
 def segment_length(a: Sequence[RationalLike], b: Sequence[RationalLike]) -> Fraction | float:

@@ -60,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 def _rational_arg(text: str) -> Fraction:
     try:
         return as_rational(text)
-    except (ValueError, TypeError) as exc:
+    except DomainError as exc:
         raise _UsageError(str(exc)) from exc
 
 
@@ -88,7 +88,6 @@ def _check_dimension(n: int, config: Config) -> None:
 def _cmd_volume(args: argparse.Namespace, config: Config) -> dict:
     from .slab_volume import SlabSpec, slab_volume_exact, slab_volume_montecarlo
 
-    _check_dimension(args.n, config)
     spec = SlabSpec(n=args.n, kappa=args.kappa)
     volume = slab_volume_exact(spec)
     payload = {
@@ -112,10 +111,6 @@ def _cmd_volume(args: argparse.Namespace, config: Config) -> dict:
 def _cmd_whitney(args: argparse.Namespace, config: Config) -> dict:
     from .whitney import k_for_kappa, sum_k_largest, whitney_numbers
 
-    if not 1 <= args.n <= 16:
-        raise DomainError(f"whitney CLI accepts 1 <= n <= 16, got {args.n}")
-    if not 2 <= args.m <= 10**4:
-        raise DomainError(f"whitney CLI accepts 2 <= m <= 10000, got {args.m}")
     if args.k is not None and args.kappa is not None:
         raise DomainError("--k and --kappa are mutually exclusive")
     table = whitney_numbers(args.n, args.m, config)
@@ -141,7 +136,6 @@ def _cmd_whitney(args: argparse.Namespace, config: Config) -> dict:
 def _cmd_converge(args: argparse.Namespace, config: Config) -> dict:
     from .whitney import convergence_table
 
-    _check_dimension(args.n, config)
     rows = convergence_table(args.n, args.kappa, args.m_list, config)
     payload_rows = []
     for row in rows:
@@ -235,7 +229,7 @@ def _cmd_chain(args: argparse.Namespace, config: Config) -> dict:
     from . import io as chainlab_io
     from .chain_geometry import antidiagonal_decompose, h1_length
 
-    poly = chainlab_io.polyline_from_dict(chainlab_io.load_json(args.file))
+    poly = chainlab_io.polyline_from_dict(chainlab_io.load_json(args.file), config)
     if args.action == "length":
         length = h1_length(poly)
         exact = isinstance(length, Fraction)
@@ -455,6 +449,8 @@ def run(argv: list[str], stdout: TextIO = sys.stdout, stderr: TextIO = sys.stder
         except SystemExit as exc:  # --help lands here
             return EXIT_OK if exc.code in (0, None) else EXIT_DOMAIN
         config = Config.from_file(args.config) if args.config else Config()
+        if "n" in args:  # each subcommand that takes --n
+            _check_dimension(args.n, config)
         payload = _COMMANDS[name][1](args, config)
     except tuple(_FAILURES) as exc:
         code, status = next(v for t, v in _FAILURES.items() if isinstance(exc, t))

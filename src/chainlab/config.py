@@ -5,15 +5,18 @@ Configuration is explicit: the CLI reads a config file only when given
 behave identically everywhere.
 
 `int_table_bytes` is the one estimate of an integer table's size that
-the table budget charges.  `read_json_object` reads config and input
-files alike (`io` imports `config`, so it cannot live in `io`).
+the table budget charges, and `charged_lcm` the one builder of a common
+denominator under that budget.  `read_json_object` reads config and
+input files alike (`io` imports `config`, so it cannot live in `io`).
 """
 
 from __future__ import annotations
 
 import json
+import math
+from typing import Iterable
 
-from .errors import DomainError, Frozen
+from .errors import DomainError, Frozen, ResourceLimitError
 
 
 class Config(Frozen):
@@ -34,10 +37,11 @@ class Config(Frozen):
     #: DP, which runs for n >= 2 (`chainmass.check_chain_mass_cap`).
     max_fine_states: int
     #: Memory budget, in bytes, for the integer tables a command builds:
-    #: the Whitney coefficient tables and the chain DP's two lists
-    #: (`int_table_bytes` estimates them).
+    #: the Whitney coefficient tables, the chain DP's two lists and a
+    #: polyline's numerators (`int_table_bytes` estimates them).
     max_table_bytes: int
-    #: Hard cap on the dimension accepted by the volume and converge subcommands.
+    #: Cap on --n, checked by `cli.run` before any subcommand that takes
+    #: --n (volume, whitney, converge, scd, ksperner, raster-slab) runs.
     max_dimension: int
     #: Largest denominator tried by the automatic epsilon rule.
     epsilon_denominator_cap: int
@@ -73,6 +77,27 @@ def int_table_bytes(count: int, bits: int) -> int:
     """Estimated bytes of `count` Python ints of up to `bits` bits each, as
     charged against `Config.max_table_bytes`."""
     return count * (bits // 8 + 32)
+
+
+def charged_lcm(
+    denominators: Iterable[int], count: int, extra_bits: int, what: str, config: Config
+) -> int:
+    """The lcm of `denominators`, which scales `count` rationals to integers.
+
+    Each scaled integer has at most as many bits as the lcm plus
+    `extra_bits`.  The lcm is built one distinct denominator at a time,
+    and `count` integers of that many bits are charged against
+    `config.max_table_bytes` at every step, so a refusal, which calls the
+    integers `what`, comes before the full lcm or any scaled integer.
+    """
+    budget, scale = config.max_table_bytes, 1
+    for denominator in {1, *denominators}:
+        scale = math.lcm(scale, denominator)
+        bits = scale.bit_length() + extra_bits
+        if int_table_bytes(count, bits) > budget:
+            message = f"{what} at {bits} bits or more each exceed the {budget}-byte table budget"
+            raise ResourceLimitError(message)
+    return scale
 
 
 def read_json_object(path: str, what: str) -> dict:

@@ -22,11 +22,10 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .config import Config, int_table_bytes
+from .config import Config, charged_lcm
 from .errors import (
     DomainError,
     Frozen,
-    ResourceLimitError,
     check_grid,
     check_grid_points,
     check_grid_size,
@@ -167,32 +166,6 @@ def monotone_path_dp(extent: Sequence[int], weight: Sequence[int]) -> list[int]:
     return best
 
 
-def _weight_scale(grid: WeightedGrid, config: Config) -> int:
-    """The lcm of the weights' denominators, which scales them to integers.
-
-    The weight list and the DP table are 2*m**n ints, each of at most as
-    many bits as the lcm, the largest numerator and the longest chain's
-    n(m-1)+1 points have together.  The lcm is built one distinct
-    denominator at a time and the lists are charged against
-    `config.max_table_bytes` at every step, so a refusal comes before
-    the full lcm or any list.
-    """
-    n, m, weights = grid.n, grid.m, grid.weights.values()
-    count = 2 * m**n
-    extra = (n * (m - 1) + 1).bit_length()
-    extra += max(map(int.bit_length, map(attrgetter("numerator"), weights)), default=0)
-    scale = 1
-    for denominator in {1, *map(attrgetter("denominator"), weights)}:
-        scale = math.lcm(scale, denominator)
-        bits = scale.bit_length() + extra
-        if int_table_bytes(count, bits) > config.max_table_bytes:
-            raise ResourceLimitError(
-                f"2*{m}^{n} chain DP integers at {bits} bits or more each exceed the "
-                f"{config.max_table_bytes}-byte table budget"
-            )
-    return scale
-
-
 def max_weight_chain(grid: WeightedGrid, config: Config = Config()) -> MaxChainResult:
     """Maximum total weight of a chain, with a deterministic witness.
 
@@ -207,12 +180,18 @@ def max_weight_chain(grid: WeightedGrid, config: Config = Config()) -> MaxChainR
     of a point is lexicographically larger than it, so each step of the
     walk scans on from the point chosen before: one pass over the points.
     The DP runs over m**n states, at most `config.max_grid_states`, and
-    its two lists must fit `config.max_table_bytes` (`_weight_scale`).
+    its two lists must fit `config.max_table_bytes`: the weight list and
+    the table are 2*m**n ints, each of at most as many bits as the lcm,
+    the largest numerator and the longest chain's n(m-1)+1 points have
+    together (`charged_lcm`).
     """
-    n, m = grid.n, grid.m
+    n, m, weights = grid.n, grid.m, grid.weights.values()
     check_grid_size(n, m, config.max_grid_states, "grid states")
     size = m**n
-    scale = _weight_scale(grid, config)
+    extra = (n * (m - 1) + 1).bit_length()
+    extra += max(map(int.bit_length, map(attrgetter("numerator"), weights)), default=0)
+    what = f"2*{m}^{n} chain DP integers"
+    scale = charged_lcm(map(attrgetter("denominator"), weights), 2 * size, extra, what, config)
     strides = [m ** (n - 1 - j) for j in range(n)]
 
     def mirrored(p: GridPoint) -> int:

@@ -29,6 +29,12 @@ missing "w" or a repeated point) is read one value at a time through
 file order and the error messages are those of `Fraction(str)` and of
 the per-entry checks.
 
+Either way, a polyline file is charged against `Config.max_table_bytes`
+as one integer of the lcm's bits per coordinate, at each step of
+building the lcm (`config.charged_lcm`), so an oversized file raises
+`ResourceLimitError` before any numerator is scaled.  A weights file is
+charged by `max_weight_chain`, which scales its weights.
+
 Polyline vertices are written by `rational.format_quotients`, in
 whole-list passes over the numerators and the polyline's one
 denominator.  Each loader imports the type it builds when it runs, so a
@@ -49,13 +55,12 @@ before it builds the set.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import floordiv, mul
 from typing import TYPE_CHECKING, Any
 
-from .config import read_json_object
+from .config import Config, read_json_object
 from .errors import DomainError, check_dimension, check_grid, check_grid_points, check_points
 from .rational import as_rational, format_quotients, parse_quotients
 
@@ -78,7 +83,7 @@ def load_json(path: str) -> dict:
 def _rational_field(value: object, context: str) -> Fraction:
     try:
         return as_rational(value)
-    except (ValueError, TypeError) as exc:
+    except DomainError as exc:
         raise DomainError(f"{context}: {exc}") from exc
 
 
@@ -134,8 +139,8 @@ def _check_entries(items: object, kind: type, what: str) -> None:
         raise DomainError(f"{what}: {bad!r} is not a {kind.__name__}")
 
 
-def polyline_from_dict(data: dict) -> MonotonePolyline:
-    from .chain_geometry import MonotonePolyline, _over_common_denominator
+def polyline_from_dict(data: dict, config: Config = Config()) -> MonotonePolyline:
+    from .chain_geometry import MonotonePolyline, _common_denominator, _over_common_denominator
 
     n = _require(data, "n", "polyline")
     vertices = _require(data, "vertices", "polyline")
@@ -147,9 +152,9 @@ def polyline_from_dict(data: dict) -> MonotonePolyline:
         fractions = [[_rational_field(c, "polyline vertex") for c in v] for v in vertices]
         # The file's n as given, so that MonotonePolyline refuses one that is
         # not a dimension (null included), which `polyline` would infer.
-        return MonotonePolyline(n, *_over_common_denominator(fractions))
+        return MonotonePolyline(n, *_over_common_denominator(fractions, config))
     numerators, denominators = parsed
-    den = math.lcm(*set(denominators))
+    den = _common_denominator(denominators, len(denominators), config)
     scaled = map(mul, numerators, map(floordiv, repeat(den), denominators))
     return MonotonePolyline(n, list(zip(*[scaled] * n)), den)
 

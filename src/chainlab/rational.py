@@ -16,7 +16,7 @@ from itertools import repeat
 from operator import floordiv
 from typing import Optional, Union
 
-from .errors import ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 
 RationalLike = Union[int, str, Fraction]
 
@@ -31,20 +31,20 @@ def as_rational(value: RationalLike) -> Fraction:
 
     Floats are deliberately rejected: callers that want a float path
     (Monte Carlo) handle floats themselves, and silently rationalising a
-    float would fake exactness.
+    float would fake exactness.  Anything else raises `DomainError`.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise TypeError("bool is not a rational scalar")
+        raise DomainError("bool is not a rational scalar")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse rational from {value!r}") from exc
-    raise TypeError(f"cannot coerce {type(value).__name__} to an exact rational")
+            raise DomainError(f"cannot parse rational from {value!r}") from exc
+    raise DomainError(f"cannot coerce {type(value).__name__} to an exact rational")
 
 
 def parse_quotients(values: list) -> Optional[tuple[list[int], list[int]]]:

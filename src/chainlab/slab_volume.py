@@ -50,7 +50,7 @@ class SlabSpec(Frozen):
             raise DomainError(f"dimension must be a positive integer, got {n!r}")
         try:
             exact = as_rational(kappa)
-        except (TypeError, ValueError) as exc:
+        except DomainError as exc:
             raise DomainError(
                 f'kappa must be an int, Fraction or "P/Q" string, got {kappa!r}'
             ) from exc

@@ -305,6 +305,28 @@ class TestAgainstFractionOracle:
         d = 3**40
         self.check(2, ((Fraction(d - 2, d),) * 2, (Fraction(d - 1, d),) * 2, (one, one)))
 
+    def test_many_large_denominators(self):
+        # 300 distinct denominators of 65 bits: the diagonal (skew) and a
+        # staircase through the same coordinates.
+        count = 300
+        coords = [Fraction(0)]
+        for i in range(1, count):
+            d = 2**64 + 2 * i + 1
+            coords.append(Fraction(i * d // count, d))
+        assert len({c.denominator for c in coords}) > 250
+        self.check(2, tuple((c, c) for c in coords))
+        steps = [(coords[0], coords[0])]
+        for c in coords[1:]:
+            steps += [(c, steps[-1][1]), (c, c)]
+        self.check(2, tuple(steps))
+        assert type(h1_length(polyline(steps))) is Fraction
+
+    def test_reduction_by_the_gcd_of_every_numerator(self):
+        # den and the numerators' sum share 6, the numerators 1 or 2.
+        assert MonotonePolyline(1, [(1,), (5,)], 6).denominator == 6
+        p = MonotonePolyline(1, [(2,), (4,)], 6)
+        assert (p.numerators, p.denominator) == (((1,), (2,)), 3)
+
     def test_numerator_constructor_matches_fractions(self):
         rng = random.Random(89)
         for _ in range(200):

@@ -3,6 +3,7 @@
 import io
 import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -160,13 +161,33 @@ class TestWhitney:
         payload = check_schema("whitney", out)
         assert (payload["k"], payload["kappa"], payload["sum"]) == (2, None, 5)
 
-    def test_cli_caps(self):
-        code, _, _ = invoke(["whitney", "--n", "17", "--m", "3"])
-        assert code == 2
-        code, out, err = invoke(["whitney", "--n", "2", "--m", "10001"])
-        assert (code, out) == (2, "")
-        message = check_schema("error", err)["error"]["message"]
-        assert message == "whitney CLI accepts 2 <= m <= 10000, got 10001"
+    def test_cli_caps(self, tmp_path):
+        # whitney has no caps of its own: n = 17 gets the inclusion-exclusion table.
+        n, m = 17, 3
+        code, out, _ = invoke(["whitney", "--n", str(n), "--m", str(m)])
+        assert code == 0
+        want = [
+            sum((-1) ** j * math.comb(n, j) * math.comb(r - j * m + n - 1, n - 1)
+                for j in range(r // m + 1))
+            for r in range(n * (m - 1) + 1)
+        ]
+        assert check_schema("whitney", out)["coeffs"] == want
+        # Config.max_dimension bounds --n on every subcommand that takes it.
+        output = tmp_path / "cells.json"
+        for argv in (
+            ["volume", "--kappa", "1"],
+            ["whitney", "--m", "2"],
+            ["converge", "--kappa", "1", "--m-list", "2"],
+            ["scd", "--m", "2"],
+            ["ksperner", "--m", "2", "--k", "1"],
+            ["raster-slab", "--M", "2", "--kappa", "1", "--mode", "inner", "-o", str(output)],
+        ):
+            code, out, err = invoke(argv + ["--n", "65"])
+            assert (code, out) == (3, ""), argv
+            assert check_schema("error", err)["error"] == {
+                "code": "resource", "message": "dimension 65 exceeds the CLI cap 64"
+            }
+        assert not output.exists()
 
 
 class TestConverge:
@@ -403,6 +424,54 @@ class TestChain:
                 want = oracle.chain_payload(action, n, vertices)
                 assert out == json.dumps(want, sort_keys=True) + "\n"
                 check_schema(f"chain-{action}", out)
+
+    def test_table_budget_from_config(self, tmp_path):
+        # Denominators 1 and 2^70 (71 bits): 6 coordinates charged
+        # 71 // 8 + 32 bytes each, 240 bytes in all.
+        x = f"1/{2**70}"
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"n": 2, "vertices": [["0/1", "0/1"], [x, "0/1"], [x, "1/1"]]}))
+        config = tmp_path / "config.json"
+        argv = ["chain", "length", "--file", str(poly), "--config", str(config)]
+        config.write_text(json.dumps({"max_table_bytes": 240}))
+        code, out, _ = invoke(argv)
+        assert (code, check_schema("chain-length", out)["h1_exact"]) == (0, f"{2**70 + 1}/{2**70}")
+        config.write_text(json.dumps({"max_table_bytes": 239}))
+        code, out, err = invoke(argv)
+        assert (code, out) == (3, "")
+        assert check_schema("error", err)["error"] == {
+            "code": "resource",
+            "message": "6 polyline coordinates at 71 bits or more each exceed the 239-byte table budget",
+        }
+
+    @pytest.mark.parametrize("first", ["0/1", 0], ids=["whole-list", "per-value"])
+    def test_refused_before_numerators_are_scaled(self, tmp_path, first):
+        # 2000 vertices over distinct 67-bit denominators: scaled to their
+        # lcm (about 134,000 bits), the 4000 numerators would take 67 MB.
+        count = 2000
+        vertices = [[first, first]]
+        for i in range(1, count):
+            d = 10**20 + 2 * i + 1
+            vertices.append([f"{i * d // count}/{d}"] * 2)
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"n": 2, "vertices": vertices}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_table_bytes": 10**6}))
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(["chain", "length", "--file", str(poly), "--config", str(config)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        error = check_schema("error", err)["error"]
+        assert error["code"] == "resource"
+        assert re.fullmatch(
+            r"4000 polyline coordinates at \d+ bits or more each exceed the 1000000-byte "
+            r"table budget",
+            error["message"],
+        ), error
+        assert peak < 8 << 20
 
     def test_malformed_polyline_files(self, tmp_path):
         path = tmp_path / "bad.json"

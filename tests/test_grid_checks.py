@@ -165,6 +165,14 @@ ERROR_SCHEMA = json.loads(
 HUGE = 10**9
 
 
+def _wide(tmp_path):
+    # Config.max_dimension would refuse n = HUGE first; raise it past HUGE
+    # so that the grid's size is what refuses.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"max_dimension": 2 * HUGE}))
+    return ["--config", str(path)]
+
+
 def _weights_argv(tmp_path, n, m):
     path = tmp_path / "weights.json"
     path.write_text(json.dumps({"n": n, "m": m, "weights": []}))
@@ -174,11 +182,14 @@ def _weights_argv(tmp_path, n, m):
 @pytest.mark.parametrize(
     "argv, size",
     [
-        (lambda tmp: ["scd", "--n", str(HUGE), "--m", "3"], f"3^{HUGE}"),
-        (lambda tmp: ["ksperner", "--n", str(HUGE), "--m", "3", "--k", "1"], f"3^{HUGE}"),
+        (lambda tmp: ["scd", "--n", str(HUGE), "--m", "3", *_wide(tmp)], f"3^{HUGE}"),
+        (
+            lambda tmp: ["ksperner", "--n", str(HUGE), "--m", "3", "--k", "1", *_wide(tmp)],
+            f"3^{HUGE}",
+        ),
         (
             lambda tmp: ["raster-slab", "--n", str(HUGE), "--M", "3", "--kappa", "1",
-                         "--mode", "inner", "-o", str(tmp / "cells.json")],
+                         "--mode", "inner", "-o", str(tmp / "cells.json"), *_wide(tmp)],
             f"3^{HUGE}",
         ),
         (lambda tmp: _weights_argv(tmp, HUGE, 3), f"3^{HUGE}"),

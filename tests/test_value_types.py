@@ -19,15 +19,21 @@ from chainlab import (
     ChainOfPoints,
     CoefficientTable,
     Config,
+    DomainError,
     EpsilonParams,
     MonotonePolyline,
     SlabSpec,
     WeightedGrid,
+    as_rational,
+    convergence_table,
+    end_to_end_verify,
     polyline,
+    whitney_sum,
 )
 from chainlab.errors import Frozen
 from chainlab.cellset import CellRuns
 from chainlab.verifier import AdversarialResult
+from chainlab.whitney import k_for_kappa
 
 #: Each type's constructor parameters, in order, with their defaults
 #: (`None`: required).  All but `points_checked` are the fields.
@@ -150,3 +156,35 @@ def test_own_equality_of_cell_sets():
     assert CellSet(2, 4, runs) != runs
     assert hash(CellSet(2, 4, runs)) == hash(runs)
     assert len({CellSet(2, 4, runs), CellSet(2, 4, [(0, 2), (0, 3)])}) == 1
+
+
+#: Library entries that take a rational, each called with `bad` in its place.
+RATIONAL_ENTRIES = {
+    "EpsilonParams": lambda bad: EpsilonParams(n=2, m=10, epsilon=bad, kappa=1),
+    "k_for_kappa": lambda bad: k_for_kappa(2, 10, bad),
+    "whitney_sum": lambda bad: whitney_sum(2, 10, bad),
+    "convergence_table": lambda bad: convergence_table(2, bad, [10]),
+    "end_to_end_verify": lambda bad: end_to_end_verify(CellSet(2, 4, [(0, 0)]), bad, 2),
+    "WeightedGrid": lambda bad: WeightedGrid(2, 2, {(0, 0): bad}),
+    "polyline": lambda bad: polyline([(0, bad)]),
+    "SlabSpec": lambda bad: SlabSpec(2, bad),
+}
+
+
+@pytest.mark.parametrize("entry", RATIONAL_ENTRIES)
+@pytest.mark.parametrize("bad", [0.5, True, "abc"], ids=["float", "bool", "string"])
+def test_bad_rationals_are_domain_errors(entry, bad):
+    with pytest.raises(DomainError):
+        RATIONAL_ENTRIES[entry](bad)
+
+
+def test_as_rational_messages():
+    for bad, message in [
+        (0.5, "cannot coerce float to an exact rational"),
+        (True, "bool is not a rational scalar"),
+        ("abc", "cannot parse rational from 'abc'"),
+        ("1/0", "cannot parse rational from '1/0'"),
+    ]:
+        with pytest.raises(DomainError) as info:
+            as_rational(bad)
+        assert str(info.value) == message
