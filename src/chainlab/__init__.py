@@ -24,8 +24,6 @@ _EXPORTS = {
         "extremal_chain",
         "h1_length",
         "polyline",
-        "segment_length",
-        "validate_monotone",
     ),
     "cellset": ("CellSet", "discretize_slab", "measure"),
     "chainmass": ("chain_mass_sup",),

@@ -14,6 +14,9 @@ measures 0.0, as both ends round to 1.0).
 
 Storage.  A polyline keeps one common denominator D, the least one, and
 one tuple of integer numerators per vertex: vertex i is numerators[i] / D.
+`polyline` and the polyline-file loader (`io.polyline_from_dict`) build
+them through one reader, `_columns`, which scales the coordinates over D
+by `config.over_common_denominator`, under `Config.max_table_bytes`.
 Validation, lengths and clipping run on these integers; `vertices`
 builds the `Fraction` view on each access and keeps nothing.  An
 axis-parallel segment adds an integer difference, and a length becomes
@@ -35,50 +38,45 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import sub, truediv
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .config import Config, charged_lcm
+from .config import Config, over_common_denominator
 from .errors import DomainError, Frozen
-from .rational import as_rational, RationalLike
+from .rational import as_rational, parse_quotients, RationalLike
 
 Point = tuple[Fraction, ...]
 #: The numerators of one vertex over the polyline's denominator.
 Numerators = tuple[int, ...]
 
 
-def _as_point(coords: Sequence[RationalLike]) -> Point:
-    return tuple(
-        c if type(c) is Fraction else as_rational(c) for c in coords
-    )
+def _columns(
+    vertices: Sequence[Sequence[RationalLike]], context: str, config: Config
+) -> tuple[list[Numerators], int]:
+    """The vertices as integer numerators over the lcm of their denominators.
 
-
-def _common_denominator(denominators: Iterable[int], count: int, config: Config) -> int:
-    """The lcm of the denominators of `count` coordinates, charged as `count`
-    integers of its bits (a coordinate in [0, 1] scales to a numerator of
-    at most as many bits as the lcm) against `config.max_table_bytes`."""
-    return charged_lcm(denominators, count, 0, f"{count} polyline coordinates", config)
-
-
-def _over_common_denominator(
-    vertices: Sequence[Sequence[RationalLike]], config: Config
-) -> tuple[tuple[Numerators, ...], int]:
-    """The vertices as integer numerators over the lcm of their denominators."""
-    pts = [_as_point(v) for v in vertices]
-    den = _common_denominator({c.denominator for p in pts for c in p}, sum(map(len, pts)), config)
-    return tuple(tuple(c.numerator * (den // c.denominator) for c in p) for p in pts), den
-
-
-def validate_monotone(vertices: Sequence[Sequence[RationalLike]]) -> bool:
-    """True iff `MonotonePolyline` accepts the vertices (an empty list does)."""
-    if not vertices:
-        return True
-    try:
-        polyline(vertices)
-    except DomainError:
-        return False
-    return True
+    A list of plain "P/Q" strings is read whole by `parse_quotients`, any
+    other one value by value through `as_rational`, whose errors are
+    prefixed with `context`.  The coordinates are charged, as one integer
+    of the lcm's bits each, by `over_common_denominator` (a coordinate in
+    [0, 1] scales to a numerator no longer than the lcm).
+    """
+    flat = list(chain.from_iterable(vertices))
+    parsed = parse_quotients(flat)
+    if parsed is None:
+        try:
+            values = list(map(as_rational, flat))
+        except DomainError as exc:
+            raise DomainError(f"{context}{exc}") from exc
+        parsed = [v.numerator for v in values], [v.denominator for v in values]
+    count = len(flat)
+    scaled, den = over_common_denominator(*parsed, count, 0, f"{count} polyline coordinates", config)
+    widths = set(map(len, vertices))
+    if len(widths) == 1 and 0 not in widths:
+        return list(zip(*[iter(scaled)] * widths.pop())), den
+    rest = iter(scaled)
+    return [tuple(islice(rest, width)) for width in map(len, vertices)], den
 
 
 def _first_fault(n: int, numerators: Sequence[Sequence[int]], den: int) -> str:
@@ -174,13 +172,7 @@ def polyline(
         if not vertices:
             raise DomainError("cannot infer dimension of an empty polyline")
         n = len(vertices[0])
-    return MonotonePolyline(n, *_over_common_denominator(vertices, config))
-
-
-def segment_length(a: Sequence[RationalLike], b: Sequence[RationalLike]) -> Fraction | float:
-    """Euclidean length of the segment from a up to b, points of [0,1]^n
-    with a <= b; exact when at most one coordinate moves."""
-    return h1_length(polyline((a, b)))
+    return MonotonePolyline(n, *_columns(vertices, "", config))
 
 
 def h1_length(p: MonotonePolyline) -> Fraction | float:

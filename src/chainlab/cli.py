@@ -209,7 +209,7 @@ def _cmd_scd(args: argparse.Namespace, config: Config) -> dict:
 def _cmd_ksperner(args: argparse.Namespace, config: Config) -> dict:
     from .gridposet import ksperner_bound_via_scd, ksperner_max_bruteforce
 
-    bound = ksperner_bound_via_scd(args.n, args.m, args.k)
+    bound = ksperner_bound_via_scd(args.n, args.m, args.k, config)
     payload = {
         "n": args.n,
         "m": args.m,

@@ -5,16 +5,20 @@ Configuration is explicit: the CLI reads a config file only when given
 behave identically everywhere.
 
 `int_table_bytes` is the one estimate of an integer table's size that
-the table budget charges, and `charged_lcm` the one builder of a common
-denominator under that budget.  `read_json_object` reads config and
-input files alike (`io` imports `config`, so it cannot live in `io`).
+the table budget charges, and `over_common_denominator` the one builder
+of integers over a common denominator under that budget: it hands back
+the scaled integers with their lcm, so no caller scales by `lcm // q`.
+`read_json_object` reads config and input files alike (`io` imports
+`config`, so it cannot live in `io`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Iterable
+from itertools import repeat
+from operator import floordiv, mul
+from typing import Iterable, Sequence
 
 from .errors import DomainError, Frozen, ResourceLimitError
 
@@ -79,14 +83,20 @@ def int_table_bytes(count: int, bits: int) -> int:
     return count * (bits // 8 + 32)
 
 
-def charged_lcm(
-    denominators: Iterable[int], count: int, extra_bits: int, what: str, config: Config
-) -> int:
-    """The lcm of `denominators`, which scales `count` rationals to integers.
+def over_common_denominator(
+    numerators: Iterable[int],
+    denominators: Sequence[int],
+    count: int,
+    extra_bits: int,
+    what: str,
+    config: Config,
+) -> tuple[list[int], int]:
+    """The rationals numerators[i] / denominators[i] as integers over the
+    lcm of the denominators, with that lcm.
 
-    Each scaled integer has at most as many bits as the lcm plus
-    `extra_bits`.  The lcm is built one distinct denominator at a time,
-    and `count` integers of that many bits are charged against
+    The integers are charged as `count` integers, each of at most as many
+    bits as the lcm plus `extra_bits`.  The lcm is built one distinct
+    denominator at a time, and the charge is checked against
     `config.max_table_bytes` at every step, so a refusal, which calls the
     integers `what`, comes before the full lcm or any scaled integer.
     """
@@ -97,7 +107,7 @@ def charged_lcm(
         if int_table_bytes(count, bits) > budget:
             message = f"{what} at {bits} bits or more each exceed the {budget}-byte table budget"
             raise ResourceLimitError(message)
-    return scale
+    return list(map(mul, numerators, map(floordiv, repeat(scale), denominators))), scale
 
 
 def read_json_object(path: str, what: str) -> dict:

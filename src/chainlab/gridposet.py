@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .config import Config, charged_lcm
+from .config import Config, over_common_denominator
 from .errors import (
     DomainError,
     Frozen,
@@ -183,7 +183,9 @@ def max_weight_chain(grid: WeightedGrid, config: Config = Config()) -> MaxChainR
     its two lists must fit `config.max_table_bytes`: the weight list and
     the table are 2*m**n ints, each of at most as many bits as the lcm,
     the largest numerator and the longest chain's n(m-1)+1 points have
-    together (`charged_lcm`).
+    together, charged by `over_common_denominator`, which also scales the
+    weights.  The walk tests a point's DP value, the cheaper test, before
+    its dominance of the point chosen before.
     """
     n, m, weights = grid.n, grid.m, grid.weights.values()
     check_grid_size(n, m, config.max_grid_states, "grid states")
@@ -191,15 +193,19 @@ def max_weight_chain(grid: WeightedGrid, config: Config = Config()) -> MaxChainR
     extra = (n * (m - 1) + 1).bit_length()
     extra += max(map(int.bit_length, map(attrgetter("numerator"), weights)), default=0)
     what = f"2*{m}^{n} chain DP integers"
-    scale = charged_lcm(map(attrgetter("denominator"), weights), 2 * size, extra, what, config)
+    scaled, scale = over_common_denominator(
+        map(attrgetter("numerator"), weights),
+        list(map(attrgetter("denominator"), weights)),
+        2 * size, extra, what, config,
+    )
     strides = [m ** (n - 1 - j) for j in range(n)]
 
     def mirrored(p: GridPoint) -> int:
         return size - 1 - sum(c * s for c, s in zip(p, strides))
 
     weight = [0] * size
-    for p, w in grid.weights.items():
-        weight[mirrored(p)] = w.numerator * (scale // w.denominator)
+    for p, w in zip(grid.weights, scaled):
+        weight[mirrored(p)] = w
     up = monotone_path_dp([m] * n, weight)
     top = weight[0]
     optimum = up[-1] + top
@@ -211,10 +217,8 @@ def max_weight_chain(grid: WeightedGrid, config: Config = Config()) -> MaxChainR
     scan = iter(sorted(p for p, w in grid.weights.items() if w > 0))
     while remaining > 0:
         for p in scan:
-            if witness and not dominates(p, witness[-1]):
-                continue
             i = mirrored(p)
-            if up[i] + top == remaining:
+            if up[i] + top == remaining and (not witness or dominates(p, witness[-1])):
                 witness.append(p)
                 remaining -= weight[i]
                 break
@@ -267,13 +271,14 @@ def _scd_chain_lengths(n: int, m: int) -> list[int]:
     return [size for size in sorted(counts, reverse=True) for _ in range(counts[size])]
 
 
-def ksperner_bound_via_scd(n: int, m: int, k: int) -> int:
+def ksperner_bound_via_scd(n: int, m: int, k: int, config: Config = Config()) -> int:
     """Upper bound sum over chains of min(k, |chain|) for k-Sperner families.
 
     The chains are those of the symmetric chain decomposition, of which
     only the lengths are needed.  The value must coincide with the sum
     of the k largest Whitney numbers; the equality is asserted here
     because a mismatch means one of the two computations is broken.
+    The Whitney table must fit `config.max_table_bytes`.
     """
     # Imported here, so that `scd` and `maxchain` never load the Whitney tables.
     from .whitney import sum_k_largest, whitney_numbers
@@ -281,7 +286,7 @@ def ksperner_bound_via_scd(n: int, m: int, k: int) -> int:
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     bound = sum(min(k, size) for size in _scd_chain_lengths(n, m))
-    expected = sum_k_largest(whitney_numbers(n, m), k)
+    expected = sum_k_largest(whitney_numbers(n, m, config), k)
     if bound != expected:
         raise AssertionError(
             f"SCD bound {bound} != Whitney top-{k} sum {expected} for n={n}, m={m}"

@@ -19,19 +19,21 @@ checked by `build_chain_through_cubes`.
 Polyline coordinates and weights are "P/Q" strings, read as one list
 by `rational.parse_quotients`: a whole-list check that every value is a
 str of ASCII digits with one "/" and Q > 0, then one `map(int, ...)`
-over the terms.  The coordinates load straight into the
-integer-numerator form of `MonotonePolyline`, over the lcm of their
-denominators; the weights become `Fraction(P, Q)`.  A list that fails
-the check (an int, a string with a sign, spaces or an underscore, "P/0",
-digits past `int`'s string limit, a vertex of the wrong length, a
-missing "w" or a repeated point) is read one value at a time through
-`as_rational`, as before, so the accepted values, the first fault in
-file order and the error messages are those of `Fraction(str)` and of
-the per-entry checks.
+over the terms.  A list that fails the check (an int, a string with a
+sign, spaces or an underscore, "P/0", digits past `int`'s string limit)
+is read one value at a time through `as_rational`, so the accepted
+values, the first fault in file order and the error messages are those
+of `Fraction(str)`.  Polyline coordinates take both paths through the
+reader that `chain_geometry.polyline` uses (`chain_geometry._columns`),
+which loads them straight into the integer-numerator form of
+`MonotonePolyline`, over the lcm of their denominators.  The weights
+become `Fraction(P, Q)`; a weights list that fails the check, or has a
+missing "w" or a repeated point, is read entry by entry, so the first
+fault in file order is worded by the per-entry checks.
 
-Either way, a polyline file is charged against `Config.max_table_bytes`
-as one integer of the lcm's bits per coordinate, at each step of
-building the lcm (`config.charged_lcm`), so an oversized file raises
+A polyline file is charged against `Config.max_table_bytes` as one
+integer of the lcm's bits per coordinate, at each step of building the
+lcm (`config.over_common_denominator`), so an oversized file raises
 `ResourceLimitError` before any numerator is scaled.  A weights file is
 charged by `max_weight_chain`, which scales its weights.
 
@@ -57,7 +59,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import floordiv, mul
 from typing import TYPE_CHECKING, Any
 
 from .config import Config, read_json_object
@@ -140,23 +141,14 @@ def _check_entries(items: object, kind: type, what: str) -> None:
 
 
 def polyline_from_dict(data: dict, config: Config = Config()) -> MonotonePolyline:
-    from .chain_geometry import MonotonePolyline, _common_denominator, _over_common_denominator
+    from .chain_geometry import MonotonePolyline, _columns
 
     n = _require(data, "n", "polyline")
     vertices = _require(data, "vertices", "polyline")
     _check_entries(vertices, list, "polyline vertices")
-    parsed = None
-    if type(n) is int and n >= 1 and set(map(len, vertices)) <= {n}:
-        parsed = parse_quotients(list(chain.from_iterable(vertices)))
-    if parsed is None:
-        fractions = [[_rational_field(c, "polyline vertex") for c in v] for v in vertices]
-        # The file's n as given, so that MonotonePolyline refuses one that is
-        # not a dimension (null included), which `polyline` would infer.
-        return MonotonePolyline(n, *_over_common_denominator(fractions, config))
-    numerators, denominators = parsed
-    den = _common_denominator(denominators, len(denominators), config)
-    scaled = map(mul, numerators, map(floordiv, repeat(den), denominators))
-    return MonotonePolyline(n, list(zip(*[scaled] * n)), den)
+    # The file's n as given, so that MonotonePolyline refuses one that is
+    # not a dimension (null included), which `polyline` would infer.
+    return MonotonePolyline(n, *_columns(vertices, "polyline vertex: ", config))
 
 
 def weighted_grid_from_dict(data: dict) -> WeightedGrid:

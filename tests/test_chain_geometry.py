@@ -15,8 +15,6 @@ from chainlab import (
     extremal_chain,
     h1_length,
     polyline,
-    segment_length,
-    validate_monotone,
 )
 import polyline_oracle as oracle
 from conftest import random_monotone_polyline
@@ -26,15 +24,18 @@ SLACK = Fraction(1, 2**30)
 
 class TestValidateMonotone:
     def test_examples(self):
-        assert validate_monotone([(0, 0), (1, 0), (1, 1)])
-        assert not validate_monotone([(0, 1), (1, 0)])
-        assert validate_monotone([])
+        assert polyline([(0, 0), (1, 0), (1, 1)]).vertices == ((0, 0), (1, 0), (1, 1))
+        with pytest.raises(DomainError, match="^vertices are not componentwise nondecreasing$"):
+            polyline([(0, 1), (1, 0)])
+        assert len(polyline([], 2)) == 0
 
     def test_outside_cube(self):
-        assert not validate_monotone([(0, 0), (1, 2)])
+        with pytest.raises(DomainError, match=r"^coordinate 2 outside \[0, 1\]$"):
+            polyline([(0, 0), (1, 2)])
 
     def test_mixed_dimensions(self):
-        assert not validate_monotone([(0, 0), (1, 1, 1)])
+        with pytest.raises(DomainError, match="^vertex dimension does not match n$"):
+            polyline([(0, 0), (1, 1, 1)])
 
     def test_constructor_rejects_invalid(self):
         with pytest.raises(DomainError):
@@ -81,7 +82,7 @@ class TestH1Length:
             n = rng.randint(1, 5)
             a = tuple(Fraction(rng.randint(0, 8), 8) for _ in range(n))
             b = tuple(c + Fraction(rng.randint(0, int(8 - c * 8)), 8) for c in a)
-            length = segment_length(a, b)
+            length = h1_length(polyline((a, b)))
             l1 = sum(y - x for x, y in zip(a, b))
             l2 = math.sqrt(float(sum((y - x) ** 2 for x, y in zip(a, b))))
             assert l2 - 1e-12 <= float(length) <= float(l1) + 1e-12
@@ -90,10 +91,10 @@ class TestH1Length:
 
     def test_segment_goes_up_inside_the_cube(self):
         # A segment is a one-segment polyline: from a up to b in [0,1]^n.
-        assert segment_length((0, 0), (0, Fraction(1, 2))) == Fraction(1, 2)
+        assert h1_length(polyline(((0, 0), (0, Fraction(1, 2))))) == Fraction(1, 2)
         for a, b in (((1, 0), (0, 1)), ((Fraction(1, 2),), (0,)), ((0,), (2,))):
             with pytest.raises(DomainError):
-                segment_length(a, b)
+                h1_length(polyline((a, b)))
 
     def test_polyline_l1_bound(self):
         rng = random.Random(29)
@@ -249,7 +250,7 @@ class TestAgainstFractionOracle:
         p = polyline(vertices, n)
         assert p.vertices == vertices
         for a, b in zip(vertices, vertices[1:]):
-            assert _same(segment_length(a, b), oracle.segment_length(a, b))
+            assert _same(h1_length(polyline((a, b))), oracle.segment_length(a, b))
         assert _same(h1_length(p), oracle.h1_length(vertices))
         got = antidiagonal_decompose(p)
         want = oracle.antidiagonal_decompose(n, vertices)

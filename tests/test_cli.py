@@ -380,6 +380,17 @@ class TestKsperner:
             "code": "domain", "message": "k must be >= 1, got 0"
         }
 
+    def test_table_budget_from_config(self, tmp_path):
+        # The Whitney table behind the bound pays the --config budget, as `whitney` does.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_table_bytes": 100}))
+        code, out, err = invoke(["ksperner", "--n", "2", "--m", "3", "--k", "1", "--config", str(config)])
+        assert (code, out) == (3, "")
+        assert check_schema("error", err)["error"] == {
+            "code": "resource",
+            "message": "coefficient table for n=2, m=3 exceeds the 100-byte budget",
+        }
+
 
 def _file_coordinate(j, c):
     # Plain integers and unreduced "P/Q" strings load like reduced ones.

@@ -1,17 +1,31 @@
 """Whole-list "P/Q" reading against the per-value oracle: the reader
 itself on adversarial lists, and the polyline and weights loaders on
-files with one or two faults at random positions."""
+files with one or two faults at random positions; `polyline` and the
+polyline loader against each other, on the same values and budget."""
 
+import math
 import random
+import re
+import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyline_oracle as oracle
-from chainlab import DomainError, MonotonePolyline, ResourceLimitError, WeightedGrid
+from chainlab import (
+    Config,
+    DomainError,
+    MonotonePolyline,
+    ResourceLimitError,
+    WeightedGrid,
+    as_rational,
+    polyline,
+)
 from chainlab import io as chainlab_io
+from chainlab.config import int_table_bytes
 from chainlab.rational import parse_quotients
 
 LONG = "1" * 4301  # one digit past int's default limit on string digits
@@ -152,3 +166,115 @@ def test_weighted_grid_whole_set_check_keeps_the_loop_wording():
     ):
         with pytest.raises(DomainError, match=message):
             WeightedGrid(n=1, m=2, weights=weights)
+
+
+def _mixed_value(c: Fraction, rng: random.Random) -> object:
+    # One coordinate as a "P/Q" string (some unreduced), an int or a Fraction.
+    kind = rng.choice(("text", "text", "int", "fraction"))
+    if kind == "int" and c.denominator == 1:
+        return int(c)
+    return c if kind == "fraction" else _quotient_text(c, rng)
+
+
+def _mixed_vertices(rng: random.Random, n: int) -> list[list]:
+    vertices = oracle.random_vertices(rng, n, rng.choice(("staircase", "skew")), max_vertices=12)
+    return [[_mixed_value(c, rng) for c in v] for v in vertices]
+
+
+def _is_value_fault(value: object) -> bool:
+    try:
+        as_rational(value)
+    except DomainError:
+        return True
+    return False
+
+
+def test_polyline_and_loader_share_one_reader():
+    rng = random.Random(103)
+    kinds = {"clean": 0, "value fault": 0, "other fault": 0}
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        vertices = _mixed_vertices(rng, n)
+        flat = [(i, j) for i, v in enumerate(vertices) for j in range(len(v))]
+        for _ in range(rng.choice((0, 1, 1, 2)) if flat else 0):
+            i, j = rng.choice(flat)
+            vertices[i][j] = rng.choice(FAULTS)
+        got = _outcome(lambda v: polyline(v, n), vertices)
+        loaded = _outcome(chainlab_io.polyline_from_dict, {"n": n, "vertices": vertices})
+        if not isinstance(got, str):
+            assert loaded == got, vertices
+            kinds["clean"] += 1
+        elif any(map(_is_value_fault, chain.from_iterable(vertices))):
+            assert loaded == got.replace("DomainError: ", "DomainError: polyline vertex: ", 1)
+            kinds["value fault"] += 1
+        else:
+            assert loaded == got, vertices
+            kinds["other fault"] += 1
+    assert min(kinds.values()) > 100, kinds
+
+
+def _charged_lcm(vertices: list[list]) -> int:
+    # Plain "P/Q" strings are charged over their denominators as written,
+    # any other list over the reduced ones.
+    flat = list(chain.from_iterable(vertices))
+    if all(type(c) is str for c in flat):
+        return math.lcm(*(oracle.quotient(c)[1] for c in flat))
+    return math.lcm(*(as_rational(c).denominator for c in flat))
+
+
+def test_polyline_and_loader_pay_one_budget():
+    # At the exact charge both build the polyline; one byte under it, both
+    # refuse with the same message.
+    rng = random.Random(107)
+    refused = 0
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        vertices = _mixed_vertices(rng, n)
+        count = sum(map(len, vertices))
+        if not count:
+            continue
+        charge = int_table_bytes(count, _charged_lcm(vertices).bit_length())
+        for budget in (charge, charge - 1):
+            config = Config(max_table_bytes=budget)
+            got = _outcome(lambda v: polyline(v, n, config), vertices)
+            data = {"n": n, "vertices": vertices}
+            assert _outcome(lambda d: chainlab_io.polyline_from_dict(d, config), data) == got
+            if budget == charge:
+                assert not isinstance(got, str), got
+            else:
+                assert re.fullmatch(
+                    rf"ResourceLimitError: {count} polyline coordinates at \d+ bits or more "
+                    rf"each exceed the {budget}-byte table budget",
+                    got,
+                ), got
+                refused += 1
+    assert refused > 100
+
+
+@pytest.mark.parametrize("first", ["0/1", 0], ids=["whole-list", "per-value"])
+def test_budget_refusal_comes_before_scaling(first):
+    # 2000 vertices over distinct 67-bit denominators: scaled to their lcm,
+    # the 4000 numerators would take about 67 MB.
+    count = 2000
+    vertices = [[first, first]]
+    for i in range(1, count):
+        d = 10**20 + 2 * i + 1
+        vertices.append([f"{i * d // count}/{d}"] * 2)
+    scaled_bytes = int_table_bytes(2 * count, _charged_lcm(vertices).bit_length())
+    config = Config(max_table_bytes=10**6)
+    message = (
+        r"^4000 polyline coordinates at \d+ bits or more each exceed the 1000000-byte "
+        r"table budget$"
+    )
+    for build in (
+        lambda: polyline(vertices, 2, config),
+        lambda: chainlab_io.polyline_from_dict({"n": 2, "vertices": vertices}, config),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=message):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < scaled_bytes // 16, (peak, scaled_bytes)

@@ -355,14 +355,12 @@ PUBLIC_NAMES = [
     "max_weight_chain",
     "measure",
     "polyline",
-    "segment_length",
     "slab_membership",
     "slab_volume_exact",
     "slab_volume_montecarlo",
     "staircase_mass",
     "sum_k_largest",
     "symmetric_chain_decomposition",
-    "validate_monotone",
     "whitney_numbers",
     "whitney_sum",
 ]
