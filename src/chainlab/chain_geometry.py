@@ -37,14 +37,16 @@ length of each clipped piece at 1 and the total length at n.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain, compress, islice, repeat
-from operator import sub, truediv
+from itertools import accumulate, chain, compress, groupby, islice, repeat
+from operator import itemgetter, mul, sub, truediv
 from typing import NamedTuple, Optional, Sequence
 
 from .config import Config, over_common_denominator
 from .errors import DomainError, Frozen
-from .rational import as_rational, parse_quotients, RationalLike
+from .io import parse_quotients
+from .rational import as_rational, RationalLike
 
 Point = tuple[Fraction, ...]
 #: The numerators of one vertex over the polyline's denominator.
@@ -106,7 +108,9 @@ class MonotonePolyline(Frozen):
     `polyline` builds one from rational vertices.
     """
 
-    __slots__ = _fields = ("n", "numerators", "denominator")
+    _fields = ("n", "numerators", "denominator")
+    #: `_skew_parts` of the numerators, kept once `_segment_parts` measures them.
+    __slots__ = (*_fields, "_parts")
 
     n: int
     numerators: tuple[Numerators, ...]
@@ -139,14 +143,29 @@ class MonotonePolyline(Frozen):
             or any(col != sorted(col) for col in (flat[j::n] for j in range(n)))
         ):
             raise DomainError(_first_fault(n, nums, den))
+        self._reduce(flat)
+
+    @classmethod
+    def _valid(cls, n: int, numerators: list[Numerators], denominator: int) -> "MonotonePolyline":
+        """The polyline of numerator tuples known to pass the checks of
+        `__post_init__`, which are not run again; it is only reduced."""
+        p = object.__new__(cls)
+        for name, value in zip(cls._fields, (n, tuple(numerators), denominator)):
+            object.__setattr__(p, name, value)
+        p._reduce(list(chain.from_iterable(numerators)))
+        return p
+
+    def _reduce(self, flat: list[int]) -> None:
         # The gcd g of den and every numerator divides gcd(den, sum(flat)),
         # so one gcd of two ints settles most polylines; the gcd over every
         # numerator, whose cost grows with their count times their size
         # squared, runs only when that one exceeds 1.
+        den = self.denominator
         g = math.gcd(den, sum(flat))
         if g > 1 and (g := math.gcd(g, *flat)) > 1:
             object.__setattr__(self, "denominator", den // g)
-            object.__setattr__(self, "numerators", tuple(tuple(x // g for x in v) for v in nums))
+            nums = tuple(tuple(x // g for x in v) for v in self.numerators)
+            object.__setattr__(self, "numerators", nums)
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -196,22 +215,43 @@ def h1_length(p: MonotonePolyline) -> Fraction | float:
     calls per segment and none per axis, so a polyline of many axes and
     few vertices is no slower per coordinate than the other way round.
     """
-    den, n, nums = p.denominator, p.n, p.numerators
+    den, nums = p.denominator, p.numerators
     if len(nums) < 2:
         return Fraction(0)
-    flat = list(chain.from_iterable(nums))
+    _, advances, floats = _segment_parts(p)
+    return _length(sum(nums[-1]) - sum(nums[0]) - sum(advances), den, floats)
+
+
+def _segment_parts(p: MonotonePolyline) -> tuple[list[bool], list[int], list[float]]:
+    """`_skew_parts` of the polyline, measured once: `chain decompose`
+    needs them for the whole polyline's length and for its pieces'."""
+    try:
+        return p._parts
+    except AttributeError:
+        parts = _skew_parts(list(chain.from_iterable(p.numerators)), p.n, p.denominator)
+        object.__setattr__(p, "_parts", parts)
+        return parts
+
+
+def _skew_parts(flat: list[int], n: int, den: int) -> tuple[list[bool], list[int], list[float]]:
+    """Which segments of the flat numerators are skew, and the advance (a
+    numerator sum) and the float length of each skew segment, in order;
+    see `h1_length`."""
     deltas = list(map(sub, flat[n:], flat[:-n]))
     skew = list(map((1).__lt__, map(sum, zip(*[map(bool, deltas)] * n))))
-    exact = sum(flat[-n:]) - sum(flat[:n])
     if not any(skew):
-        return Fraction(exact, den)
-    exact -= sum(compress(map(sum, zip(*[iter(deltas)] * n)), skew))
+        return skew, [], []
+    advances = list(compress(map(sum, zip(*[iter(deltas)] * n)), skew))
     y = list(map(truediv, flat, repeat(den)))
     squares = map(pow, map(sub, y[n:], y[:-n]), repeat(2))
-    float_parts = list(map(math.sqrt, map(math.fsum, compress(zip(*[squares] * n), skew))))
-    if exact:
-        float_parts.append(exact / den)
-    return math.fsum(float_parts)
+    floats = list(map(math.sqrt, map(math.fsum, compress(zip(*[squares] * n), skew))))
+    return skew, advances, floats
+
+
+def _length(exact: int, den: int, floats: list[float]) -> Fraction | float:
+    # The length of segments whose exact part is exact / den and whose skew
+    # parts are `floats`, as `h1_length` combines them.
+    return math.fsum([*floats, exact / den]) if floats else Fraction(exact, den)
 
 
 def coordinate_sum(x: Sequence[RationalLike]) -> Fraction:
@@ -240,6 +280,8 @@ class AntidiagonalPiece(NamedTuple):
     piece: Optional[MonotonePolyline]
     #: Range of (coordinate sum) - (index - 1) over the piece, within [0, 1].
     s_interval: Optional[tuple[Fraction, Fraction]]
+    #: h1_length(piece), and 0 for an empty piece.
+    length: Fraction | float
 
     @property
     def s_interval_length(self) -> Fraction:
@@ -259,52 +301,79 @@ def _cut(a: Numerators, b: Numerators, sa: int, sb: int, level: int) -> tuple[Nu
     return tuple(c // g for c in point), span // g
 
 
+def _skew_length(a: tuple[Numerators, int], b: tuple[Numerators, int], den: int) -> float:
+    # The float length of the skew segment between points (numerators,
+    # scale) over den * scale, as `h1_length` measures it.
+    (u, s), (v, t) = a, b
+    return math.sqrt(math.fsum([(y / (den * t) - x / (den * s)) ** 2 for x, y in zip(u, v)]))
+
+
 def antidiagonal_decompose(p: MonotonePolyline) -> tuple[AntidiagonalPiece, ...]:
     """Clip the polyline at the hyperplanes of integer coordinate sum.
 
     Returns the n pieces in order: piece i holds the sub-polyline with
     coordinate sum in [i-1, i].  The clipping vertices are exact
-    rational intersections and appear in both adjacent pieces.  One
-    forward walk assigns every segment: the coordinate sum is
-    nondecreasing along a monotone polyline, so the active piece index
-    only ever advances.  The walk compares integer
-    numerator sums with index * D, for D the polyline's denominator.
+    rational intersections and appear in both adjacent pieces.  The
+    coordinate sum is nondecreasing along a monotone polyline, so the
+    segment that crosses the hyperplane of sum i is found by bisecting
+    the vertices' numerator sums at i * D, for D the polyline's
+    denominator.  A piece takes the polyline's checked vertices as they
+    are, rescaled only when a cut needs a larger denominator, and is
+    reduced but not checked again.  Its length comes from the polyline's
+    per-segment parts (`_skew_parts`); only the cut segments are
+    measured anew.  It equals `h1_length(piece)`, floats bit for bit:
+    y/D is correctly rounded however the rational y/D is written, and
+    fsum is exactly rounded.
     """
     n, den, nums = p.n, p.denominator, p.numerators
-    # Bucket entries are (numerators, scale): a point over den * scale.
-    buckets: list[list[tuple[Numerators, int]]] = [[] for _ in range(n + 1)]
-    if nums:
-        sums = list(map(sum, nums))
-        level, rest = divmod(sums[0], den)
-        index = max(1, min(n, level)) if rest == 0 else level + 1
-        buckets[index].append((nums[0], 1))
-        for a, b, sa, sb in zip(nums, nums[1:], sums, sums[1:]):
-            while sb > index * den and index < n:
-                cut = _cut(a, b, sa, sb, index * den)
-                buckets[index].append(cut)
-                index += 1
-                buckets[index].append(cut)
-            buckets[index].append((b, 1))
-
-    pieces = []
-    for i in range(1, n + 1):
-        bucket = buckets[i]
-        if not bucket:
-            pieces.append(AntidiagonalPiece(index=i, piece=None, s_interval=None))
-            continue
-        # Only the first and the last entry of a bucket can be cuts; the
-        # piece's denominator is den * scale.
-        scale = math.lcm(bucket[0][1], bucket[-1][1])
-        verts = [v if s == scale else tuple(x * (scale // s) for x in v) for v, s in bucket]
+    pieces = [AntidiagonalPiece(i, None, None, Fraction(0)) for i in range(1, n + 1)]
+    if not nums:
+        return tuple(pieces)
+    skew, advances, floats = _segment_parts(p)
+    rank = list(accumulate(skew, initial=0))  # the skew segments before each vertex
+    sums = list(map(sum, nums))
+    level, rest = divmod(sums[0], den)
+    first = max(1, min(n, level)) if rest == 0 else level + 1
+    # A cut is (numerators, scale), over den * scale.  Piece i holds the
+    # vertices lo..hi-1, after the cut `start` at sum i-1 (none in the
+    # first piece) and before the cut `end` at sum i (none in the last).
+    start, lo = None, 0
+    for i in range(first, n + 1):
+        hi = bisect_right(sums, i * den) if i < n else len(nums)
+        end = None
+        if hi < len(nums):
+            end = _cut(nums[hi - 1], nums[hi], sums[hi - 1], sums[hi], i * den)
+        if lo < hi:
+            parts = floats[rank[lo] : rank[hi - 1]]
+            exact = sums[hi - 1] - sums[lo] - sum(advances[rank[lo] : rank[hi - 1]])
+            cut_segments = [(lo - 1, start, (nums[lo], 1)), (hi - 1, (nums[hi - 1], 1), end)]
+        else:  # both cuts on segment lo - 1
+            parts, exact, cut_segments = [], 0, [(lo - 1, start, end)]
+        for k, a, b in cut_segments:
+            if a is not None and b is not None:
+                advance = sum(b[0]) // b[1] - sum(a[0]) // a[1]
+                if not skew[k]:
+                    exact += advance
+                elif advance:
+                    parts.append(_skew_length(a, b, den))
+        scale = math.lcm(*[q[1] for q in (start, end) if q is not None])
+        inner = nums[lo:hi]
+        if scale > 1:
+            inner = zip(*[map(mul, chain.from_iterable(inner), repeat(scale))] * n)
+        head = [] if start is None else [tuple(x * (scale // start[1]) for x in start[0])]
+        tail = [] if end is None else [tuple(x * (scale // end[1]) for x in end[0])]
         # A vertex on a hyperplane is also the cut there, and input
         # vertices may repeat: drop consecutive duplicates.
-        verts[1:] = [v for u, v in zip(verts, verts[1:]) if v != u]
+        verts = list(map(itemgetter(0), groupby(chain(head, inner, tail))))
         piece_den = den * scale
         offset = (i - 1) * piece_den
         s_lo = Fraction(sum(verts[0]) - offset, piece_den)
         s_hi = Fraction(sum(verts[-1]) - offset, piece_den)
-        sub = MonotonePolyline(n, verts, piece_den)
-        pieces.append(AntidiagonalPiece(index=i, piece=sub, s_interval=(s_lo, s_hi)))
+        piece = MonotonePolyline._valid(n, verts, piece_den)
+        pieces[i - 1] = AntidiagonalPiece(i, piece, (s_lo, s_hi), _length(exact, den, parts))
+        if end is None:
+            break
+        start, lo = end, hi
     return tuple(pieces)
 
 

@@ -241,24 +241,17 @@ def _cmd_chain(args: argparse.Namespace, config: Config) -> dict:
         }
     pieces = []
     for piece in antidiagonal_decompose(poly):
-        if piece.piece is None:
-            pieces.append(
-                {
-                    "index": piece.index,
-                    "s_lo": None,
-                    "s_hi": None,
-                    "piece_h1_float": 0.0,
-                    "vertices": None,
-                }
-            )
-            continue
+        bounds, vertices = (None, None), None
+        if piece.piece is not None:
+            bounds = tuple(map(format_rational, piece.s_interval))
+            vertices = chainlab_io.polyline_to_dict(piece.piece)["vertices"]
         pieces.append(
             {
                 "index": piece.index,
-                "s_lo": format_rational(piece.s_interval[0]),
-                "s_hi": format_rational(piece.s_interval[1]),
-                "piece_h1_float": float(h1_length(piece.piece)),
-                "vertices": chainlab_io.polyline_to_dict(piece.piece)["vertices"],
+                "s_lo": bounds[0],
+                "s_hi": bounds[1],
+                "piece_h1_float": float(piece.length),
+                "vertices": vertices,
             }
         )
     return {"n": poly.n, "h1_float": float(h1_length(poly)), "pieces": pieces}

@@ -96,12 +96,13 @@ def over_common_denominator(
 
     The integers are charged as `count` integers, each of at most as many
     bits as the lcm plus `extra_bits`.  The lcm is built one distinct
-    denominator at a time, and the charge is checked against
-    `config.max_table_bytes` at every step, so a refusal, which calls the
-    integers `what`, comes before the full lcm or any scaled integer.
+    denominator at a time, smallest first, and the charge is checked
+    against `config.max_table_bytes` at every step, so a refusal, which
+    calls the integers `what` and names a B that depends on the set of
+    denominators alone, comes before the full lcm or any scaled integer.
     """
     budget, scale = config.max_table_bytes, 1
-    for denominator in {1, *denominators}:
+    for denominator in sorted({1, *denominators}):
         scale = math.lcm(scale, denominator)
         bits = scale.bit_length() + extra_bits
         if int_table_bytes(count, bits) > budget:

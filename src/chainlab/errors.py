@@ -26,13 +26,13 @@ class Frozen:
     """Base of the immutable value types that check their arguments.
 
     A subclass names its fields in `_fields` and keeps them in
-    `__slots__` (which may add a value derived from the fields).  Its
-    explicit `__init__` checks the arguments and sets each slot once,
-    with `object.__setattr__`; afterwards, assigning or deleting an
-    attribute raises `AttributeError`.  Two instances are equal when
-    they are of one class and their fields are equal; the hash and the
-    repr read the same fields.  Nothing is generated when a subclass is
-    defined.
+    `__slots__` (which may add derived values, or hold the columns that
+    a property field is built from).  Its explicit `__init__` checks the
+    arguments and sets each slot once, with `object.__setattr__`;
+    afterwards, assigning or deleting an attribute raises
+    `AttributeError`.  Two instances are equal when they are of one
+    class and their fields are equal; the hash and the repr read the
+    same fields.  Nothing is generated when a subclass is defined.
     """
 
     __slots__ = ()

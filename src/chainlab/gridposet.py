@@ -19,7 +19,7 @@ import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
-from operator import attrgetter
+from operator import add, attrgetter, floordiv, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import Config, over_common_denominator
@@ -39,9 +39,6 @@ GridPoint = tuple[int, ...]
 BRUTEFORCE_MAX_POINTS = 16
 #: Cap on m^n for the symmetric chain decomposition output.
 SCD_MAX_POINTS = 12**6
-
-_ZERO = Fraction(0)
-
 
 def dominates(a: GridPoint, b: GridPoint) -> bool:
     """Componentwise a >= b."""
@@ -85,36 +82,74 @@ class WeightedGrid(Frozen):
 
     The points must be integer tuples in the grid; pass
     `points_checked=True` only when the caller has checked that already.
+    The grid keeps integer columns, in the order the weights are given:
+    `index`, each point's flat row-major index, and `numerators` and
+    `denominators`, its weight in lowest terms.  `weights`, the dict of
+    `Fraction` weights by point, is built from them on each access.
     """
 
-    __slots__ = _fields = ("n", "m", "weights")
+    __slots__ = ("n", "m", "index", "numerators", "denominators")
+    _fields = ("n", "m", "weights")
 
     n: int
     m: int
-    weights: Mapping[GridPoint, Fraction]
+    index: list[int]
+    numerators: list[int]
+    denominators: list[int]
 
     def __init__(
         self, n: int, m: int, weights: Mapping[GridPoint, Fraction], points_checked: bool = False
     ) -> None:
         check_grid(n, m)
-        if not points_checked:
-            check_grid_points(list(weights), n, m, "point")
-        # Whole-set check first; the loop words the first fault and coerces.
-        values = weights.values()
-        if set(map(type, values)) <= {Fraction} and (
-            min(map(attrgetter("numerator"), values), default=0) >= 0
-        ):
-            clean = dict(weights)
+        points = list(weights)
+        if points_checked:
+            coords = list(itertools.chain.from_iterable(points))
         else:
-            clean = {}
-            for p, w in weights.items():
+            coords = check_grid_points(points, n, m, "point")
+        # Whole-set check first; the loop words the first fault and coerces.
+        values = list(weights.values())
+        if not set(map(type, values)) <= {Fraction} or (
+            min(map(attrgetter("numerator"), values), default=0) < 0
+        ):
+            clean = []
+            for p, w in zip(points, values):
                 w = as_rational(w)
                 if w < 0:
                     raise DomainError(f"negative weight {w} at {p}")
-                clean[p] = w
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "weights", clean)
+                clean.append(w)
+            values = clean
+        self._fill(n, m, coords, [w.numerator for w in values], [w.denominator for w in values])
+
+    @classmethod
+    def _from_columns(
+        cls, n: int, m: int, coords: list[int], numerators: list[int], denominators: list[int]
+    ) -> "WeightedGrid":
+        """The grid of checked points, given by their flat coordinates, with
+        weights numerators[i] / denominators[i], P >= 0 and Q > 0."""
+        grid = object.__new__(cls)
+        grid._fill(n, m, coords, numerators, denominators)
+        return grid
+
+    def _fill(
+        self, n: int, m: int, coords: list[int], numerators: list[int], denominators: list[int]
+    ) -> None:
+        # Horner's rule over the axes, and one gcd per weight, in C-level
+        # passes; with no point, n can be huge.
+        index = coords[0::n]
+        for j in range(1, n if coords else 0):
+            index = list(map(add, map(mul, index, itertools.repeat(m)), coords[j::n]))
+        gcds = list(map(math.gcd, numerators, denominators))
+        numerators = list(map(floordiv, numerators, gcds))
+        denominators = list(map(floordiv, denominators, gcds))
+        for name, value in zip(self.__slots__, (n, m, index, numerators, denominators)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def weights(self) -> dict[GridPoint, Fraction]:
+        """The weights by point, in the order given, built on each access."""
+        n, m, index = self.n, self.m, self.index
+        axes = [[i // m ** (n - 1 - j) % m for i in index] for j in range(n if index else 0)]
+        return dict(zip(zip(*axes), map(Fraction, self.numerators, self.denominators)))
 
 
 class MaxChainResult(NamedTuple):
@@ -169,59 +204,57 @@ def monotone_path_dp(extent: Sequence[int], weight: Sequence[int]) -> list[int]:
 def max_weight_chain(grid: WeightedGrid, config: Config = Config()) -> MaxChainResult:
     """Maximum total weight of a chain, with a deterministic witness.
 
-    The weights are scaled to integers by the lcm of their denominators.
-    `monotone_path_dp` runs on the reversed flat weight list: reversing a
-    row-major index mirrors every coordinate, so the reversed table holds
-    the best chain from each point up, less the top point's weight.
+    The weights are scaled to integers by the lcm of their denominators
+    and scattered, by flat index, into a list of the m**n points.
+    `monotone_path_dp` runs on that list reversed: reversing a row-major
+    index mirrors every coordinate, so the reversed table holds the best
+    chain from each point up, less the top point's weight.
 
     The witness is the lexicographically smallest optimal chain among
     those whose points all carry positive weight (zero-weight points
-    never change the total and are not reported).  Any strict dominator
-    of a point is lexicographically larger than it, so each step of the
-    walk scans on from the point chosen before: one pass over the points.
+    never change the total and are not reported).  Row-major order is
+    lexicographic order, and any strict dominator of a point is
+    lexicographically larger than it, so each step of the walk scans on
+    from the point chosen before: one pass over the sorted flat indices
+    of the positive weights, which tests a point's DP value, the cheaper
+    test, before its dominance of the point chosen before.
     The DP runs over m**n states, at most `config.max_grid_states`, and
     its two lists must fit `config.max_table_bytes`: the weight list and
     the table are 2*m**n ints, each of at most as many bits as the lcm,
     the largest numerator and the longest chain's n(m-1)+1 points have
     together, charged by `over_common_denominator`, which also scales the
-    weights.  The walk tests a point's DP value, the cheaper test, before
-    its dominance of the point chosen before.
+    weights.
     """
-    n, m, weights = grid.n, grid.m, grid.weights.values()
+    n, m = grid.n, grid.m
     check_grid_size(n, m, config.max_grid_states, "grid states")
     size = m**n
     extra = (n * (m - 1) + 1).bit_length()
-    extra += max(map(int.bit_length, map(attrgetter("numerator"), weights)), default=0)
+    extra += max(map(int.bit_length, grid.numerators), default=0)
     what = f"2*{m}^{n} chain DP integers"
     scaled, scale = over_common_denominator(
-        map(attrgetter("numerator"), weights),
-        list(map(attrgetter("denominator"), weights)),
-        2 * size, extra, what, config,
+        grid.numerators, grid.denominators, 2 * size, extra, what, config
     )
-    strides = [m ** (n - 1 - j) for j in range(n)]
-
-    def mirrored(p: GridPoint) -> int:
-        return size - 1 - sum(c * s for c, s in zip(p, strides))
-
     weight = [0] * size
-    for p, w in zip(grid.weights, scaled):
-        weight[mirrored(p)] = w
-    up = monotone_path_dp([m] * n, weight)
-    top = weight[0]
-    optimum = up[-1] + top
+    for i, w in zip(grid.index, scaled):
+        weight[i] = w
+    up = monotone_path_dp([m] * n, weight[::-1])[::-1]
+    top = weight[-1]
+    optimum = up[0] + top
     if optimum == 0:
-        return MaxChainResult(total=_ZERO, witness=())
+        return MaxChainResult(total=Fraction(0), witness=())
 
+    strides = [m ** (n - 1 - j) for j in range(n)]
     witness: list[GridPoint] = []
     remaining = optimum
-    scan = iter(sorted(p for p, w in grid.weights.items() if w > 0))
+    scan = iter(sorted(itertools.compress(grid.index, grid.numerators)))
     while remaining > 0:
-        for p in scan:
-            i = mirrored(p)
-            if up[i] + top == remaining and (not witness or dominates(p, witness[-1])):
-                witness.append(p)
-                remaining -= weight[i]
-                break
+        for i in scan:
+            if up[i] + top == remaining:
+                p = tuple([i // s % m for s in strides])
+                if not witness or dominates(p, witness[-1]):
+                    witness.append(p)
+                    remaining -= weight[i]
+                    break
         else:
             raise AssertionError("witness reconstruction failed; DP bug")
     return MaxChainResult(total=Fraction(optimum, scale), witness=tuple(witness))

@@ -17,19 +17,22 @@ chain are handed on with `points_checked=True`, and the cubes' range is
 checked by `build_chain_through_cubes`.
 
 Polyline coordinates and weights are "P/Q" strings, read as one list
-by `rational.parse_quotients`: a whole-list check that every value is a
-str of ASCII digits with one "/" and Q > 0, then one `map(int, ...)`
-over the terms.  A list that fails the check (an int, a string with a
-sign, spaces or an underscore, "P/0", digits past `int`'s string limit)
-is read one value at a time through `as_rational`, so the accepted
-values, the first fault in file order and the error messages are those
-of `Fraction(str)`.  Polyline coordinates take both paths through the
-reader that `chain_geometry.polyline` uses (`chain_geometry._columns`),
-which loads them straight into the integer-numerator form of
-`MonotonePolyline`, over the lcm of their denominators.  The weights
-become `Fraction(P, Q)`; a weights list that fails the check, or has a
-missing "w" or a repeated point, is read entry by entry, so the first
-fault in file order is worded by the per-entry checks.
+by `parse_quotients`: a whole-list check that every value is a str of
+ASCII digits with one "/" and Q > 0, then one JSON scan of the terms
+(one `map(int, ...)` where JSON refuses a leading zero).  A list that
+fails the check (an int, a string with a sign, spaces or an underscore,
+"P/0", digits past `int`'s string limit) is read one value at a time
+through `as_rational`, so the accepted values, the first fault in file
+order and the error messages are those of `Fraction(str)`.  Polyline
+coordinates take both paths through the reader that
+`chain_geometry.polyline` uses (`chain_geometry._columns`), which loads
+them straight into the integer-numerator form of `MonotonePolyline`,
+over the lcm of their denominators.  The weights go straight into the
+integer columns of `WeightedGrid` (flat indices, and numerators and
+denominators in lowest terms), with no `Fraction` built; a weights
+list that fails the check, or has a missing "w" or a repeated point, is
+read entry by entry, so the first fault in file order is worded by the
+per-entry checks.
 
 A polyline file is charged against `Config.max_table_bytes` as one
 integer of the lcm's bits per coordinate, at each step of building the
@@ -59,11 +62,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Optional
 
 from .config import Config, read_json_object
 from .errors import DomainError, check_dimension, check_grid, check_grid_points, check_points
-from .rational import as_rational, format_quotients, parse_quotients
+from .rational import as_rational, format_quotients
 
 if TYPE_CHECKING:
     from .cellset import CellSet
@@ -86,6 +89,42 @@ def _rational_field(value: object, context: str) -> Fraction:
         return as_rational(value)
     except DomainError as exc:
         raise DomainError(f"{context}: {exc}") from exc
+
+
+def parse_quotients(values: list) -> Optional[tuple[list[int], list[int]]]:
+    """Read a whole list of "P/Q" strings as (numerators, denominators).
+
+    Every value must be a str of ASCII digits, one "/" and Q > 0; then
+    each pair is (int(P), int(Q)), unreduced.  The checks run over the
+    whole list at C level: the set of types, the count of "/" in each
+    value (so that ["1/2/3", "4"] is not read as 1/2 and 3/4), one ASCII
+    and one digit test of the joined text, and one test for a zero
+    denominator.  The terms are read as one JSON array, whose C scanner
+    makes each int without a str per term; JSON refuses a leading zero,
+    which `int` reads, so a list that JSON refuses takes one `map(int,
+    ...)` over its terms, and gets the same ints.  Any other list gives
+    None, and the caller reads its values one at a time with
+    `as_rational`.
+    """
+    if not values:
+        return [], []
+    if set(map(type, values)) != {str} or set(map(str.count, values, repeat("/"))) != {1}:
+        return None
+    # Each value holds one "/", so the terms of the joined text alternate P, Q.
+    text = "/".join(values)
+    if not text.isascii() or not text.replace("/", "").isdigit():
+        return None
+    try:
+        terms = json.loads("[" + text.replace("/", ",") + "]")
+    except ValueError:
+        try:
+            terms = list(map(int, text.split("/")))
+        except ValueError:  # an empty term, or one past int's limit on string digits
+            return None
+    denominators = terms[1::2]
+    if 0 in denominators:
+        return None
+    return terms[0::2], denominators
 
 
 def dump_json(path: str, payload: dict) -> None:
@@ -158,16 +197,18 @@ def weighted_grid_from_dict(data: dict) -> WeightedGrid:
     m = _require(data, "m", "weights")
     entries = _require(data, "weights", "weights")
     _check_entries(entries, dict, "weights")
-    points = [_require(entry, "point", "weights entry") for entry in entries]
+    points = list(map(dict.get, entries, repeat("point")))
+    if None in points:  # a missing point, or a null one
+        points = [_require(entry, "point", "weights entry") for entry in entries]
     _check_entries(points, list, "weights points")
     # Checked here, not by WeightedGrid: the points key a dict first.
     check_grid(n, m)
-    check_grid_points(points, n, m, "point")
+    coords = check_grid_points(points, n, m, "point")
     parsed = parse_quotients(list(map(dict.get, entries, repeat("w"))))
     if parsed is not None:
-        weights = dict(zip(map(tuple, points), map(Fraction, *parsed)))
-        if len(weights) == len(points):
-            return WeightedGrid(n=n, m=m, weights=weights, points_checked=True)
+        grid = WeightedGrid._from_columns(n, m, coords, *parsed)
+        if len(set(grid.index)) == len(points):
+            return grid
     # The first fault in file order, worded per entry.
     weights = {}
     for entry, point in zip(entries, map(tuple, points)):

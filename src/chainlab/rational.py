@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from itertools import repeat
 from operator import floordiv
-from typing import Optional, Union
+from typing import Union
 
 from .errors import DomainError, ResourceLimitError
 
@@ -45,36 +45,6 @@ def as_rational(value: RationalLike) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot parse rational from {value!r}") from exc
     raise DomainError(f"cannot coerce {type(value).__name__} to an exact rational")
-
-
-def parse_quotients(values: list) -> Optional[tuple[list[int], list[int]]]:
-    """Read a whole list of "P/Q" strings as (numerators, denominators).
-
-    Every value must be a str of ASCII digits, one "/" and Q > 0; then
-    each pair is (int(P), int(Q)), unreduced.  The checks run over the
-    whole list at C level: the set of types, the count of "/" in each
-    value (so that ["1/2/3", "4"] is not read as 1/2 and 3/4), one ASCII
-    and one digit test of the joined text, one `map(int, ...)` over its
-    terms and one test for a zero denominator.  Any other list gives
-    None, and the caller reads its values one at a time with
-    `as_rational`.
-    """
-    if not values:
-        return [], []
-    if set(map(type, values)) != {str} or set(map(str.count, values, repeat("/"))) != {1}:
-        return None
-    # Each value holds one "/", so the terms of the joined text alternate P, Q.
-    text = "/".join(values)
-    if not text.isascii() or not text.replace("/", "").isdigit():
-        return None
-    try:
-        terms = list(map(int, text.split("/")))
-    except ValueError:  # an empty term, or one past int's limit on string digits
-        return None
-    denominators = terms[1::2]
-    if 0 in denominators:
-        return None
-    return terms[0::2], denominators
 
 
 def format_rational(value: Fraction) -> str:

@@ -223,3 +223,65 @@ def weighted_grid_from_dict(data: dict) -> WeightedGrid:
 def polyline_to_dict(p: MonotonePolyline) -> dict:
     den = p.denominator
     return {"n": p.n, "vertices": [[format_rational(Fraction(x, den)) for x in v] for v in p.numerators]}
+
+
+def parse_quotients_by_int(values: list) -> tuple[list[int], list[int]] | None:
+    """`io.parse_quotients` as it read the terms, with one `map(int, ...)`."""
+    if not values:
+        return [], []
+    if set(map(type, values)) != {str} or {v.count("/") for v in values} != {1}:
+        return None
+    text = "/".join(values)
+    if not text.isascii() or not text.replace("/", "").isdigit():
+        return None
+    try:
+        terms = list(map(int, text.split("/")))
+    except ValueError:
+        return None
+    denominators = terms[1::2]
+    if 0 in denominators:
+        return None
+    return terms[0::2], denominators
+
+
+def _cut(a, b, sa, sb, level):
+    span, t = sb - sa, level - sa
+    point = [x * span + t * (y - x) for x, y in zip(a, b)]
+    g = math.gcd(span, *point)
+    return tuple(c // g for c in point), span // g
+
+
+def bucket_decompose(p: MonotonePolyline) -> list:
+    """(index, piece, s_interval) for index 1..n, as `antidiagonal_decompose`
+    built them before it reused the polyline's checked numerators: one walk
+    over every segment fills a bucket per piece, and each piece is a new
+    `MonotonePolyline`, checked and reduced from scratch."""
+    n, den, nums = p.n, p.denominator, p.numerators
+    buckets = [[] for _ in range(n + 1)]
+    if nums:
+        sums = list(map(sum, nums))
+        level, rest = divmod(sums[0], den)
+        index = max(1, min(n, level)) if rest == 0 else level + 1
+        buckets[index].append((nums[0], 1))
+        for a, b, sa, sb in zip(nums, nums[1:], sums, sums[1:]):
+            while sb > index * den and index < n:
+                cut = _cut(a, b, sa, sb, index * den)
+                buckets[index].append(cut)
+                index += 1
+                buckets[index].append(cut)
+            buckets[index].append((b, 1))
+    pieces = []
+    for i in range(1, n + 1):
+        bucket = buckets[i]
+        if not bucket:
+            pieces.append((i, None, None))
+            continue
+        scale = math.lcm(bucket[0][1], bucket[-1][1])
+        verts = [v if s == scale else tuple(x * (scale // s) for x in v) for v, s in bucket]
+        verts[1:] = [v for u, v in zip(verts, verts[1:]) if v != u]
+        piece_den = den * scale
+        offset = (i - 1) * piece_den
+        s_lo = Fraction(sum(verts[0]) - offset, piece_den)
+        s_hi = Fraction(sum(verts[-1]) - offset, piece_den)
+        pieces.append((i, MonotonePolyline(n, verts, piece_den), (s_lo, s_hi)))
+    return pieces

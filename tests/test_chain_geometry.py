@@ -263,6 +263,12 @@ class TestAgainstFractionOracle:
                 continue
             assert piece.piece.vertices == piece_vertices
             assert _same(h1_length(piece.piece), oracle.h1_length(piece_vertices))
+        # The pieces built from the polyline's checked numerators, with
+        # lengths from its per-segment parts, against pieces built and
+        # measured from scratch.
+        for piece, (index, sub, s_interval) in zip(got, oracle.bucket_decompose(p)):
+            assert (piece.index, piece.piece, piece.s_interval) == (index, sub, s_interval)
+            assert _same(piece.length, Fraction(0) if sub is None else h1_length(sub))
 
     def test_random_polylines(self):
         rng = random.Random(83)

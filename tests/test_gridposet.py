@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import maxchain_oracle
 from chainlab import (
     ChainOfPoints,
     Config,
@@ -20,6 +21,7 @@ from chainlab import (
     symmetric_chain_decomposition,
     whitney_numbers,
 )
+from chainlab import io as chainlab_io
 from chainlab.gridposet import _scd_chain_lengths, monotone_path_dp
 
 
@@ -131,6 +133,36 @@ class TestMaxWeightChain:
             }
             grid = WeightedGrid(n, m, weights)
             assert max_weight_chain(grid).total == enumerate_max_chain_total(grid)
+
+    def test_columns_against_fraction_oracle(self):
+        # The DP on integer columns against the Fraction one it replaced, on
+        # grids built from mixed values (ints, Fractions and "P/Q" strings,
+        # some unreduced, some zero) and from a weights file of "P/Q"
+        # strings read as one list.
+        rng = random.Random(3501)
+        nonzero = 0
+        for _ in range(300):
+            n, m = rng.choice((1, 2, 3)), rng.randint(2, 7)
+            density = rng.random()
+            points = [p for p in itertools.product(range(m), repeat=n) if rng.random() < density]
+            rng.shuffle(points)
+            mixed, texts = {}, {}
+            for p in points:
+                w = Fraction(rng.choice((0, rng.randint(1, 9))), rng.randint(1, 12))
+                k = rng.randint(1, 3)
+                texts[p] = f"{w.numerator * k}/{w.denominator * k}"
+                mixed[p] = rng.choice((texts[p], w, int(w) if w.denominator == 1 else w))
+            want = maxchain_oracle.max_weight_chain(n, m, {p: Fraction(v) for p, v in mixed.items()})
+            entries = [{"point": list(p), "w": texts[p]} for p in points]
+            for grid in (
+                WeightedGrid(n, m, mixed),
+                chainlab_io.weighted_grid_from_dict({"n": n, "m": m, "weights": entries}),
+            ):
+                assert grid.weights == {p: Fraction(v) for p, v in mixed.items()}
+                got = max_weight_chain(grid)
+                assert got == want and type(got.total) is Fraction
+            nonzero += bool(want.witness)
+        assert nonzero > 150
 
     def test_witness_is_chain_and_attains_total(self):
         rng = random.Random(3)

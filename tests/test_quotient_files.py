@@ -22,11 +22,12 @@ from chainlab import (
     ResourceLimitError,
     WeightedGrid,
     as_rational,
+    max_weight_chain,
     polyline,
 )
 from chainlab import io as chainlab_io
 from chainlab.config import int_table_bytes
-from chainlab.rational import parse_quotients
+from chainlab.io import parse_quotients
 
 LONG = "1" * 4301  # one digit past int's default limit on string digits
 
@@ -278,3 +279,51 @@ def test_budget_refusal_comes_before_scaling(first):
         finally:
             tracemalloc.stop()
         assert peak < scaled_bytes // 16, (peak, scaled_bytes)
+
+
+def test_budget_refusal_names_one_bits_figure_in_any_order():
+    # The lcm is charged one distinct denominator at a time, smallest
+    # first, so the B of "at B bits or more" depends on the denominators
+    # alone, not on the order the coordinates or weights are listed in.
+    rng = random.Random(2027)
+    # All 1 mod 2**20: a set of them collides in every slot, so its order
+    # follows the order of insertion.
+    coordinates = [f"1/{1 + k * 2**20}" for k in range(1, 301)]
+    config = Config(max_table_bytes=50_000)
+    polyline_messages, weight_messages = set(), set()
+    for _ in range(20):
+        rng.shuffle(coordinates)
+        vertices = [[c] for c in coordinates]
+        for build in (
+            lambda: polyline(vertices, 1, config),
+            lambda: chainlab_io.polyline_from_dict({"n": 1, "vertices": vertices}, config),
+            lambda: polyline([[as_rational(c)] for c in coordinates], 1, config),
+        ):
+            with pytest.raises(ResourceLimitError) as info:
+                build()
+            polyline_messages.add(str(info.value))
+        entries = [{"point": [k, 0], "w": c} for k, c in enumerate(coordinates)]
+        grid = chainlab_io.weighted_grid_from_dict({"n": 2, "m": 300, "weights": entries})
+        with pytest.raises(ResourceLimitError) as info:
+            max_weight_chain(grid, Config(max_table_bytes=10**7))
+        weight_messages.add(str(info.value))
+    assert len(polyline_messages) == 1 and len(weight_messages) == 1
+    assert "bits or more" in polyline_messages.pop() + weight_messages.pop()
+
+
+#: Inputs on which the JSON scan of the terms falls back to `int`, or on
+#: which both refuse: leading zeros, an empty term, a second "/", digits
+#: that are not ASCII, a zero denominator, a term past int's limit on
+#: string digits, and the empty list.
+PARSE_EDGES = (
+    ["01/2"], ["00/1"], ["1/2", "007/010"], ["0/1", "00/01"],
+    ["/2"], ["3/"], ["1/2", "/"], ["1/2/3"], ["1/2/3", "4"],
+    ["١/٢"], ["1/2", "²/3"], ["1/0"], ["0/0"], ["1/2", "3/00"],
+    [f"{LONG}/1"], [f"1/{LONG}"], ["1/2", f"0{LONG[1:]}/3"], [],
+)
+
+
+@pytest.mark.parametrize("values", PARSE_EDGES, ids=repr)
+def test_parse_quotients_matches_the_int_reader(values):
+    # The reader as it ran with one `map(int, ...)` over the terms.
+    assert parse_quotients(values) == oracle.parse_quotients_by_int(values)

@@ -73,7 +73,7 @@ TYPES = {
     "AdversarialResult": (("lower", None), ("witness", None)),
     "MaxChainResult": (("total", None), ("witness", None)),
     "SymmetricChainDecomposition": (("n", None), ("m", None), ("chains", None)),
-    "AntidiagonalPiece": (("index", None), ("piece", None), ("s_interval", None)),
+    "AntidiagonalPiece": (("index", None), ("piece", None), ("s_interval", None), ("length", None)),
     "ConvergenceRow": (("m", None), ("value", None), ("ratio", None), ("volume", None)),
 }
 
