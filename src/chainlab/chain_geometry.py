@@ -44,7 +44,7 @@ from operator import itemgetter, mul, sub, truediv
 from typing import NamedTuple, Optional, Sequence
 
 from .config import Config, over_common_denominator
-from .errors import DomainError, Frozen
+from .errors import DomainError, Frozen, check_dimension
 from .io import parse_quotients
 from .rational import as_rational, RationalLike
 
@@ -127,10 +127,7 @@ class MonotonePolyline(Frozen):
         """Store the numerators as tuples, check them, and reduce them."""
         object.__setattr__(self, "numerators", tuple(map(tuple, self.numerators)))
         n, den, nums = self.n, self.denominator, self.numerators
-        if type(n) is not int:
-            raise DomainError(f"n must be an integer, got {n!r}")
-        if n < 1:
-            raise DomainError(f"dimension must be >= 1, got {n}")
+        check_dimension(n)
         if type(den) is not int or den < 1:
             raise DomainError(f"denominator must be a positive integer, got {den!r}")
         # Whole-set checks; the offending vertex is looked up only to word
@@ -379,7 +376,6 @@ def antidiagonal_decompose(p: MonotonePolyline) -> tuple[AntidiagonalPiece, ...]
 
 def extremal_chain(n: int) -> MonotonePolyline:
     """The length-n staircase: fill coordinates one at a time, left to right."""
-    if n < 1:
-        raise DomainError(f"dimension must be >= 1, got {n}")
+    check_dimension(n)
     verts = [(1,) * i + (0,) * (n - i) for i in range(n + 1)]
     return MonotonePolyline(n, verts)

@@ -55,19 +55,15 @@ def is_chain(points: Iterable[GridPoint]) -> bool:
 
 
 class ChainOfPoints(Frozen):
-    """A nondecreasing sequence of distinct grid points.
-
-    The points must be integer tuples of one dimension; pass
-    `points_checked=True` only when the caller has checked that already.
-    """
+    """A nondecreasing sequence of distinct grid points: integer tuples of one dimension."""
 
     __slots__ = _fields = ("points",)
 
     points: tuple[GridPoint, ...]
 
-    def __init__(self, points: tuple[GridPoint, ...], points_checked: bool = False) -> None:
+    def __init__(self, points: tuple[GridPoint, ...]) -> None:
         object.__setattr__(self, "points", points)
-        if points and not points_checked:
+        if points:
             check_points(points, len(points[0]), "point")
         for a, b in zip(points, points[1:]):
             if a == b or not dominates(b, a):
@@ -80,12 +76,11 @@ class ChainOfPoints(Frozen):
 class WeightedGrid(Frozen):
     """Nonnegative rational weights on {0..m-1}^n; absent points weigh 0.
 
-    The points must be integer tuples in the grid; pass
-    `points_checked=True` only when the caller has checked that already.
-    The grid keeps integer columns, in the order the weights are given:
-    `index`, each point's flat row-major index, and `numerators` and
-    `denominators`, its weight in lowest terms.  `weights`, the dict of
-    `Fraction` weights by point, is built from them on each access.
+    The points must be integer tuples in the grid.  The grid keeps
+    integer columns, in the order the weights are given: `index`, each
+    point's flat row-major index, and `numerators` and `denominators`,
+    its weight in lowest terms.  `weights`, the dict of `Fraction`
+    weights by point, is built from them on each access.
     """
 
     __slots__ = ("n", "m", "index", "numerators", "denominators")
@@ -97,15 +92,10 @@ class WeightedGrid(Frozen):
     numerators: list[int]
     denominators: list[int]
 
-    def __init__(
-        self, n: int, m: int, weights: Mapping[GridPoint, Fraction], points_checked: bool = False
-    ) -> None:
+    def __init__(self, n: int, m: int, weights: Mapping[GridPoint, Fraction]) -> None:
         check_grid(n, m)
         points = list(weights)
-        if points_checked:
-            coords = list(itertools.chain.from_iterable(points))
-        else:
-            coords = check_grid_points(points, n, m, "point")
+        coords = check_grid_points(points, n, m, "point")
         # Whole-set check first; the loop words the first fault and coerces.
         values = list(weights.values())
         if not set(map(type, values)) <= {Fraction} or (
@@ -327,14 +317,14 @@ def ksperner_bound_via_scd(n: int, m: int, k: int, config: Config = Config()) ->
     return bound
 
 
-def ksperner_max_bruteforce(n: int, m: int, k: int, prune: bool = True) -> int:
+def ksperner_max_bruteforce(n: int, m: int, k: int) -> int:
     """Exact maximum size of a family with no chain of k+1 points.
 
     Depth-first enumeration over all families, processed in a linear
     extension of the grid so the longest chain ending at each chosen
-    point is fixed at insertion time.  The optional pruning is the
-    extendability bound (chosen + remaining <= incumbent) and never
-    changes the result.
+    point is fixed at insertion time.  A branch is cut when even all the
+    points left cannot beat the incumbent (chosen + remaining <= best),
+    which never changes the result.
     """
     check_grid(n, m)
     if k < 1:
@@ -357,7 +347,7 @@ def ksperner_max_bruteforce(n: int, m: int, k: int, prune: bool = True) -> int:
             if chosen_count > best:
                 best = chosen_count
             return
-        if prune and chosen_count + (len(points) - i) <= best:
+        if chosen_count + (len(points) - i) <= best:
             return
         d = 1 + max((depth[j] for j in preds[i] if depth[j]), default=0)
         if d <= k:

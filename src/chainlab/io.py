@@ -12,9 +12,12 @@ depends on float formatting.
 Every file is read by `config.read_json_object`.  Cell, weights and
 cube-chain files pass the point checks of `errors`, so a fault is worded
 alike in the three; a weights file lists each point once, and a cube
-chain gives n.  Each point is checked once: the weights and the cube
-chain are handed on with `points_checked=True`, and the cubes' range is
-checked by `build_chain_through_cubes`.
+chain gives n.  Each loader checks the points in its file's wording
+first.  Weights that pass the whole-list checks go straight into the
+grid's integer columns; the per-entry path builds `WeightedGrid`, and
+the cube chain `ChainOfPoints`, through its constructor, which checks
+the points again (a cube chain has at most n(m-1)+1 of them).  The
+cubes' range is checked by `build_chain_through_cubes`.
 
 Polyline coordinates and weights are "P/Q" strings, read as one list
 by `parse_quotients`: a whole-list check that every value is a str of
@@ -217,7 +220,7 @@ def weighted_grid_from_dict(data: dict) -> WeightedGrid:
         weights[point] = _rational_field(
             _require(entry, "w", "weights entry"), f"weight at {point}"
         )
-    return WeightedGrid(n=n, m=m, weights=weights, points_checked=True)
+    return WeightedGrid(n=n, m=m, weights=weights)
 
 
 def cube_chain_from_dict(data: dict) -> tuple[ChainOfPoints, int, int]:
@@ -231,4 +234,4 @@ def cube_chain_from_dict(data: dict) -> tuple[ChainOfPoints, int, int]:
     _check_entries(cubes, list, "cube chain cubes")
     check_dimension(n)
     check_points(cubes, n, "cube")
-    return ChainOfPoints(points=tuple(map(tuple, cubes)), points_checked=True), n, m
+    return ChainOfPoints(points=tuple(map(tuple, cubes))), n, m

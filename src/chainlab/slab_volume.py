@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import DomainError, Frozen, ResourceLimitError
+from .errors import DomainError, Frozen, ResourceLimitError, check_dimension
 from .rational import RationalLike, as_rational
 
 #: Most sample coordinates (samples * n) one Monte Carlo run may draw;
@@ -46,8 +46,7 @@ class SlabSpec(Frozen):
     kappa: Fraction
 
     def __init__(self, n: int, kappa: RationalLike) -> None:
-        if type(n) is not int or n < 1:
-            raise DomainError(f"dimension must be a positive integer, got {n!r}")
+        check_dimension(n)
         try:
             exact = as_rational(kappa)
         except DomainError as exc:

@@ -48,7 +48,9 @@ from .cellset import CellSet, _run_bytes, measure
 # Not called here: bench/tracing.py looks discretize_slab up in this module.
 from .cellset import discretize_slab  # noqa: F401
 from .config import Config
-from .errors import DomainError, Frozen, ResourceLimitError, check_grid, check_in_grid, check_points
+from .errors import (
+    DomainError, Frozen, ResourceLimitError, check_dimension, check_in_grid, check_points
+)
 from .rational import as_rational, RationalLike
 from .slab_volume import SlabSpec, slab_volume_exact
 
@@ -86,26 +88,24 @@ def _dense_floor(n: int, epsilon: Fraction, w: int) -> int:
 
 
 class EpsilonParams(Frozen):
-    """The (epsilon, m, kappa) bundle with its derived quantities.
+    """The (epsilon, kappa) bundle in dimension n, with its derived quantities.
 
     Validity requires 0 < epsilon < 1/(2n+2) and the smallness condition
     kappa < n * (1-(2n+2)*epsilon) * (1-epsilon)^n, which together force
     the inflated kappa_prime below n.
     """
 
-    __slots__ = _fields = ("n", "m", "epsilon", "kappa")
+    __slots__ = _fields = ("n", "epsilon", "kappa")
 
     n: int
-    m: int
     epsilon: Fraction
     kappa: Fraction
 
-    def __init__(self, n: int, m: int, epsilon: RationalLike, kappa: RationalLike) -> None:
-        check_grid(n, m)
+    def __init__(self, n: int, epsilon: RationalLike, kappa: RationalLike) -> None:
+        check_dimension(n)
         eps = as_rational(epsilon)
         kappa = as_rational(kappa)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "kappa", kappa)
         _check_epsilon(n, eps)
@@ -136,22 +136,25 @@ class EpsilonParams(Frozen):
         return self.density_threshold * 2**self.n * self.epsilon
 
     @classmethod
-    def auto(
-        cls, n: int, m: int, kappa: RationalLike, config: Config = Config()
-    ) -> "EpsilonParams":
+    def auto(cls, n: int, kappa: RationalLike, config: Config = Config()) -> "EpsilonParams":
         """Largest epsilon of the form 1/t satisfying both conditions.
 
         The shrink factor grows with t, so the t that satisfy the
         smallness condition form a tail of [2n+3, cap], with cap
         `config.epsilon_denominator_cap`; its first element is found by
-        bisection.
+        bisection.  When the tail is empty, the refusal names its cause:
+        kappa >= n, which no t fits, or else the cap.
         """
+        check_dimension(n)
         kappa = as_rational(kappa)
         lo, hi = 2 * n + 3, config.epsilon_denominator_cap
         if lo > hi or not _is_small(n, Fraction(1, hi), kappa):
+            if kappa >= n:
+                cause = "kappa must be strictly below n"
+            else:
+                cause = f"kappa is below n, but epsilon_denominator_cap = {hi} is too small"
             raise DomainError(
-                f"no epsilon of the form 1/t with t <= {hi} fits "
-                f"kappa={kappa}; kappa must be strictly below n"
+                f"no epsilon of the form 1/t with t <= {hi} fits kappa={kappa}; {cause}"
             )
         while lo < hi:
             mid = (lo + hi) // 2
@@ -159,7 +162,7 @@ class EpsilonParams(Frozen):
                 hi = mid
             else:
                 lo = mid + 1
-        return cls(n=n, m=m, epsilon=Fraction(1, lo), kappa=kappa)
+        return cls(n=n, epsilon=Fraction(1, lo), kappa=kappa)
 
 
 class CoverSets(NamedTuple):
@@ -218,8 +221,6 @@ def cover_sets(a: CellSet, m: int, params: EpsilonParams) -> CoverSets:
     """The touched and dense coarse cubes, from integer cell counts."""
     if params.n != a.n:
         raise DomainError(f"params dimension {params.n} != cell set dimension {a.n}")
-    if params.m != m:
-        raise DomainError(f"params carry m={params.m} but m={m} was requested")
     counts = _coarse_counts(a, m)
     floor = _dense_floor(a.n, params.epsilon, a.M // m)
     dense = frozenset(d for d, c in counts.items() if c > floor)
@@ -549,9 +550,9 @@ def end_to_end_verify(
     check_chain_mass_cap(a.n, a.M, config)
     kappa = as_rational(kappa)
     if epsilon is None:
-        params = EpsilonParams.auto(a.n, m, kappa, config)
+        params = EpsilonParams.auto(a.n, kappa, config)
     else:
-        params = EpsilonParams(n=a.n, m=m, epsilon=as_rational(epsilon), kappa=kappa)
+        params = EpsilonParams(n=a.n, epsilon=as_rational(epsilon), kappa=kappa)
     _check_table(a.n, m, config)
     cover = cover_sets(a, m, params)
     claim = claim_check(a, m, params, cover=cover)

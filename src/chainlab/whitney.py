@@ -119,11 +119,9 @@ def sum_k_largest(table: CoefficientTable, k: int) -> int:
 
 
 def k_for_kappa(n: int, m: int, kappa: RationalLike) -> int:
-    """k = ceil(kappa*m + n) for kappa in (0, n], exactly: float ceilings misround."""
-    kappa = as_rational(kappa)
-    if not 0 < kappa <= n:
-        raise DomainError(f"kappa must lie in (0, n] = (0, {n}], got {kappa}")
-    return math.ceil(kappa * m + n)
+    """k = ceil(kappa*m + n) for kappa in (0, n], as `SlabSpec` checks it,
+    exactly: float ceilings misround."""
+    return math.ceil(SlabSpec(n, kappa).kappa * m + n)
 
 
 def whitney_sum(n: int, m: int, kappa: RationalLike, config: Config = Config()) -> int:

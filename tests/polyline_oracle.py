@@ -217,7 +217,7 @@ def weighted_grid_from_dict(data: dict) -> WeightedGrid:
         weights[point] = _rational_field(
             _require(entry, "w", "weights entry"), f"weight at {point}"
         )
-    return WeightedGrid(n=n, m=m, weights=weights, points_checked=True)
+    return WeightedGrid(n=n, m=m, weights=weights)
 
 
 def polyline_to_dict(p: MonotonePolyline) -> dict:

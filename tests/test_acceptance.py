@@ -200,7 +200,7 @@ def test_criterion_8_feasible_sets_respect_volume_bound():
         a = CellSet(n, M, frozenset(cells))
         upper = max_cell_chain_mass_upper(a, m)
         assert upper <= kappa, "generator must certify feasibility"
-        params = EpsilonParams.auto(n, m, kappa)
+        params = EpsilonParams.auto(n, kappa)
         assert measure(a) <= volume + params.delta + Fraction(n, m)
         checked += 1
     report(8, "feasible sets respect the volume bound", started, 60.0)

@@ -98,7 +98,7 @@ def test_every_counter_hook_reads_a_real_result(tmp_path):
     path = str(tmp_path / "payload.json")
     samples = {
         "verifier.discretize_slab": (2, 12, Fraction(1), "inner"),
-        "verifier.cover_sets": (slab, 4, EpsilonParams.auto(2, 4, Fraction(1))),
+        "verifier.cover_sets": (slab, 4, EpsilonParams.auto(2, Fraction(1))),
         "verifier.adversarial_chain_search": (slab,),
         "verifier.build_chain_through_cubes": (cubes, full, 4, Fraction(1, 50)),
         "verifier.end_to_end_verify": (slab, Fraction(1), 4),

@@ -17,6 +17,7 @@ import pytest
 
 import polyline_oracle as oracle
 from chainlab import ResourceLimitError, format_rational
+from chainlab import io as chainlab_io
 from chainlab.cli import run
 from chainlab.slab_volume import MAX_SAMPLE_COORDINATES
 
@@ -80,6 +81,13 @@ class TestVolume:
         assert code == 2
         assert out == ""
         check_schema("error", err)
+
+    def test_dimension_refused_alike_by_volume_and_whitney(self):
+        volume = invoke(["volume", "--n", "0", "--kappa", "1"])
+        whitney = invoke(["whitney", "--n", "0", "--m", "3"])
+        assert volume == whitney
+        assert volume[:2] == (2, "")
+        assert check_schema("error", volume[2])["error"]["message"] == "n must be >= 1, got 0"
 
     def test_dimension_cap_exit_three(self):
         code, _, err = invoke(["volume", "--n", "100", "--kappa", "1/2"])
@@ -258,6 +266,24 @@ class TestMaxchain:
         assert (code, out) == (2, "")
         assert "point (0,) twice" in check_schema("error", err)["error"]["message"]
 
+
+    def test_int_weight_loads_entry_by_entry_to_the_same_grid(self, tmp_path):
+        # One int weight fails the whole-list "P/Q" check, so that file is
+        # read entry by entry and built by WeightedGrid's own constructor.
+        rest = [{"point": [0, 1], "w": "2/4"}, {"point": [2, 2], "w": "1/3"}]
+        paths = []
+        for name, w in (("quotients", "3/1"), ("int", 3)):
+            path = tmp_path / f"{name}.json"
+            entries = [{"point": [1, 0], "w": w}, *rest]
+            path.write_text(json.dumps({"n": 2, "m": 3, "weights": entries}))
+            paths.append(str(path))
+        assert chainlab_io.parse_quotients([3, "2/4", "1/3"]) is None
+        load = chainlab_io.load_json
+        fast, per_entry = [chainlab_io.weighted_grid_from_dict(load(p)) for p in paths]
+        assert fast == per_entry
+        outputs = [invoke(["maxchain", "--weights", p]) for p in paths]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and json.loads(outputs[0][1])["total"] == "10/3"
 
     def test_total_past_float_range_exit_three(self, tmp_path):
         path = tmp_path / "weights.json"
@@ -705,6 +731,25 @@ class TestVerifyPipeline:
             check_schema("error", err)
 
     @pytest.mark.parametrize(
+        "cubes, message",
+        [
+            ([[0, True], [1, 1]], "cube (0, True) has a coordinate that is not an integer"),
+            ([[0, 0], [1]], "cube (1,) has wrong dimension: 1 coordinates, expected 2"),
+        ],
+        ids=["bool", "ragged"],
+    )
+    def test_cube_chain_points_worded_as_cubes(self, tmp_path, cubes, message):
+        cells_path = tmp_path / "cells.json"
+        cells_path.write_text(json.dumps({"n": 2, "M": 4, "cells": [[0, 0], [1, 1]]}))
+        path = tmp_path / "cubes.json"
+        path.write_text(json.dumps({"n": 2, "m": 2, "cubes": cubes}))
+        code, out, err = invoke(
+            ["chainbuild", "--cubes", str(path), "--set", str(cells_path), "--epsilon", "1/10"]
+        )
+        assert (code, out) == (2, "")
+        assert check_schema("error", err)["error"]["message"] == message
+
+    @pytest.mark.parametrize(
         "cubes",
         [
             {"n": 7, "m": 2, "cubes": [[0], [1]]},
@@ -747,6 +792,11 @@ class TestVerifyPipeline:
             ({"n": "2", "m": 2, "weights": [{"point": [1, 0], "w": "1/1"}]}, "n must be an integer"),
             ({"n": 2, "m": True, "weights": []}, "m must be an integer"),
             ({"n": 2, "m": 2, "weights": [{"point": [0, 2], "w": "1/1"}]}, "outside [0, 1]"),
+            # Read entry by entry: "-1/2" fails the whole-list "P/Q" check.
+            (
+                {"n": 2, "m": 2, "weights": [{"point": [0, 1], "w": "-1/2"}]},
+                "negative weight -1/2 at (0, 1)",
+            ),
         ):
             path.write_text(json.dumps(data))
             code, out, err = invoke(["maxchain", "--weights", str(path)])

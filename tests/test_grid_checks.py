@@ -16,10 +16,13 @@ from chainlab import (
     Config,
     DomainError,
     EpsilonParams,
+    MonotonePolyline,
     ResourceLimitError,
+    SlabSpec,
     WeightedGrid,
     build_chain_through_cubes,
     discretize_slab,
+    extremal_chain,
     ksperner_bound_via_scd,
     ksperner_max_bruteforce,
     max_weight_chain,
@@ -29,27 +32,56 @@ from chainlab import (
 from chainlab import errors, gridposet, verifier
 from chainlab import io as chainlab_io
 from chainlab.cli import run
+from chainlab.whitney import k_for_kappa
 
 GRID_USERS = {
     "CellSet": lambda n, m: CellSet(n, m, []),
     "WeightedGrid": lambda n, m: WeightedGrid(n, m, {}),
-    "EpsilonParams": lambda n, m: EpsilonParams(n, m, Fraction(1, 100), Fraction(1, 100)),
+    # The epsilon bundle takes n alone: a verification's m is checked with its Whitney table.
+    "EpsilonParams": lambda n, m: EpsilonParams(n, Fraction(1, 100), Fraction(1, 100)),
     "whitney_numbers": whitney_numbers,
     "symmetric_chain_decomposition": symmetric_chain_decomposition,
     "ksperner_bound_via_scd": lambda n, m: ksperner_bound_via_scd(n, m, 1),
     "ksperner_max_bruteforce": lambda n, m: ksperner_max_bruteforce(n, m, 1),
 }
+BAD_GRIDS = {
+    "n-zero": (0, 3), "m-one": (2, 1), "n-string": ("2", 3), "m-float": (2, 2.0), "n-bool": (True, 3)
+}
 
 
 @pytest.mark.parametrize(
-    "grid",
-    [(0, 3), (2, 1), ("2", 3), (2, 2.0), (True, 3)],
-    ids=["n-zero", "m-one", "n-string", "m-float", "n-bool"],
+    "user, grid",
+    [
+        pytest.param(user, grid, id=f"{user}-{fault}")
+        for user in sorted(GRID_USERS)
+        for fault, grid in BAD_GRIDS.items()
+        if user != "EpsilonParams" or fault.startswith("n-")
+    ],
 )
-@pytest.mark.parametrize("user", sorted(GRID_USERS))
 def test_bad_grid_is_a_domain_error(user, grid):
     with pytest.raises(DomainError):
         GRID_USERS[user](*grid)
+
+
+#: What takes a dimension n but no grid; `errors.check_dimension` refuses a bad n for each.
+DIMENSION_USERS = {
+    "SlabSpec": lambda n: SlabSpec(n, 1),
+    "EpsilonParams": lambda n: EpsilonParams(n, Fraction(1, 100), Fraction(1, 100)),
+    "EpsilonParams.auto": lambda n: EpsilonParams.auto(n, Fraction(1, 100)),
+    "MonotonePolyline": lambda n: MonotonePolyline(n, []),
+    "extremal_chain": extremal_chain,
+    "k_for_kappa": lambda n: k_for_kappa(n, 3, 1),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1, "2", 2.0, True, None])
+@pytest.mark.parametrize("user", sorted(DIMENSION_USERS))
+def test_bad_dimension_worded_by_the_one_check(user, n):
+    with pytest.raises(DomainError) as expected:
+        errors.check_dimension(n)
+    with pytest.raises(DomainError) as info:
+        DIMENSION_USERS[user](n)
+    assert str(info.value) == str(expected.value)
 
 
 @pytest.mark.parametrize(
@@ -114,11 +146,13 @@ def test_each_cube_and_weights_point_checked_once(tmp_path, monkeypatch):
         out, err = io.StringIO(), io.StringIO()
         run(argv, stdout=out, stderr=err)
         # chainbuild's density check fails on this sparse set; the checks come first.
+        # Each point is checked once in its file's wording; `ChainOfPoints`
+        # checks a cube chain again as plain points, at most n(m-1)+1 of them.
         points = 1 if what == "cube" else 9
-        assert [c for c in calls if c[1] != "cell"] == [
-            ("points", what, points),
-            ("range", what, points),
-        ]
+        expected = [("points", what, points), ("range", what, points)]
+        if what == "cube":
+            expected.insert(1, ("points", "point", points))
+        assert [c for c in calls if c[1] != "cell"] == expected
 
 
 def test_library_callers_still_get_domain_errors():

@@ -297,15 +297,9 @@ class TestKSperner:
         assert ksperner_max_bruteforce(4, 2, 2) == 10
         assert ksperner_max_bruteforce(2, 3, 5) == 9
 
-    def test_pruning_changes_nothing(self):
-        for n, m in ((1, 5), (2, 3), (3, 2), (2, 4)):
-            for k in range(1, n * (m - 1) + 2):
-                assert ksperner_max_bruteforce(
-                    n, m, k, prune=True
-                ) == ksperner_max_bruteforce(n, m, k, prune=False)
-
     def test_erdos_agreement_small(self):
-        for n, m in ((2, 3), (3, 2), (1, 9)):
+        # (2, 4) is at the brute-force cap of 16 points.
+        for n, m in ((2, 3), (3, 2), (1, 9), (1, 5), (2, 4)):
             for k in range(1, n * (m - 1) + 2):
                 brute = ksperner_max_bruteforce(n, m, k)
                 bound = ksperner_bound_via_scd(n, m, k)

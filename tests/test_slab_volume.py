@@ -89,8 +89,8 @@ class TestExactVolume:
     @pytest.mark.parametrize(
         "n, kappa, message",
         [
-            (True, 1, "dimension must be a positive integer, got True"),
-            (2.0, 1, "dimension must be a positive integer, got 2.0"),
+            pytest.param(True, 1, "n must be an integer, got True", id="n-bool"),
+            pytest.param(2.0, 1, "n must be an integer, got 2.0", id="n-float"),
             (2, True, 'kappa must be an int, Fraction or "P/Q" string, got True'),
             (2, False, 'kappa must be an int, Fraction or "P/Q" string, got False'),
             (2, 0.5, 'kappa must be an int, Fraction or "P/Q" string, got 0.5'),

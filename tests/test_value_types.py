@@ -36,7 +36,7 @@ from chainlab.verifier import AdversarialResult
 from chainlab.whitney import k_for_kappa
 
 #: Each type's constructor parameters, in order, with their defaults
-#: (`None`: required).  All but `points_checked` are the fields.
+#: (`None`: required), which are the fields.
 TYPES = {
     "Config": (
         ("max_grid_states", 10**7),
@@ -48,9 +48,9 @@ TYPES = {
     "SlabSpec": (("n", None), ("kappa", None)),
     "CellRuns": (("n", None), ("M", None), ("bounds", None)),
     "CellSet": (("n", None), ("M", None), ("cells", None)),
-    "EpsilonParams": (("n", None), ("m", None), ("epsilon", None), ("kappa", None)),
-    "ChainOfPoints": (("points", None), ("points_checked", False)),
-    "WeightedGrid": (("n", None), ("m", None), ("weights", None), ("points_checked", False)),
+    "EpsilonParams": (("n", None), ("epsilon", None), ("kappa", None)),
+    "ChainOfPoints": (("points", None),),
+    "WeightedGrid": (("n", None), ("m", None), ("weights", None)),
     "MonotonePolyline": (("n", None), ("numerators", None), ("denominator", 1)),
     "ChainCertificate": (("polyline", None), ("mass", None), ("guarantee", None)),
     "CoefficientTable": (("n", None), ("m", None), ("coeffs", None)),
@@ -92,8 +92,7 @@ def test_fields_and_constructor(name):
         TYPES[name]
     )
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
-    init_only = {"points_checked"}
-    assert cls._fields == tuple(p.name for p in params if p.name not in init_only)
+    assert cls._fields == tuple(p.name for p in params)
     assert issubclass(cls, Frozen) != issubclass(cls, tuple)
 
 
@@ -106,7 +105,7 @@ def samples():
         (SlabSpec(2, Fraction(1, 2)), SlabSpec(n=2, kappa="1/2")),
         (runs, CellRuns(n=2, M=4, bounds=(2, 4, 13, 14))),
         (CellSet(2, 4, runs), CellSet.from_flat(2, 4, [13, 2, 3])),
-        (EpsilonParams(2, 4, Fraction(1, 50), 1), EpsilonParams(2, 4, "1/50", Fraction(1))),
+        (EpsilonParams(2, Fraction(1, 50), 1), EpsilonParams(2, "1/50", Fraction(1))),
         (ChainOfPoints(((0, 0), (1, 1))), ChainOfPoints(points=((0, 0), (1, 1)))),
         (WeightedGrid(2, 3, {(0, 1): 1}), WeightedGrid(2, 3, {(0, 1): Fraction(1)})),
         (poly, MonotonePolyline(2, [[0, 0], [2, 4]], 4)),
@@ -160,7 +159,7 @@ def test_own_equality_of_cell_sets():
 
 #: Library entries that take a rational, each called with `bad` in its place.
 RATIONAL_ENTRIES = {
-    "EpsilonParams": lambda bad: EpsilonParams(n=2, m=10, epsilon=bad, kappa=1),
+    "EpsilonParams": lambda bad: EpsilonParams(n=2, epsilon=bad, kappa=1),
     "k_for_kappa": lambda bad: k_for_kappa(2, 10, bad),
     "whitney_sum": lambda bad: whitney_sum(2, 10, bad),
     "convergence_table": lambda bad: convergence_table(2, bad, [10]),

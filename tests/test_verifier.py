@@ -117,7 +117,7 @@ class TestDiscretizeSlab:
 
 class TestEpsilonParams:
     def test_derived_quantities(self):
-        params = EpsilonParams(n=2, m=20, epsilon=Fraction(1, 100), kappa=Fraction(1))
+        params = EpsilonParams(n=2, epsilon=Fraction(1, 100), kappa=Fraction(1))
         shrink = (1 - Fraction(6, 100)) * (1 - Fraction(1, 100)) ** 2
         assert params.kappa_prime == 1 / shrink
         assert params.delta == (4 - Fraction(1, 100) ** 4) * Fraction(1, 100)
@@ -126,27 +126,44 @@ class TestEpsilonParams:
 
     def test_epsilon_bounds(self):
         with pytest.raises(DomainError):
-            EpsilonParams(n=2, m=10, epsilon=Fraction(1, 6), kappa=Fraction(1, 2))
+            EpsilonParams(n=2, epsilon=Fraction(1, 6), kappa=Fraction(1, 2))
         with pytest.raises(DomainError):
-            EpsilonParams(n=2, m=10, epsilon=Fraction(0), kappa=Fraction(1, 2))
+            EpsilonParams(n=2, epsilon=Fraction(0), kappa=Fraction(1, 2))
 
     def test_kappa_must_be_positive(self):
         with pytest.raises(DomainError, match="^kappa must be positive, got 0$"):
-            EpsilonParams(n=2, m=10, epsilon=Fraction(1, 100), kappa=0)
+            EpsilonParams(n=2, epsilon=Fraction(1, 100), kappa=0)
 
     def test_smallness_condition(self):
         # kappa = 1 needs epsilon below ~1/15 in dimension 2
         with pytest.raises(DomainError):
-            EpsilonParams(n=2, m=10, epsilon=Fraction(1, 14), kappa=Fraction(1))
-        EpsilonParams(n=2, m=10, epsilon=Fraction(1, 15), kappa=Fraction(1))
+            EpsilonParams(n=2, epsilon=Fraction(1, 14), kappa=Fraction(1))
+        EpsilonParams(n=2, epsilon=Fraction(1, 15), kappa=Fraction(1))
 
     def test_auto_picks_largest_unit_fraction(self):
-        params = EpsilonParams.auto(2, 10, Fraction(1))
+        params = EpsilonParams.auto(2, Fraction(1))
         assert params.epsilon == Fraction(1, 15)
 
     def test_auto_rejects_kappa_equal_n(self):
-        with pytest.raises(DomainError):
-            EpsilonParams.auto(2, 10, Fraction(2), Config(epsilon_denominator_cap=1000))
+        with pytest.raises(DomainError) as info:
+            EpsilonParams.auto(2, Fraction(2), Config(epsilon_denominator_cap=1000))
+        assert str(info.value) == (
+            "no epsilon of the form 1/t with t <= 1000 fits kappa=2; "
+            "kappa must be strictly below n"
+        )
+
+    @pytest.mark.parametrize(
+        "kappa, cap",
+        [(2 - Fraction(1, 10**6), 10**6), (Fraction(1), 3), (Fraction(1), 14)],
+        ids=["near-n", "cap-below-2n+3", "cap-below-the-tail"],
+    )
+    def test_auto_names_the_cap_when_kappa_is_below_n(self, kappa, cap):
+        with pytest.raises(DomainError) as info:
+            EpsilonParams.auto(2, kappa, Config(epsilon_denominator_cap=cap))
+        assert str(info.value) == (
+            f"no epsilon of the form 1/t with t <= {cap} fits kappa={kappa}; "
+            f"kappa is below n, but epsilon_denominator_cap = {cap} is too small"
+        )
 
     def test_auto_against_linear_scan(self):
         rng = random.Random(5)
@@ -157,35 +174,35 @@ class TestEpsilonParams:
             expected = linear_scan_epsilon(n, kappa, cap)
             if expected is None:
                 with pytest.raises(DomainError):
-                    EpsilonParams.auto(n, 10, kappa, Config(epsilon_denominator_cap=cap))
+                    EpsilonParams.auto(n, kappa, Config(epsilon_denominator_cap=cap))
             else:
-                params = EpsilonParams.auto(n, 10, kappa, Config(epsilon_denominator_cap=cap))
+                params = EpsilonParams.auto(n, kappa, Config(epsilon_denominator_cap=cap))
                 assert params.epsilon == expected
 
     def test_auto_fails_fast_near_n(self):
         start = time.perf_counter()
         with pytest.raises(DomainError):
-            EpsilonParams.auto(2, 10, 2 - Fraction(1, 10**6))
+            EpsilonParams.auto(2, 2 - Fraction(1, 10**6))
         assert time.perf_counter() - start < 0.5
 
 
 class TestCoverSets:
     def test_full_cube(self):
-        params = EpsilonParams(n=2, m=2, epsilon=Fraction(1, 8), kappa=Fraction(1, 10))
+        params = EpsilonParams(n=2, epsilon=Fraction(1, 8), kappa=Fraction(1, 10))
         cover = cover_sets(full_cube(2, 4), 2, params)
         everything = set(itertools.product(range(2), repeat=2))
         assert set(cover.touched) == everything
         assert set(cover.dense) == everything
 
     def test_empty(self):
-        params = EpsilonParams(n=2, m=2, epsilon=Fraction(1, 8), kappa=Fraction(1, 10))
+        params = EpsilonParams(n=2, epsilon=Fraction(1, 8), kappa=Fraction(1, 10))
         cover = cover_sets(CellSet(2, 4, frozenset()), 2, params)
         assert not cover.touched and not cover.dense
 
     def test_one_dimensional_example(self):
         # cells {0,1,2} of four: densities 1 and 1/2; threshold 1 - eps^2/2
         a = CellSet(1, 4, frozenset({(0,), (1,), (2,)}))
-        params = EpsilonParams(n=1, m=2, epsilon=Fraction(1, 5), kappa=Fraction(1, 10))
+        params = EpsilonParams(n=1, epsilon=Fraction(1, 5), kappa=Fraction(1, 10))
         cover = cover_sets(a, 2, params)
         assert set(cover.touched) == {(0,), (1,)}
         assert set(cover.dense) == {(0,)}
@@ -194,7 +211,7 @@ class TestCoverSets:
         # A cube is dense when its density exceeds the threshold, not when it
         # equals it: 9603 of 9604 cells is the threshold for n = 2, eps = 1/7.
         # The cubes hold 9603, 0, 9604 and 9602 cells.
-        params = EpsilonParams(n=2, m=2, epsilon=Fraction(1, 7), kappa=Fraction(1, 10))
+        params = EpsilonParams(n=2, epsilon=Fraction(1, 7), kappa=Fraction(1, 10))
         assert params.density_threshold == Fraction(9603, 9604)
         cells = set(itertools.product(range(196), repeat=2)) - {(0, 0), (100, 100), (101, 101)}
         cells -= set(itertools.product(range(98), range(98, 196)))
@@ -206,7 +223,7 @@ class TestCoverSets:
         rng = random.Random(22)
         for n, M, m, removals in [(1, 60, 3, 2), (2, 28, 2, 3), (2, 24, 4, 6), (3, 8, 2, 3)]:
             w = M // m
-            params = EpsilonParams.auto(n, m, Fraction(1, 2))
+            params = EpsilonParams.auto(n, Fraction(1, 2))
             for _ in range(5):
                 a = random_covered_cellset(rng, n, M, m, rng.randrange(removals + 1))
                 counts = {}
@@ -217,23 +234,20 @@ class TestCoverSets:
                 assert cover_sets(a, m, params) == (frozenset(counts), frozenset(dense))
 
     def test_divisibility(self):
-        params = EpsilonParams(n=1, m=3, epsilon=Fraction(1, 5), kappa=Fraction(1, 10))
+        params = EpsilonParams(n=1, epsilon=Fraction(1, 5), kappa=Fraction(1, 10))
         with pytest.raises(DomainError):
             cover_sets(CellSet(1, 4, frozenset()), 3, params)
 
     def test_params_must_match(self):
         a = CellSet(2, 4, frozenset({(0, 0)}))
-        params = EpsilonParams(n=3, m=2, epsilon=Fraction(1, 100), kappa=Fraction(1, 2))
+        params = EpsilonParams(n=3, epsilon=Fraction(1, 100), kappa=Fraction(1, 2))
         with pytest.raises(DomainError, match="^params dimension 3 != cell set dimension 2$"):
-            cover_sets(a, 2, params)
-        params = EpsilonParams(n=2, m=4, epsilon=Fraction(1, 100), kappa=Fraction(1, 2))
-        with pytest.raises(DomainError, match="^params carry m=4 but m=2 was requested$"):
             cover_sets(a, 2, params)
 
 
 class TestClaimCheck:
     def test_full_cube_passes_with_delta_slack(self):
-        params = EpsilonParams(n=2, m=2, epsilon=Fraction(1, 8), kappa=Fraction(1, 10))
+        params = EpsilonParams(n=2, epsilon=Fraction(1, 8), kappa=Fraction(1, 10))
         a = full_cube(2, 4)
         report = claim_check(a, 2, params, cover_sets(a, 2, params))
         assert report.passed
@@ -242,14 +256,14 @@ class TestClaimCheck:
         assert report.covering_defect_ok
 
     def test_empty_passes(self):
-        params = EpsilonParams(n=2, m=2, epsilon=Fraction(1, 8), kappa=Fraction(1, 10))
+        params = EpsilonParams(n=2, epsilon=Fraction(1, 8), kappa=Fraction(1, 10))
         a = CellSet(2, 4, frozenset())
         assert claim_check(a, 2, params, cover_sets(a, 2, params)).passed
 
     def test_frozen_twenty_percent_instance(self):
         rng = random.Random(2024)
         a = random_cellset(rng, 2, 40, density=0.2)
-        params = EpsilonParams(n=2, m=8, epsilon=Fraction(1, 10), kappa=Fraction(1, 2))
+        params = EpsilonParams(n=2, epsilon=Fraction(1, 10), kappa=Fraction(1, 2))
         report = claim_check(a, 8, params, cover_sets(a, 8, params))
         assert report.passed
 
@@ -263,7 +277,7 @@ class TestClaimCheck:
         )
         for n, M, m, eps, max_removals in cases:
             a = random_covered_cellset(rng, n, M, m, rng.randint(0, max_removals))
-            params = EpsilonParams(n=n, m=m, epsilon=eps, kappa=Fraction(1, 10))
+            params = EpsilonParams(n=n, epsilon=eps, kappa=Fraction(1, 10))
             report = claim_check(a, m, params, cover_sets(a, m, params))
             assert report.covering_defect_ok
             assert report.passed
